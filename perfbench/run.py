@@ -13,10 +13,13 @@ benchmark's bounds apply to.
 
 The batch is a sequence of rounds, each the same multiset of job kinds
 drawn afresh from the seed; whole rounds run, as many as bring the job
-time closest to ``--seconds``.  Every job's answer is checked against
-``oracles`` outside the job's timer.  Afterwards a seeded sample of the
-cheap CLI jobs runs again in subprocesses under two PYTHONHASHSEED values;
-any byte difference in stdout fails that job.
+time, and the probe slice that follows each job, closest to ``--seconds``.
+Every job's answer is checked against ``oracles`` outside the job's timer.
+Times are reported in reference seconds: wall time scaled by the host
+speed that ``probe.Probe`` measured over the same stretch of the run, so
+that a shared host's changing speed cancels out.  Afterwards a seeded
+sample of the cheap CLI jobs runs again in subprocesses under two
+PYTHONHASHSEED values; any byte difference in stdout fails that job.
 
 With ``--trace 0`` the last line of stdout is a JSON object holding the
 end-to-end metrics.  With ``--trace 1`` the same batch runs, then round 0
@@ -44,8 +47,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 SETUP_REPEATS = 3
+# an import takes about 0.1 s and varies most between runs, so it repeats
+# more often than the set-up that follows it
+IMPORT_REPEATS = 7
 HASH_SEEDS = ("0", "2718")
 HASH_SAMPLE = 3
+# probe time per second of measured work: set-up is short, so its
+# probe slices are as long as the work they follow
+PROBE_SHARE = 0.25
+SETUP_PROBE_SHARE = 1.0
 TAIL_LADDER = (50.0, 75.0, 90.0, 95.0, 99.0, 99.9)
 
 
@@ -102,7 +112,7 @@ class Batch:
         self.results: list[object] = []
         self.errors: list[str] = []
 
-    def run(self, jobs, tracer=None):
+    def run(self, jobs, probe, tracer=None):
         # start each round from a collected heap, outside the timers
         gc.collect()
         for job in jobs:
@@ -114,7 +124,9 @@ class Batch:
                 error = None
             except Exception as exc:    # an unexpected exception fails the job
                 result, error = None, f"{type(exc).__name__}: {exc}"
-            self.times.append(time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
+            self.times.append(elapsed)
+            probe.after(elapsed)
             if error is None:
                 try:
                     ok, decided = job.check(result)
@@ -141,17 +153,18 @@ def _src_env() -> dict:
     return env
 
 
-def import_seconds(first: float) -> float:
+def import_seconds(first: float, probe) -> float:
     """Median import time of varietal.cli: ``first`` (this interpreter's)
-    and one more fresh interpreter per extra set-up."""
+    and IMPORT_REPEATS - 1 fresh interpreters."""
     code = ("import time; t = time.perf_counter(); import varietal.cli; "
             "print(time.perf_counter() - t)")
     samples = [first]
-    for _ in range(SETUP_REPEATS - 1):
+    for _ in range(IMPORT_REPEATS - 1):
         proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                               capture_output=True, text=True, check=True,
                               cwd=ROOT, timeout=120)
         samples.append(float(proc.stdout))
+        probe.after(samples[-1])
     return statistics.median(samples)
 
 
@@ -177,10 +190,13 @@ def hash_seed_check(jobs, rng, results):
 
 
 def run_workload(args) -> int:
+    sys.path.insert(0, HERE)
+    from probe import Probe
+    setup_probe = Probe(SETUP_PROBE_SHARE)
     t_import = time.perf_counter()
     import varietal.cli  # noqa: F401  (the import is part of set-up)
     import_s = time.perf_counter() - t_import
-    sys.path.insert(0, HERE)
+    setup_probe.after(import_s)
     import jobs as jobs_mod
 
     workload = jobs_mod.WORKLOADS.get(args.workload)
@@ -191,14 +207,15 @@ def run_workload(args) -> int:
     workdir = os.path.join(ROOT, ".perfbench_work", f"{args.workload}-{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
     try:
-        return _measure(args, workload, import_s, workdir)
+        return _measure(args, workload, import_s, setup_probe, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         with contextlib.suppress(OSError):  # other runs may still use it
             os.rmdir(os.path.dirname(workdir))
 
 
-def _measure(args, workload, import_s, workdir) -> int:
+def _measure(args, workload, import_s, setup_probe, workdir) -> int:
+    from probe import Probe
     # set-up: build what the jobs share and draw the first round, repeatedly
     build_s = []
     for _ in range(SETUP_REPEATS):
@@ -208,7 +225,10 @@ def _measure(args, workload, import_s, workdir) -> int:
         rounds = [workload.round(random.Random(f"{args.seed}:0"), ctx)]
         random.Random(f"{args.seed}:order:0").shuffle(rounds[0])
         build_s.append(time.perf_counter() - t0)
-    setup_s = import_seconds(import_s) + statistics.median(build_s)
+        setup_probe.after(build_s[-1])
+    wall_setup_s = (import_seconds(import_s, setup_probe)
+                    + statistics.median(build_s))
+    setup_s = wall_setup_s * setup_probe.scale
     workload.prepare(ctx)
 
     def next_round():
@@ -218,34 +238,35 @@ def _measure(args, workload, import_s, workdir) -> int:
         rounds.append(jobs)
         return jobs
 
-    batch = Batch()
+    batch, probe = Batch(), Probe(PROBE_SHARE)
     ran = []
     jobs = rounds[0]
     while True:
-        batch.run(jobs)
+        batch.run(jobs, probe)
         ran += jobs
         per_round = batch.busy / (len(ran) / len(rounds[0]))
-        # whole rounds, as many as come closest to --seconds
-        if batch.busy + per_round / 2 > args.seconds:
+        # whole rounds, as many as come closest to --seconds, probe included
+        if batch.busy + per_round / 2 > args.seconds / (1 + PROBE_SHARE):
             break
         jobs = next_round()
+    ref_busy = batch.busy * probe.scale     # job time in reference seconds
     attempted, failed = len(batch.times), batch.correct.count(False)
     errors = list(batch.errors)
     if args.trace:
         # round 0 once more, traced: counts repeat exactly for a given seed
         from tracing import Tracer
         tracer = Tracer()
-        traced = Batch()
+        traced, traced_probe = Batch(), Probe(PROBE_SHARE)
         tracer.install()
         try:
-            traced.run(rounds[0], tracer)
+            traced.run(rounds[0], traced_probe, tracer)
         finally:
             tracer.uninstall()
         layer = tracer.metrics()
         # against the untraced batch rate: round 0's first run also paid
         # for cold caches, its traced rerun did not
-        traced_rate = len(traced.times) / traced.busy
-        layer["trace.overhead"] = 1.0 - traced_rate * batch.busy / len(batch.times)
+        traced_rate = len(traced.times) / (traced.busy * traced_probe.scale)
+        layer["trace.overhead"] = 1.0 - traced_rate * ref_busy / len(batch.times)
         out_dir = os.path.join(ROOT, ".perfbench_out")
         os.makedirs(out_dir, exist_ok=True)
         span_path = os.path.join(
@@ -266,6 +287,9 @@ def _measure(args, workload, import_s, workdir) -> int:
     print(f"workload={args.workload} seed={args.seed} trace={args.trace} "
           f"rounds={len(ran) // len(rounds[0])} jobs_per_round={len(rounds[0])} "
           f"batch_s={batch.busy:.3f} hash_seed_rechecks={len(sampled)}")
+    print(f"host_speed = {probe.scale:.4g} reference s per wall s over the "
+          f"batch, {setup_probe.scale:.4g} over set-up "
+          f"(probe {probe.seconds:.3f} s, {probe.units} units)")
     for line in errors:
         print(f"FAILED {line}")
     if args.trace:
@@ -278,23 +302,29 @@ def _measure(args, workload, import_s, workdir) -> int:
     else:
         metrics = {
             "setup_s": {"value": setup_s, "unit": "s"},
-            "jobs_per_s": {"value": n / batch.busy, "unit": "1/s"},
+            "jobs_per_s": {"value": n / ref_busy, "unit": "1/s"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
             "decided_share": {"value": batch.decided.count(True) / n,
                               "unit": "share"},
         }
-        samples = {"setup_s": f"n={SETUP_REPEATS} imports and set-ups",
+        setup_n = f"n={IMPORT_REPEATS} imports, {SETUP_REPEATS} set-ups"
+        samples = {"setup_s": setup_n,
                    "peak_rss_mb": "n=1 process"}
         for name, m in metrics.items():
             print(f"{name} = {m['value']:.6g} {m['unit']} "
                   f"({samples.get(name, f'n={n} jobs')})")
         # printed, not bounded: their run-to-run spread exceeds any bound
         # the benchmark could hold them to (see README.md)
-        p = tail_percentile(batch.times)
-        print(f"job_p50_s = {percentile(batch.times, 50):.6g} s "
+        ref_times = [t * probe.scale for t in batch.times]
+        p = tail_percentile(ref_times)
+        print(f"job_p50_s = {percentile(ref_times, 50):.6g} s "
               f"(n={n} jobs; unresolved)")
-        print(f"job_tail_s = {percentile(batch.times, p):.6g} s "
+        print(f"job_tail_s = {percentile(ref_times, p):.6g} s "
               f"(p{p:g} of n={n} jobs; unresolved)")
+        print(f"wall_setup_s = {wall_setup_s:.6g} s "
+              f"({setup_n}; unresolved)")
+        print(f"wall_jobs_per_s = {n / batch.busy:.6g} 1/s "
+              f"(n={n} jobs; unresolved)")
         print(f"failed_share = {failed / attempted:.6g} share "
               f"(n={attempted} jobs)")
     print(json.dumps({"correct": failed == 0, "attempted": attempted,
