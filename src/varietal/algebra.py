@@ -54,6 +54,7 @@ class Algebra:
         self.carrier = carrier
         self.values = {k: tuple(v) for k, v in values.items()}
         self.table_indices = table_indices
+        self._canonical_key: tuple | None = None
         self._arity_homs: dict[str, HomList] = {}
         self._arity_lookup: dict[str, dict] = {}
         # May be shared across algebras on one carrier; hom sets are
@@ -102,14 +103,17 @@ class Algebra:
         return self.values[name][self._arity_lookup[name][h.components]]
 
     def canonical_key(self) -> tuple:
-        return (
-            self.carrier.sizes,
-            self.carrier.action,
-            tuple(
-                tuple(g.components for g in self.values[sym.name])
-                for sym in self.signature.symbols
-            ),
-        )
+        # carrier and tables never change after construction
+        if self._canonical_key is None:
+            self._canonical_key = (
+                self.carrier.sizes,
+                self.carrier.action,
+                tuple(
+                    tuple(g.components for g in self.values[sym.name])
+                    for sym in self.signature.symbols
+                ),
+            )
+        return self._canonical_key
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Algebra(carrier sizes={self.carrier.sizes})"

@@ -428,11 +428,6 @@ def copower_pair(X: Presheaf, sort: str, i: int, x: int) -> int:
     return i * X.size(sort) + x
 
 
-def copower_split(X: Presheaf, sort: str, z: int) -> tuple[int, int]:
-    k = X.size(sort)
-    return z // k, z % k
-
-
 def product(X: Presheaf, Y: Presheaf) -> Presheaf:
     """Pointwise product, (x, y) encoded as x*|Y(b)| + y."""
     if X.index != Y.index:
@@ -450,11 +445,6 @@ def product(X: Presheaf, Y: Presheaf) -> Presheaf:
 
 def product_pair(X: Presheaf, Y: Presheaf, sort: str, x: int, y: int) -> int:
     return x * Y.size(sort) + y
-
-
-def product_split(X: Presheaf, Y: Presheaf, sort: str, z: int) -> tuple[int, int]:
-    k = Y.size(sort)
-    return z // k, z % k
 
 
 def projections(X: Presheaf, Y: Presheaf) -> tuple[PresheafMorphism, PresheafMorphism]:

@@ -11,7 +11,8 @@ never mistaken for a theorem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .base import (
@@ -30,7 +31,7 @@ from .algebra import (
     DEFAULT_CEILING,
     Algebra,
     enumerate_algebras,
-    evaluate,
+    interpretation_table,
     satisfies,
 )
 
@@ -73,8 +74,7 @@ class BirkhoffWindow:
         self.arities = arities
         self._universes = {}
         self._algebras: list[Algebra] | None = None
-        self._window: list[Equation] | None = None
-        self._rows: dict[tuple, dict] = {}
+        self._kernels: dict[tuple, list[int]] = {}
 
     # -- window construction -------------------------------------------------
 
@@ -109,20 +109,24 @@ class BirkhoffWindow:
     def equation_window(self) -> list[Equation]:
         """All candidate equations at scale: unordered pairs, deduplicated.
 
-        Names encode the window coordinates, so membership and subset tests
-        on window equations can compare names.
+        Window equations are known by identity; their ``w[ai,gi,i,j]`` names
+        are for display only.  ``sat_lower_g`` returns members of this list,
+        and ``check_galois_laws`` accepts no other equations.
         """
-        if self._window is None:
-            out = []
-            for ai in range(len(self.arities)):
-                for gi in range(len(self.scale.generators)):
-                    pts = self.param_terms(ai, gi)
-                    for i in range(len(pts)):
-                        for j in range(i + 1, len(pts)):
-                            out.append(Equation(
-                                f"w[{ai},{gi},{i},{j}]", pts[i], pts[j]))
-            self._window = out
-        return self._window
+        return list(self._window)
+
+    @cached_property
+    def _window(self) -> dict[Equation, tuple[int, int, int, int]]:
+        """Each window equation, keyed by identity, to (arity, generator, i, j)."""
+        out = {}
+        for ai in range(len(self.arities)):
+            for gi in range(len(self.scale.generators)):
+                pts = self.param_terms(ai, gi)
+                for i in range(len(pts)):
+                    for j in range(i + 1, len(pts)):
+                        eq = Equation(f"w[{ai},{gi},{i},{j}]", pts[i], pts[j])
+                        out[eq] = (ai, gi, i, j)
+        return out
 
     def algebras(self) -> list[Algebra]:
         if self._algebras is None:
@@ -132,42 +136,29 @@ class BirkhoffWindow:
 
     # -- the two polarities ----------------------------------------------------
 
-    def _term_rows(self, A: Algebra, ai: int) -> dict:
-        key = (A.canonical_key(), ai)
-        got = self._rows.get(key)
+    def _kernel(self, A: Algebra, ai: int, gi: int) -> list[int]:
+        """Per parametrized term, a class id; equal ids iff A equates them."""
+        key = (A.canonical_key(), ai, gi)
+        got = self._kernels.get(key)
         if got is None:
-            uni = self.universe(ai)
-            homs = A.homs_from(self.arities[ai])
-            memos = [dict() for _ in homs]
-            got = {}
-            for sort in self.arities[ai].index.sorts:
-                for t in uni.terms(sort):
-                    got[t] = tuple(
-                        evaluate(A, t, phi, memo)
-                        for phi, memo in zip(homs, memos))
-            self._rows[key] = got
-        return got
-
-    def _pt_signature(self, A: Algebra, ai: int, pt: ParamTerm) -> tuple:
-        rows = self._term_rows(A, ai)
-        return tuple(tuple(rows[t] for t in row) for row in pt.rows)
-
-    def _window_lookup(self) -> dict[str, Equation]:
-        got = self.__dict__.get("_window_by_name")
-        if got is None:
-            got = {eq.name: eq for eq in self.equation_window()}
-            self.__dict__["_window_by_name"] = got
+            table = interpretation_table(A, self.arities[ai], self.scale.depth)
+            ids: dict[tuple, int] = {}
+            got = [
+                ids.setdefault(
+                    tuple(tuple(table[t] for t in row) for row in pt.rows),
+                    len(ids))
+                for pt in self.param_terms(ai, gi)]
+            self._kernels[key] = got
         return got
 
     def _holds(self, A: Algebra, eq: Equation) -> bool:
-        # window equations compare cached interpretation rows instead of
-        # re-evaluating; arbitrary equations fall back to direct checking
-        if eq.name in self._window_lookup() and eq.signature is self.signature:
-            parts = eq.name[2:-1].split(",")
-            ai = int(parts[0])
-            return (self._pt_signature(A, ai, eq.lhs)
-                    == self._pt_signature(A, ai, eq.rhs))
-        return bool(satisfies(A, eq))
+        # window equations compare kernel entries; others are checked directly
+        at = self._window.get(eq)
+        if at is None:
+            return bool(satisfies(A, eq))
+        ai, gi, i, j = at
+        kernel = self._kernel(A, ai, gi)
+        return kernel[i] == kernel[j]
 
     def sat_star(self, E: Sequence[Equation]) -> list[Algebra]:
         """All window algebras satisfying every equation in E."""
@@ -178,25 +169,19 @@ class BirkhoffWindow:
         return out
 
     def sat_lower_g(self, algebras: Sequence[Algebra]) -> list[Equation]:
-        """All window equations satisfied by every algebra in the set.
-
-        Computed through the kernel of the joint interpretation rows: two
-        families are equated exactly when their value rows agree in every
-        member algebra.
-        """
+        """All window equations satisfied by every algebra in the set: the
+        pairs whose class ids agree in the kernel of every member algebra."""
+        columns: dict[tuple[int, int], list[tuple]] = {}
         out = []
-        for ai in range(len(self.arities)):
-            for gi in range(len(self.scale.generators)):
-                pts = self.param_terms(ai, gi)
-                keys = []
-                for pt in pts:
-                    keys.append(tuple(
-                        self._pt_signature(A, ai, pt) for A in algebras))
-                for i in range(len(pts)):
-                    for j in range(i + 1, len(pts)):
-                        if keys[i] == keys[j]:
-                            out.append(Equation(
-                                f"w[{ai},{gi},{i},{j}]", pts[i], pts[j]))
+        for eq, (ai, gi, i, j) in self._window.items():
+            col = columns.get((ai, gi))
+            if col is None:
+                kernels = [self._kernel(A, ai, gi) for A in algebras]
+                col = [tuple(k[p] for k in kernels)
+                       for p in range(len(self.param_terms(ai, gi)))]
+                columns[ai, gi] = col
+            if col[i] == col[j]:
+                out.append(eq)
         return out
 
     def variety_generated(self, algebras: Sequence[Algebra]) -> list[Algebra]:
@@ -208,9 +193,8 @@ class BirkhoffWindow:
     # -- law checking ------------------------------------------------------------
 
     def _require_window_equations(self, E: Sequence[Equation]):
-        names = {eq.name for eq in self.equation_window()}
         for eq in E:
-            if eq.signature is not self.signature or eq.name not in names:
+            if eq not in self._window:
                 raise ScaleError(f"equation {eq.name} is outside the window")
 
     def _require_window_algebras(self, algebras: Sequence[Algebra]):
@@ -237,8 +221,9 @@ class BirkhoffWindow:
 
         left = all(
             all(satisfies(A, eq) for eq in E) for A in algebras)
-        lower = {eq.name for eq in self.sat_lower_g(algebras)}
-        right = all(eq.name in lower for eq in E)
+        lower = self.sat_lower_g(algebras)
+        low_a = set(lower)
+        right = all(eq in low_a for eq in E)
         record("adjunction", left == right,
                f"left={left},right={right}")
 
@@ -247,9 +232,7 @@ class BirkhoffWindow:
         tri1 = self.sat_star(self.sat_lower_g(sat_e))
         record("triple-algebras",
                {A.canonical_key() for A in tri1} == sat_e_keys)
-        low_a = {eq.name for eq in self.sat_lower_g(algebras)}
-        tri2 = {eq.name for eq in
-                self.sat_lower_g(self.sat_star(self.sat_lower_g(algebras)))}
+        tri2 = set(self.sat_lower_g(self.sat_star(lower)))
         record("triple-equations", tri2 == low_a)
 
         va = self.variety_generated(algebras)
@@ -260,7 +243,7 @@ class BirkhoffWindow:
         te = self.theory_generated(E)
         tte = self.theory_generated(te)
         record("theory-idempotent",
-               {eq.name for eq in te} == {eq.name for eq in tte})
+               set(te) == set(tte))
         return ok_all, lines
 
 

@@ -97,17 +97,34 @@ def _section(items, filename, keyword):
     raise ParseError(f"{filename}: missing ({keyword} ...) section")
 
 
+def _items(node, filename, what, n):
+    """The items of a list node that needs at least ``n`` of them."""
+    items = _expect_list(node, filename, what)
+    if len(items) < n:
+        raise _err(node, filename, f"{what} is missing items")
+    return items
+
+
+def _int(node, filename, what):
+    value = _atom(node, filename, what)
+    if not isinstance(value, int):
+        raise _err(node, filename, f"expected {what}")
+    return value
+
+
 def parse_term(node: sexpr.Node, sig: FreeFormSignature,
                variables: Presheaf, filename: str) -> Term:
-    items = _expect_list(node, filename, "term")
+    items = _items(node, filename, "term", 1)
     head = _atom(items[0], filename)
     if head == "var":
+        items = _items(node, filename, "var term", 3)
         sort = str(_atom(items[1], filename))
         elt = _atom(items[2], filename)
         if not isinstance(elt, int) or not (0 <= elt < variables.size(sort)):
             raise _err(items[2], filename, "variable element out of range")
         return var(sig, sort, elt)
     if head == "app":
+        items = _items(node, filename, "app term", 4)
         name = str(_atom(items[1], filename))
         try:
             sym = sig.symbol(name)
@@ -116,9 +133,11 @@ def parse_term(node: sexpr.Node, sig: FreeFormSignature,
         entries = _expect_list(items[2], filename, "binding list")
         rows = {sort: {} for sort in sig.index.sorts}
         for entry in entries:
-            parts = _expect_list(entry, filename, "binding entry")
+            parts = _items(entry, filename, "binding entry", 3)
             sort = str(_atom(parts[0], filename))
-            elt = _atom(parts[1], filename)
+            if sort not in rows:
+                raise _err(parts[0], filename, f"unknown sort {sort!r}")
+            elt = _int(parts[1], filename, "binding element")
             rows[sort][elt] = parse_term(parts[2], sig, variables, filename)
         binding = []
         for sort in sig.index.sorts:
@@ -128,9 +147,9 @@ def parse_term(node: sexpr.Node, sig: FreeFormSignature,
                 raise _err(node, filename,
                            f"binding for {name} must cover 0..{want - 1} at {sort}")
             binding.append(tuple(got[i] for i in range(want)))
-        tail = _expect_list(items[3], filename, "parameter element")
+        tail = _items(items[3], filename, "parameter element", 2)
         sort = str(_atom(tail[0], filename))
-        c = _atom(tail[1], filename)
+        c = _int(tail[1], filename, "parameter element")
         try:
             return app(sig, name, binding, sort, c, variables)
         except StructureError as exc:

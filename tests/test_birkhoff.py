@@ -9,6 +9,7 @@ from varietal.base import (
     trivial_index,
 )
 from varietal.syntax import FreeFormSignature, OperationSymbol
+from varietal.syntax import Equation, ParamTerm, app, var
 from varietal.algebra import enumerate_algebras, is_homomorphism, satisfies, product_algebra
 from varietal.presentation import palg_satisfies, free_algebra
 from varietal.birkhoff import (
@@ -193,3 +194,37 @@ def test_kernel_of_interpretation_table_matches_sat_lower(semilattice, sl_window
         for j in range(i + 1, len(pts))
         if table[pts[i]("*", 0)] == table[pts[j]("*", 0)]}
     assert kernel == names(sl_window.sat_lower_g([chain]))
+
+
+def _binop_equation(window, name, variables, lhs, rhs):
+    """An equation over the window signature with terminal parameter."""
+    sig = window.signature
+    return Equation(name, ParamTerm(sig, variables, ONE, ((lhs,),)),
+                    ParamTerm(sig, variables, ONE, ((rhs,),)))
+
+
+def _f(window, variables, a, b):
+    return app(window.signature, "f", ((a, b),), "*", 0, variables)
+
+
+@pytest.mark.parametrize("variables", [TWO, ONE], ids=["arity2", "arity1"])
+def test_sat_star_ignores_window_names_on_foreign_equations(binop_window, variables):
+    # named like a window pair, but deeper than the window: membership is by
+    # identity, so the equation is checked directly
+    x = var(binop_window.signature, "*", 0)
+    y = var(binop_window.signature, "*", variables.size("*") - 1)
+    deep = _f(binop_window, variables,
+              _f(binop_window, variables, _f(binop_window, variables, x, y), y), y)
+    eq = _binop_equation(binop_window, "w[0,0,0,1]", variables, deep, x)
+    want = [A for A in binop_window.algebras() if satisfies(A, eq)]
+    assert keys(binop_window.sat_star([eq])) == keys(want)
+    assert 0 < len(want) < len(binop_window.algebras())
+
+
+def test_galois_laws_reject_equation_named_like_window_pair(binop_window):
+    x = var(binop_window.signature, "*", 0)
+    y = var(binop_window.signature, "*", 1)
+    comm = _binop_equation(binop_window, "w[0,0,0,2]", TWO,
+                           _f(binop_window, TWO, x, y), _f(binop_window, TWO, y, x))
+    with pytest.raises(ScaleError):
+        binop_window.check_galois_laws([comm], [binop_window.algebras()[0]])

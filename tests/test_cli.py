@@ -1,3 +1,4 @@
+import fnmatch
 import os
 import pathlib
 import subprocess
@@ -50,6 +51,16 @@ def test_bundled_files_parse(name):
     fileformat.parse_file(str(DATA / name))
 
 
+def test_package_data_covers_bundled_files():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = DATA.parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["varietal"]
+    for path in DATA.iterdir():
+        rel = f"data/{path.name}"
+        assert any(fnmatch.fnmatchcase(rel, g) for g in globs), rel
+
+
 def test_round_trip_parse_print_parse():
     ws = fileformat.parse_file(str(DATA / "globalstate.var"))
     P = ws.presentations["globalstate"]
@@ -98,6 +109,31 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 3
     assert "status=input-error" in out
     assert "unknown signature" in out
+
+
+IDEM_LHS = "(app join ((* 0 (var * 0)) (* 1 (var * 0))) (* 0))"
+
+
+@pytest.mark.parametrize("lhs", [
+    "(app join ((* 0 (var *)) (* 1 (var * 0))) (* 0))",
+    "(app join ((* 0 (var * 0)) (* 1 (var * 0))))",
+    "(app join ((* 0 (var * 0)) (* 1 (var * 0))) (*))",
+    "(app join ((q 0 (var * 0)) (* 1 (var * 0))) (* 0))",
+    "(app join ((* a (var * 0)) (* 1 (var * 0))) (* 0))",
+    "(app join ((* 0 (var * 0)) (* 1 (var * 0))) (* x))",
+], ids=["var-missing-element", "app-missing-parameter", "short-parameter-tail",
+        "unknown-binding-sort", "non-integer-binding-element",
+        "non-integer-parameter-element"])
+def test_malformed_term_is_input_error(lhs, tmp_path, capsys):
+    text = (DATA / "semilattice.var").read_text()
+    assert IDEM_LHS in text
+    broken = tmp_path / "broken.var"
+    broken.write_text(text.replace(IDEM_LHS, lhs, 1))
+    code = main(["check", str(broken), str(DATA / "chain2.alg")])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert out.splitlines()[-1] == "status=input-error"
+    assert "in equation 'idem'" in out
 
 
 def test_semantic_error_names_equation(tmp_path, capsys):
