@@ -25,7 +25,6 @@ from .base import (
 from .syntax import (
     Equation,
     FreeFormSignature,
-    ParamTerm,
     Term,
     TermUniverse,
     app,
@@ -48,23 +47,18 @@ class Algebra:
         carrier: Presheaf,
         values: dict[str, Sequence[PresheafMorphism]],
         table_indices: dict[str, tuple[int, ...]] | None = None,
-        hom_cache: dict[Presheaf, HomList] | None = None,
     ):
         self.signature = signature
         self.carrier = carrier
         self.values = {k: tuple(v) for k, v in values.items()}
         self.table_indices = table_indices
         self._canonical_key: tuple | None = None
-        self._arity_homs: dict[str, HomList] = {}
-        self._arity_lookup: dict[str, dict] = {}
-        # May be shared across algebras on one carrier; hom sets are
-        # immutable so sharing is safe and saves re-enumeration.
-        self._hom_cache: dict[Presheaf, HomList] = (
-            hom_cache if hom_cache is not None else {})
+        # per symbol: input family components -> hom index, and the values
+        self._tables: dict[str, tuple[dict, tuple[PresheafMorphism, ...]]] = {}
         for sym in signature.symbols:
             if sym.name not in self.values:
                 raise StructureError(f"missing operation table for {sym.name}")
-            homs = self.arity_homs(sym.name)
+            homs = hom_list(sym.arity, carrier)
             vals = self.values[sym.name]
             if len(vals) != len(homs):
                 raise StructureError(
@@ -73,34 +67,29 @@ class Algebra:
                 if g.source != sym.parameter or g.target != carrier:
                     raise StructureError(
                         f"table value for {sym.name} has wrong endpoints")
+            self._tables[sym.name] = (homs.position, vals)
 
     def arity_homs(self, name: str) -> HomList:
-        homs = self._arity_homs.get(name)
-        if homs is None:
-            sym = self.signature.symbol(name)
-            homs = self.homs_from(sym.arity)
-            self._arity_homs[name] = homs
-            self._arity_lookup[name] = {
-                h.components: i for i, h in enumerate(homs)}
-        return homs
+        return hom_list(self.signature.symbol(name).arity, self.carrier)
 
     def homs_from(self, J: Presheaf) -> HomList:
-        homs = self._hom_cache.get(J)
-        if homs is None:
-            homs = hom_list(J, self.carrier)
-            self._hom_cache[J] = homs
-        return homs
+        return hom_list(J, self.carrier)
 
     def apply(self, name: str, rows: tuple[tuple[int, ...], ...],
               sort: str, c: int) -> int:
         """Value of the operation at the input family given by ``rows``."""
-        self.arity_homs(name)
-        hi = self._arity_lookup[name][rows]
-        return self.values[name][hi](sort, c)
+        try:
+            position, vals = self._tables[name]
+        except KeyError:
+            raise StructureError(f"unknown operation symbol {name!r}") from None
+        return vals[position[rows]](sort, c)
 
     def op_value(self, name: str, h: PresheafMorphism) -> PresheafMorphism:
-        self.arity_homs(name)
-        return self.values[name][self._arity_lookup[name][h.components]]
+        try:
+            position, vals = self._tables[name]
+        except KeyError:
+            raise StructureError(f"unknown operation symbol {name!r}") from None
+        return vals[position[h.components]]
 
     def canonical_key(self) -> tuple:
         # carrier and tables never change after construction
@@ -302,17 +291,8 @@ def enumerate_algebras(
     out: list[Algebra] = []
     visited = 0
     for X in carriers:
-        shared_homs: dict[Presheaf, HomList] = {}
-
-        def homs_on_carrier(Y: Presheaf) -> HomList:
-            got = shared_homs.get(Y)
-            if got is None:
-                got = hom_list(Y, X)
-                shared_homs[Y] = got
-            return got
-
-        arity_homs = {s.name: homs_on_carrier(s.arity) for s in sig.symbols}
-        param_homs = {s.name: homs_on_carrier(s.parameter) for s in sig.symbols}
+        arity_homs = {s.name: hom_list(s.arity, X) for s in sig.symbols}
+        param_homs = {s.name: hom_list(s.parameter, X) for s in sig.symbols}
         for s in sig.symbols:
             space = len(param_homs[s.name]) ** len(arity_homs[s.name])
             if space > ceiling:
@@ -343,7 +323,6 @@ def enumerate_algebras(
                     X,
                     {n: tuple(param_homs[n][k] for k in partial_idx[n])
                      for n in sup},
-                    hom_cache=shared_homs,
                 )
                 got = bool(satisfies(algebra, equations[eq_i]))
                 memo[key] = got
@@ -355,8 +334,7 @@ def enumerate_algebras(
                 values = {
                     n: tuple(param_homs[n][k] for k in partial_idx[n])
                     for n in sym_names}
-                out.append(Algebra(sig, X, values, dict(partial_idx),
-                                   hom_cache=shared_homs))
+                out.append(Algebra(sig, X, values, dict(partial_idx)))
                 return
             name = sym_names[level]
             n_inputs = len(arity_homs[name])
@@ -374,8 +352,7 @@ def enumerate_algebras(
         for eq_i in closed_eqs:
             # Equations whose sides are pure variables constrain nothing or
             # everything; check them once on the empty structure.
-            algebra = Algebra(FreeFormSignature(sig.name + "/none", []), X, {},
-                              hom_cache=shared_homs)
+            algebra = Algebra(FreeFormSignature(sig.name + "/none", []), X, {})
             if not satisfies(algebra, equations[eq_i]):
                 viable = False
                 break

@@ -8,12 +8,15 @@ invariants eagerly, so a value that exists is a value that is well formed.
 
 Canonical orders are lexicographic on the underlying integer tables; every
 enumeration in this module is deterministic and stable across runs.
+``hom_set`` enumerates afresh on each call; ``hom_list`` lists hom(X, Y) once
+per target presheaf Y and then shares that immutable listing with every
+caller, so tables indexed by it agree without passing caches around.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 
@@ -130,9 +133,6 @@ class IndexCategory:
             cached = {(a, b): c for a, b, c in self.composition}
             object.__setattr__(self, "_comp_table", cached)
         return cached[(f, g)]
-
-    def morphisms_from(self, sort: str) -> list[str]:
-        return [m for m, s, _ in self.morphisms if s == sort]
 
     @property
     def is_trivial(self) -> bool:
@@ -393,24 +393,29 @@ def hom_set(X: Presheaf, Y: Presheaf) -> list[PresheafMorphism]:
     return [PresheafMorphism(X, Y, fam) for fam in families]
 
 
-def hom_index(homs: Sequence[PresheafMorphism], f: PresheafMorphism) -> int:
-    """Position of f in a canonical hom_set listing."""
-    table = getattr(homs, "_lookup", None)
-    if table is None:
-        table = {h.components: i for i, h in enumerate(homs)}
-        try:
-            homs._lookup = table  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-    return table[f.components]
+def hom_index(homs: HomList, f: PresheafMorphism) -> int:
+    """Position of f in a canonical hom_list listing."""
+    return homs.position[f.components]
 
 
-class HomList(list):
-    """A hom_set listing that caches component lookups."""
+class HomList(tuple):
+    """A canonical hom_set listing, shared by everything that reads it."""
+
+    @cached_property
+    def position(self) -> dict[tuple[tuple[int, ...], ...], int]:
+        return {h.components: i for i, h in enumerate(self)}
 
 
 def hom_list(X: Presheaf, Y: Presheaf) -> HomList:
-    return HomList(hom_set(X, Y))
+    """hom(X, Y), listed once per target presheaf and then shared."""
+    # kept on Y itself, so every listing is freed together with its target
+    memo = Y.__dict__.get("_homs_from")
+    if memo is None:
+        memo = Y.__dict__.setdefault("_homs_from", {})
+    homs = memo.get(X)
+    if homs is None:
+        homs = memo.setdefault(X, HomList(hom_set(X, Y)))
+    return homs
 
 
 def copower(n: int, X: Presheaf) -> Presheaf:
@@ -422,10 +427,6 @@ def copower(n: int, X: Presheaf) -> Presheaf:
         action.append(tuple(
             (z // ksrc) * ktgt + table[z % ksrc] for z in range(n * ksrc)))
     return Presheaf(X.index, sizes, tuple(action))
-
-
-def copower_pair(X: Presheaf, sort: str, i: int, x: int) -> int:
-    return i * X.size(sort) + x
 
 
 def product(X: Presheaf, Y: Presheaf) -> Presheaf:

@@ -25,6 +25,8 @@ from .syntax import (
     Equation,
     FreeFormSignature,
     ParamTerm,
+    TermUniverse,
+    enumerate_terms,
     precompose_equation,
 )
 from .algebra import (
@@ -72,25 +74,18 @@ class BirkhoffWindow:
                     seen.append(sym.arity)
             arities = tuple(seen)
         self.arities = arities
-        self._universes = {}
+        self._param_terms: dict[tuple[int, int], list[ParamTerm]] = {}
         self._algebras: list[Algebra] | None = None
         self._kernels: dict[tuple, list[int]] = {}
 
     # -- window construction -------------------------------------------------
 
-    def universe(self, ai: int):
-        got = self._universes.get(ai)
-        if got is None:
-            from .syntax import enumerate_terms
-            got = enumerate_terms(self.signature, self.arities[ai],
-                                  self.scale.depth)
-            self._universes[ai] = got
-        return got
+    def universe(self, ai: int) -> TermUniverse:
+        return enumerate_terms(self.signature, self.arities[ai], self.scale.depth)
 
     def param_terms(self, ai: int, gi: int) -> list[ParamTerm]:
         """Natural families from a generator into the truncated terms."""
-        key = ("pt", ai, gi)
-        got = self._universes.get(key)
+        got = self._param_terms.get((ai, gi))
         if got is None:
             uni = self.universe(ai)
             G = self.scale.generators[gi]
@@ -103,7 +98,7 @@ class BirkhoffWindow:
             got = [
                 ParamTerm(self.signature, self.arities[ai], G, rows)
                 for rows in fams]
-            self._universes[key] = got
+            self._param_terms[ai, gi] = got
         return got
 
     def equation_window(self) -> list[Equation]:

@@ -19,7 +19,6 @@ from .base import (
     finite_set,
     hom_list,
     parallel_pair_index,
-    product,
     terminal,
     trivial_index,
 )
@@ -34,7 +33,6 @@ from .syntax import (
 )
 from .algebra import Algebra
 from .presentation import (
-    FreeAlgebra,
     Presentation,
     QuotientEquation,
     TwoStagePresentation,

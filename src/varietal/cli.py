@@ -20,7 +20,6 @@ from .presentation import (
     tensor,
 )
 from .clones import (
-    check_h_algebra,
     check_relative_monad,
     clone_of_presentation,
     standardized_presentation,

@@ -18,7 +18,6 @@ from .base import (
     PresheafMorphism,
     StructureError,
     copower,
-    copower_pair,
     hom_index,
     hom_list,
     identity_morphism,
@@ -27,7 +26,6 @@ from .syntax import (
     Equation,
     FreeFormSignature,
     OperationSymbol,
-    ParamTerm,
     app,
     param_term_from_map,
     var,
@@ -55,13 +53,11 @@ class RelativeMonad:
         carriers: Sequence[Presheaf],
         unit: Sequence[PresheafMorphism],
         mult: dict[tuple[int, int], Sequence[PresheafMorphism]],
-        hom_cache: dict | None = None,
     ):
         self.name = name
         self.objects = tuple(objects)
         self.carriers = tuple(carriers)
         self.unit = tuple(unit)
-        self._shared_homs = hom_cache if hom_cache is not None else {}
         if len(self.carriers) != len(self.objects):
             raise StructureError("one carrier per arity object required")
         if len(self.unit) != len(self.objects):
@@ -69,7 +65,6 @@ class RelativeMonad:
         for J, HJ, e in zip(self.objects, self.carriers, self.unit):
             if e.source != J or e.target != HJ:
                 raise StructureError("unit component has wrong endpoints")
-        self._homs_into: dict[tuple[int, int], HomList] = {}
         self.mult = {}
         for i in range(len(self.objects)):
             for j in range(len(self.objects)):
@@ -90,15 +85,7 @@ class RelativeMonad:
 
     def homs_into(self, i: int, j: int) -> HomList:
         """hom(J_i, H J_j) in canonical order."""
-        got = self._homs_into.get((i, j))
-        if got is None:
-            key = (self.objects[i], self.carriers[j])
-            got = self._shared_homs.get(key)
-            if got is None:
-                got = hom_list(self.objects[i], self.carriers[j])
-                self._shared_homs[key] = got
-            self._homs_into[(i, j)] = got
-        return got
+        return hom_list(self.objects[i], self.carriers[j])
 
     def m(self, i: int, j: int, g: PresheafMorphism) -> PresheafMorphism:
         return self.mult[(i, j)][hom_index(self.homs_into(i, j), g)]
@@ -151,7 +138,6 @@ class HAlgebraStructure:
                  alpha: Sequence[Sequence[PresheafMorphism]]):
         self.monad = M
         self.carrier = carrier
-        self._homs: dict[int, HomList] = {}
         self.alpha = []
         for i, values in enumerate(alpha):
             homs = self.homs(i)
@@ -167,11 +153,7 @@ class HAlgebraStructure:
             raise StructureError("one alpha per arity object required")
 
     def homs(self, i: int) -> HomList:
-        got = self._homs.get(i)
-        if got is None:
-            got = hom_list(self.monad.objects[i], self.carrier)
-            self._homs[i] = got
-        return got
+        return hom_list(self.monad.objects[i], self.carrier)
 
     def a(self, i: int, phi: PresheafMorphism) -> PresheafMorphism:
         return self.alpha[i][hom_index(self.homs(i), phi)]

@@ -61,9 +61,6 @@ class Workspace:
         self.provenance[(kind, name)] = (filename, line)
         self.order.append((kind, name))
 
-    def object_index(self, name: str) -> IndexCategory:
-        return self.objects[name].index
-
 
 def _err(node: sexpr.Node, filename: str, message: str) -> ParseError:
     return ParseError(f"{filename}:{node.line}:{node.column}: {message}")
@@ -277,11 +274,13 @@ def _parse_equation(items, filename, ws: Workspace, line):
     for node in items:
         if node.is_list and node.items and not node.items[0].is_list \
                 and node.items[0].value == "pair":
-            parts = node.items
-            where = _expect_list(parts[1], filename, "parameter element")
-            sort = str(_atom(where[0], filename))
-            c = _atom(where[1], filename)
             try:
+                parts = _items(node, filename, "pair", 4)
+                where = _items(parts[1], filename, "parameter element", 2)
+                sort = str(_atom(where[0], filename))
+                if sort not in lhs_rows:
+                    raise _err(where[0], filename, f"unknown sort {sort!r}")
+                c = _int(where[1], filename, "parameter element")
                 lhs_rows[sort][c] = parse_term(parts[2], sig, arity, filename)
                 rhs_rows[sort][c] = parse_term(parts[3], sig, arity, filename)
             except ParseError as exc:

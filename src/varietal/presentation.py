@@ -15,7 +15,7 @@ or the congruence/act step that forced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .base import (
@@ -548,22 +548,6 @@ class FreeAlgebra:
                 for i, r in enumerate(row))
         return f"(app {sym} ({' '.join(entries)}) ({sort} {c}))"
 
-    def _rep_term(self, root: int, memo: dict[int, Term]) -> Term:
-        got = memo.get(root)
-        if got is not None:
-            return got
-        key = self._nodes[self._best_node(root)]
-        if key[0] == "v":
-            t = var(self.signature, key[1], key[2])
-        else:
-            _, sym, sort, c, binding = key
-            rows = tuple(
-                tuple(self._rep_term(self._find(r), memo) for r in row)
-                for row in binding)
-            t = app(self.signature, sym, rows, sort, c, self.generators)
-        memo[root] = t
-        return t
-
     def _finalize(self):
         self._recompute_depths()
         roots = self._class_lists()
@@ -608,10 +592,6 @@ class FreeAlgebra:
     def rep_text(self, sort: str, i: int) -> str:
         """Printable canonical representative (class-level, always defined)."""
         return self._root_text(self._roots_by_sort[sort][i])
-
-    def rep(self, sort: str, i: int) -> Term:
-        """Honest term representative; raises when no natural lift exists."""
-        return self._rep_term(self._roots_by_sort[sort][i], {})
 
     def unit(self) -> PresheafMorphism:
         comps = tuple(
@@ -822,10 +802,6 @@ class TwoStagePresentation:
     name: str
     base: Presentation
     extra: tuple[QuotientEquation, ...]
-
-    def satisfied_by(self, A: Algebra) -> bool:
-        return palg_satisfies(A, self.base) and all(
-            satisfies_quotient_equation(A, q) for q in self.extra)
 
     def models_on(self, carrier: Presheaf, ceiling: int | None = None) -> list[Algebra]:
         kwargs = {} if ceiling is None else {"ceiling": ceiling}

@@ -10,7 +10,6 @@ contravariant, so a presheaf morphism x : K -> J yields a token in T(J, K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .base import (
@@ -84,7 +83,6 @@ class Pretheory:
         for i, t in enumerate(self.identities):
             if not (0 <= t < len(self.homs[(i, i)])):
                 raise StructureError(f"identity token at {i} out of range")
-        self._carrier_homs: dict[tuple[int, int], HomList] = {}
         self.tau = {}
         for i in range(n):
             for j in range(n):
@@ -103,11 +101,7 @@ class Pretheory:
 
     def c_homs(self, j: int, i: int) -> HomList:
         """hom of the base category from objects[j] to objects[i]."""
-        got = self._carrier_homs.get((j, i))
-        if got is None:
-            got = hom_list(self.objects[j], self.objects[i])
-            self._carrier_homs[(j, i)] = got
-        return got
+        return hom_list(self.objects[j], self.objects[i])
 
     def hom_count(self, i: int, j: int) -> int:
         return len(self.homs[(i, j)])
@@ -188,11 +182,9 @@ class ConcreteModel:
     """
 
     def __init__(self, T: Pretheory, carrier: Presheaf,
-                 action: dict[tuple[int, int], Sequence[Sequence[int]]],
-                 hom_cache: dict | None = None):
+                 action: dict[tuple[int, int], Sequence[Sequence[int]]]):
         self.pretheory = T
         self.carrier = carrier
-        self._hom_cache = hom_cache if hom_cache is not None else {}
         self.action = {}
         n = len(T.objects)
         for i in range(n):
@@ -210,15 +202,9 @@ class ConcreteModel:
                         raise StructureError(
                             f"action table at {(i, j)} malformed")
                 self.action[(i, j)] = tables
-        self._hom_lookup: dict[int, dict] = {}
 
     def homs(self, i: int) -> HomList:
-        J = self.pretheory.objects[i]
-        got = self._hom_cache.get(J)
-        if got is None:
-            got = hom_list(J, self.carrier)
-            self._hom_cache[J] = got
-        return got
+        return hom_list(self.pretheory.objects[i], self.carrier)
 
     def hom_idx(self, i: int, f: PresheafMorphism) -> int:
         return hom_index(self.homs(i), f)
@@ -260,15 +246,6 @@ def check_concrete_model(M: ConcreteModel,
                             if first_only:
                                 return out
     return out
-
-
-def precomposition_model(T: Pretheory, carrier: Presheaf,
-                         token_maps) -> ConcreteModel:
-    """Build a model from a map assigning each token a hom-index table."""
-    action = {
-        (i, j): [token_maps(i, j, t) for t in range(T.hom_count(i, j))]
-        for i in range(len(T.objects)) for j in range(len(T.objects))}
-    return ConcreteModel(T, carrier, action)
 
 
 def free_pretheory(objects: Sequence[Presheaf], name: str = "free") -> Pretheory:
@@ -413,15 +390,13 @@ def model_as_algebra(P: Presentation, M: ConcreteModel) -> Algebra:
                 vals.append(PresheafMorphism(sym.parameter, M.carrier,
                                              tuple(comps)))
             values[f"m{i}_{j}"] = vals
-    return Algebra(P.signature, M.carrier, values,
-                   hom_cache=M._hom_cache)
+    return Algebra(P.signature, M.carrier, values)
 
 
 def algebra_as_model(T: Pretheory, A: Algebra) -> ConcreteModel:
     """Read an algebra of the compiled presentation as a concrete model."""
     n = len(T.objects)
     action = {}
-    hom_cache = getattr(A, "_hom_cache")
     for i in range(n):
         homs_i = A.homs_from(T.objects[i])
         for j in range(n):
@@ -441,7 +416,7 @@ def algebra_as_model(T: Pretheory, A: Algebra) -> ConcreteModel:
                         homs_j, PresheafMorphism(K, A.carrier, comps)))
                 tables.append(tuple(table))
             action[(i, j)] = tables
-    return ConcreteModel(T, A.carrier, action, hom_cache=hom_cache)
+    return ConcreteModel(T, A.carrier, action)
 
 
 def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf],

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .base import (
-    IndexCategory,
     Presheaf,
     PresheafMorphism,
     StructureError,
@@ -60,6 +59,7 @@ class FreeFormSignature:
         self._by_name = {s.name: s for s in symbols}
         self._sym_index = {s.name: i for i, s in enumerate(symbols)}
         self._intern: dict = {}
+        self._universes: dict = {}
 
     def symbol(self, name: str) -> OperationSymbol:
         try:
@@ -69,11 +69,6 @@ class FreeFormSignature:
 
     def symbol_index(self, name: str) -> int:
         return self._sym_index[name]
-
-    def with_index(self, index: IndexCategory) -> "FreeFormSignature":
-        if self.index is None:
-            self.index = index
-        return self
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"FreeFormSignature({self.name}, {[s.name for s in self.symbols]})"
@@ -443,9 +438,17 @@ def enumerate_terms(
     depth: int,
     max_terms: int = 2_000_000,
 ) -> TermUniverse:
-    """Exactly the terms of depth <= d, layered by depth, canonical order."""
+    """Exactly the terms of depth <= d, layered by depth, canonical order.
+
+    Each universe is listed once per signature and then shared, as the terms
+    in it are.
+    """
     if depth < 0:
         raise StructureError("depth must be nonnegative")
+    key = (variables, depth, max_terms)
+    got = sig._universes.get(key)
+    if got is not None:
+        return got
     idx = variables.index
     by_sort: dict[str, list[Term]] = {
         sort: [var(sig, sort, x) for x in variables.elements(sort)]
@@ -472,7 +475,8 @@ def enumerate_terms(
                                     f"term universe exceeds {max_terms} terms")
         for sort in idx.sorts:
             by_sort[sort].extend(new[sort])
-    return TermUniverse(sig, variables, depth, by_sort)
+    return sig._universes.setdefault(
+        key, TermUniverse(sig, variables, depth, by_sort))
 
 
 def precompose(pt: ParamTerm, x: PresheafMorphism) -> ParamTerm:

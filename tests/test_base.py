@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from varietal.base import (
     empty,
     element_family,
     finite_set,
+    hom_index,
+    hom_list,
     hom_set,
     identity_morphism,
     injections,
@@ -169,3 +173,31 @@ def test_hom_set_size_over_sets(n, m):
     homs = hom_set(finite_set(n, I), finite_set(m, I))
     expected = m ** n if n else 1
     assert len(homs) == expected
+
+
+def test_hom_list_is_listed_once_and_shared(I):
+    X, Y = finite_set(2, I), finite_set(3, I)
+    homs = hom_list(X, Y)
+    assert isinstance(homs, tuple)
+    assert hom_list(X, Y) is homs
+    assert [h.components for h in homs] == [h.components for h in hom_set(X, Y)]
+    assert [hom_index(homs, h) for h in hom_set(X, Y)] == list(range(len(homs)))
+
+
+def test_hom_list_racing_threads_keep_one_listing(I):
+    X, Y = finite_set(3, I), finite_set(3, I)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(hom_list(X, Y)))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == len(threads)
+    assert all(homs is hom_list(X, Y) for homs in got)

@@ -8,6 +8,7 @@ from varietal.base import (
     terminal,
     trivial_index,
 )
+from varietal import syntax
 from varietal.syntax import FreeFormSignature, OperationSymbol
 from varietal.syntax import Equation, ParamTerm, app, var
 from varietal.algebra import enumerate_algebras, is_homomorphism, satisfies, product_algebra
@@ -43,6 +44,23 @@ def keys(algebras):
 
 def names(equations):
     return {eq.name for eq in equations}
+
+
+def test_window_lists_its_term_universe_once(monkeypatch):
+    universes = []
+
+    class CountingUniverse(syntax.TermUniverse):
+        def __init__(self, *args):
+            universes.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(syntax, "TermUniverse", CountingUniverse)
+    sig = FreeFormSignature("binop", [OperationSymbol("f", TWO, ONE)])
+    w = BirkhoffWindow(sig, GaloisScale(2, 2, (ONE,)))
+    w.equation_window()
+    w.sat_lower_g(w.algebras())
+    assert len(w.algebras()) == 18
+    assert len(universes) == 1
 
 
 def test_sat_star_empty_is_everything(binop_window):

@@ -1,4 +1,5 @@
 import fnmatch
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -39,6 +40,19 @@ def test_bundled_examples_check(var, alg, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "status=ok" in out
+
+
+def test_regen_examples_reproduces_bundled_data(tmp_path, monkeypatch, capsys):
+    script = DATA.parents[2] / "scripts" / "regen_examples.py"
+    spec = importlib.util.spec_from_file_location("regen_examples", script)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    monkeypatch.setattr(regen, "DATA", tmp_path)
+    regen.main()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name", [
@@ -134,6 +148,28 @@ def test_malformed_term_is_input_error(lhs, tmp_path, capsys):
     assert code == 3, out
     assert out.splitlines()[-1] == "status=input-error"
     assert "in equation 'idem'" in out
+
+
+IDEM_PAIR = f"(pair (* 0) {IDEM_LHS} (var * 0))"
+
+
+@pytest.mark.parametrize("pair", [
+    f"(pair (q 0) {IDEM_LHS} (var * 0))",
+    f"(pair (* 0) {IDEM_LHS})",
+    f"(pair (*) {IDEM_LHS} (var * 0))",
+], ids=["unknown-parameter-sort", "pair-missing-term",
+        "short-parameter-element"])
+def test_malformed_pair_is_input_error(pair, tmp_path, capsys):
+    text = (DATA / "semilattice.var").read_text()
+    assert IDEM_PAIR in text
+    broken = tmp_path / "broken.var"
+    broken.write_text(text.replace(IDEM_PAIR, pair, 1))
+    code = main(["check", str(broken), str(DATA / "chain2.alg")])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert out.splitlines()[-1] == "status=input-error"
+    assert "in equation 'idem'" in out
+    assert "broken.var:6:" in out
 
 
 def test_semantic_error_names_equation(tmp_path, capsys):

@@ -8,6 +8,7 @@ from varietal.base import (
     hom_list,
     trivial_index,
 )
+from varietal import base
 from varietal.algebra import enumerate_algebras
 from varietal.presentation import palg_satisfies
 from varietal.clones import (
@@ -39,8 +40,7 @@ def mutate_unit(M: RelativeMonad, i: int, sort_i: int, pos: int, new: int):
     comps[sort_i][pos] = new
     unit[i] = PresheafMorphism(M.objects[i], M.carriers[i],
                                tuple(tuple(c) for c in comps))
-    return RelativeMonad(M.name + "/mut", M.objects, M.carriers, unit, M.mult,
-                         hom_cache=M._shared_homs)
+    return RelativeMonad(M.name + "/mut", M.objects, M.carriers, unit, M.mult)
 
 
 def mutate_mult(M: RelativeMonad, key, gi: int, sort_i: int, pos: int, new: int):
@@ -50,8 +50,7 @@ def mutate_mult(M: RelativeMonad, key, gi: int, sort_i: int, pos: int, new: int)
     comps[sort_i][pos] = new
     mult[key][gi] = PresheafMorphism(g.source, g.target,
                                      tuple(tuple(c) for c in comps))
-    return RelativeMonad(M.name + "/mut", M.objects, M.carriers, M.unit, mult,
-                         hom_cache=M._shared_homs)
+    return RelativeMonad(M.name + "/mut", M.objects, M.carriers, M.unit, mult)
 
 
 def sweep_mutations(M: RelativeMonad, sample_every: int = 1):
@@ -87,6 +86,21 @@ def test_identity_clone_valid():
 def test_state_clone_valid():
     M = state_clone([0, 1, 2], 2)
     assert check_relative_monad(M) == []
+
+
+def test_relative_monad_on_existing_carriers_lists_no_homs(monkeypatch):
+    M = state_clone([1, 2], 2)
+    calls = []
+    real_hom_set = base.hom_set
+
+    def counting_hom_set(X, Y):
+        calls.append((X, Y))
+        return real_hom_set(X, Y)
+
+    monkeypatch.setattr(base, "hom_set", counting_hom_set)
+    mutant = next(sweep_mutations(M))
+    assert check_relative_monad(mutant, first_only=True)
+    assert calls == []
 
 
 def test_state_clone_mutation_detected():
