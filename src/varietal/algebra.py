@@ -6,6 +6,10 @@ natural family h : J -> A a natural family C -> A; storing the values as
 presheaf morphisms makes naturality of the operation automatic.  Tables are
 laid out over the canonical hom_set order from :mod:`varietal.base`, so
 every listing and count here is deterministic.
+
+Model enumeration sets one table cell at a time and checks each equation
+instance as soon as the cells it reaches are set, after SEM (Zhang & Zhang,
+1995) and Mace4 (McCune, 2003); its ceiling counts cell assignments tried.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ DEFAULT_CEILING = 10_000_000
 
 
 class ResourceCeiling(RuntimeError):
-    """An enumeration would visit more candidates than the configured ceiling."""
+    """An enumeration went past its ceiling; the message names what it counted."""
 
 
 class Algebra:
@@ -189,16 +193,14 @@ def is_homomorphism(f: PresheafMorphism, A: Algebra, B: Algebra) -> bool:
 
 
 def homomorphisms(A: Algebra, B: Algebra) -> list[PresheafMorphism]:
-    from .base import hom_set
-    return [f for f in hom_set(A.carrier, B.carrier)
+    return [f for f in hom_list(A.carrier, B.carrier)
             if is_homomorphism(f, A, B)]
 
 
 def are_isomorphic(A: Algebra, B: Algebra) -> bool:
     if A.carrier.sizes != B.carrier.sizes:
         return False
-    from .base import hom_set
-    for f in hom_set(A.carrier, B.carrier):
+    for f in hom_list(A.carrier, B.carrier):
         if f.is_injective() and f.is_surjective() and is_homomorphism(f, A, B):
             return True
     return False
@@ -228,31 +230,52 @@ def enumerate_carriers(
     return out
 
 
-def _equation_support(eq: Equation) -> frozenset[str]:
-    names: set[str] = set()
-
-    def walk(t: Term, seen: set[int]):
-        if id(t) in seen or t.is_var:
-            return
-        seen.add(id(t))
-        names.add(t.symbol.name)
-        for row in t.binding:
-            for u in row:
-                walk(u, seen)
-
-    seen: set[int] = set()
-    for pt in (eq.lhs, eq.rhs):
-        for row in pt.rows:
-            for t in row:
-                walk(t, seen)
-    return frozenset(names)
+def _compile(t: Term, index, cells: dict) -> tuple:
+    """A term over one carrier as nested tuples: a variable becomes
+    ``(sort index, element)``, an application ``(input position, first cell,
+    value components, sort index, parameter element, compiled binding)``."""
+    si = index.sort_index(t.sort)
+    if t.is_var:
+        return (si, t.var)
+    position, first, comps = cells[t.symbol.name]
+    return (position, first, comps, si, t.param, tuple(
+        tuple(_compile(u, index, cells) for u in row) for row in t.binding))
 
 
-def _equation_cost(eq: Equation, carrier: Presheaf) -> int:
-    fam = 1
-    for b, n in zip(carrier.index.sorts, eq.arity.sizes):
-        fam *= max(carrier.size(b), 1) ** n
-    return fam * max(eq.parameter.total_size, 1)
+def _value(node: tuple, phi: tuple, table: list) -> int:
+    """The element a compiled term denotes under the partial cell ``table``,
+    or ``~cell`` for the first unassigned cell its evaluation needs."""
+    if len(node) == 2:
+        return phi[node[0]][node[1]]
+    position, first, comps, si, c, rows = node
+    key = []
+    for row in rows:
+        vs = []
+        for u in row:
+            x = phi[u[0]][u[1]] if len(u) == 2 else _value(u, phi, table)
+            if x < 0:
+                return x
+            vs.append(x)
+        key.append(tuple(vs))
+    cell = first + position[tuple(key)]
+    v = table[cell]
+    return ~cell if v is None else comps[v][si][c]
+
+
+def _propagate(insts, table: list, watch: list, moved: list) -> bool:
+    """Check equation instances against the partial table; False on the first
+    violation.  An instance that needs an unassigned cell joins that cell's
+    watch list, and the cell is recorded in ``moved`` for undoing."""
+    for inst in insts:
+        lhs, rhs, phi = inst
+        lv = _value(lhs, phi, table)
+        rv = _value(rhs, phi, table) if lv >= 0 else lv
+        if rv < 0:
+            watch[~rv].append(inst)
+            moved.append(~rv)
+        elif lv != rv:
+            return False
+    return True
 
 
 def enumerate_algebras(
@@ -265,11 +288,15 @@ def enumerate_algebras(
     """All labeled algebras within the size bounds, optionally one carrier.
 
     ``target`` is a signature or a presentation (anything with ``signature``
-    and ``equations``).  Equations are checked as soon as all their symbols
-    have tables, with verdicts memoized per support assignment, so presenta-
-    tions whose equations touch disjoint symbol sets enumerate in near-product
-    time.  Raises :class:`ResourceCeiling` when any single symbol's table
-    space, or the number of visited candidates, exceeds the ceiling.
+    and ``equations``).  A cell is a symbol at one input family; its value
+    indexes the symbol's parameter homs.  Cells are set one at a time, those
+    of symbols with fewer cells first, so constants come first.  Each
+    equation instance (equation, input family, parameter element) waits on
+    the first unassigned cell its evaluation needs and is checked again when
+    that cell is set.  Each carrier's models are listed in lexicographic
+    order of their tables, in signature order.  Raises
+    :class:`ResourceCeiling` once more than ``ceiling`` cell assignments
+    have been tried.
     """
     if hasattr(target, "signature"):
         sig = target.signature
@@ -287,77 +314,63 @@ def enumerate_algebras(
         max_sizes = [max_sizes] * len(index.sorts)
     carriers = [carrier] if carrier is not None else enumerate_carriers(index, max_sizes)
 
-    supports = [_equation_support(eq) for eq in equations]
     out: list[Algebra] = []
-    visited = 0
+    tried = 0
     for X in carriers:
-        arity_homs = {s.name: hom_list(s.arity, X) for s in sig.symbols}
-        param_homs = {s.name: hom_list(s.parameter, X) for s in sig.symbols}
-        for s in sig.symbols:
-            space = len(param_homs[s.name]) ** len(arity_homs[s.name])
-            if space > ceiling:
-                raise ResourceCeiling(
-                    f"table space for {s.name} on carrier {X.sizes} is {space}")
-        sym_names = [s.name for s in sig.symbols]
-        # Which equations become checkable at each assignment level.
-        level_eqs: list[list[int]] = [[] for _ in sym_names]
-        closed_eqs: list[int] = []
-        for i, sup in enumerate(supports):
-            if not sup:
-                closed_eqs.append(i)
-                continue
-            level = max(sym_names.index(n) for n in sup)
-            level_eqs[level].append(i)
-        for eqs in level_eqs:
-            eqs.sort(key=lambda i: _equation_cost(equations[i], X))
-        memo: dict[tuple, bool] = {}
-        partial_idx: dict[str, tuple[int, ...]] = {}
-
-        def check(eq_i: int) -> bool:
-            sup = sorted(supports[eq_i])
-            key = (eq_i,) + tuple(partial_idx[n] for n in sup)
-            got = memo.get(key)
-            if got is None:
-                algebra = Algebra(
-                    _restricted_signature(sig, supports[eq_i]),
-                    X,
-                    {n: tuple(param_homs[n][k] for k in partial_idx[n])
-                     for n in sup},
-                )
-                got = bool(satisfies(algebra, equations[eq_i]))
-                memo[key] = got
-            return got
-
-        def rec(level: int):
-            nonlocal visited
-            if level == len(sym_names):
-                values = {
-                    n: tuple(param_homs[n][k] for k in partial_idx[n])
-                    for n in sym_names}
-                out.append(Algebra(sig, X, values, dict(partial_idx)))
-                return
-            name = sym_names[level]
-            n_inputs = len(arity_homs[name])
-            for table in iproduct(range(len(param_homs[name])), repeat=n_inputs):
-                visited += 1
-                if visited > ceiling:
+        params = {s.name: hom_list(s.parameter, X) for s in sig.symbols}
+        cells: dict[str, tuple] = {}
+        spans: dict[str, slice] = {}
+        nvals: list[int] = []
+        for s in sorted(sig.symbols, key=lambda s: len(hom_list(s.arity, X))):
+            inputs = hom_list(s.arity, X)
+            first = len(nvals)
+            cells[s.name] = (inputs.position, first,
+                             [g.components for g in params[s.name]])
+            spans[s.name] = slice(first, first + len(inputs))
+            nvals += [len(params[s.name])] * len(inputs)
+        insts = []
+        for eq in equations:
+            sides = [(_compile(eq.lhs(sort, c), index, cells),
+                      _compile(eq.rhs(sort, c), index, cells))
+                     for sort in index.sorts for c in eq.parameter.elements(sort)]
+            insts += [(lhs, rhs, phi.components)
+                      for phi in hom_list(eq.arity, X) for lhs, rhs in sides]
+        n = len(nvals)
+        table: list[int | None] = [None] * n
+        # watch[k]: instances whose evaluation stopped at unassigned cell k;
+        # moved[k]: the cells whose watch lists got an instance at level k
+        watch: list[list[tuple]] = [[] for _ in range(n)]
+        moved: list[list[int]] = [[] for _ in range(n + 1)]
+        nxt = [0] * n
+        found: list[tuple] = []
+        k = 0 if _propagate(insts, table, watch, []) else -1
+        while k >= 0:
+            for cell in moved[k]:
+                watch[cell].pop()
+            moved[k].clear()
+            if k == n:
+                found.append(tuple(
+                    tuple(table[spans[s.name]]) for s in sig.symbols))
+                k -= 1
+            elif nxt[k] == nvals[k]:
+                table[k] = None
+                nxt[k] = 0
+                k -= 1
+            else:
+                table[k] = nxt[k]
+                nxt[k] += 1
+                tried += 1
+                if tried > ceiling:
                     raise ResourceCeiling(
-                        f"visited more than {ceiling} candidate tables")
-                partial_idx[name] = table
-                if all(check(i) for i in level_eqs[level]):
-                    rec(level + 1)
-            partial_idx.pop(name, None)
-
-        viable = True
-        for eq_i in closed_eqs:
-            # Equations whose sides are pure variables constrain nothing or
-            # everything; check them once on the empty structure.
-            algebra = Algebra(FreeFormSignature(sig.name + "/none", []), X, {})
-            if not satisfies(algebra, equations[eq_i]):
-                viable = False
-                break
-        if viable:
-            rec(0)
+                        f"cell assignments tried exceeded the ceiling {ceiling}")
+                if _propagate(watch[k], table, watch, moved[k]):
+                    k += 1
+        for key in sorted(found):
+            out.append(Algebra(
+                sig, X,
+                {s.name: tuple(params[s.name][v] for v in row)
+                 for s, row in zip(sig.symbols, key)},
+                {s.name: row for s, row in zip(sig.symbols, key)}))
     if iso:
         reduced: list[Algebra] = []
         for A in out:
@@ -365,20 +378,6 @@ def enumerate_algebras(
                 reduced.append(A)
         out = reduced
     return out
-
-
-def _restricted_signature(sig: FreeFormSignature, names: frozenset[str]) -> FreeFormSignature:
-    cache = getattr(sig, "_restrictions", None)
-    if cache is None:
-        cache = {}
-        sig._restrictions = cache
-    got = cache.get(names)
-    if got is None:
-        got = FreeFormSignature(
-            sig.name + "/" + ",".join(sorted(names)),
-            [s for s in sig.symbols if s.name in names])
-        cache[names] = got
-    return got
 
 
 def interpretation_table(

@@ -200,14 +200,14 @@ def _parse_object(items, filename, ws: Workspace, line):
     idx = ws.indexes[index_name]
     sizes = {}
     for node in _section(items, filename, "elems"):
-        sort, n = (_atom(x, filename) for x in
-                   _expect_list(node, filename, "elems entry"))
-        sizes[str(sort)] = n
+        parts = _items(node, filename, "elems entry", 2)
+        sizes[str(_atom(parts[0], filename))] = _int(
+            parts[1], filename, "element count")
     maps = {}
     for node in items:
         if node.is_list and node.items and not node.items[0].is_list \
                 and node.items[0].value == "map":
-            parts = node.items
+            parts = _items(node, filename, "map entry", 2)
             m = str(_atom(parts[1], filename))
             maps[m] = tuple(_atom(x, filename) for x in parts[2:])
     action = []
@@ -233,7 +233,7 @@ def _parse_signature(items, filename, ws: Workspace, line):
         raise ParseError(f"{filename}:{line}: unknown index {index_name!r}")
     symbols = []
     for node in items[3:]:
-        parts = _expect_list(node, filename, "op declaration")
+        parts = _items(node, filename, "op declaration", 2)
         if str(_atom(parts[0], filename)) != "op":
             raise _err(node, filename, "expected (op ...)")
         op_name = str(_atom(parts[1], filename))
@@ -340,7 +340,7 @@ def _parse_algebra(items, filename, ws: Workspace, line):
     carrier = ws.objects[carrier_name]
     values = {}
     for node in items[4:]:
-        parts = _expect_list(node, filename, "op table")
+        parts = _items(node, filename, "op table", 2)
         if str(_atom(parts[0], filename)) != "op":
             raise _err(node, filename, "expected (op ...)")
         op_name = str(_atom(parts[1], filename))
@@ -457,15 +457,16 @@ def _parse_pretheory(items, filename, ws: Workspace, line):
     ws._declare("pretheory", name, T, ws.pretheories, filename, line)
 
 
+# each declaration's parser, and how many items its head reads unchecked
 _PARSERS = {
-    "index": _parse_index,
-    "object": _parse_object,
-    "signature": _parse_signature,
-    "equation": _parse_equation,
-    "presentation": _parse_presentation,
-    "algebra": _parse_algebra,
-    "relmonad": _parse_relmonad,
-    "pretheory": _parse_pretheory,
+    "index": (_parse_index, 2),
+    "object": (_parse_object, 3),
+    "signature": (_parse_signature, 3),
+    "equation": (_parse_equation, 3),
+    "presentation": (_parse_presentation, 3),
+    "algebra": (_parse_algebra, 4),
+    "relmonad": (_parse_relmonad, 2),
+    "pretheory": (_parse_pretheory, 2),
 }
 
 
@@ -483,14 +484,12 @@ def parse_text(text: str, filename: str = "<text>",
     except sexpr.SexprError as exc:
         raise ParseError(f"{filename}: {exc}")
     for form in forms:
-        items = _expect_list(form, filename, "declaration")
-        if not items:
-            raise _err(form, filename, "empty declaration")
-        head = str(_atom(items[0], filename))
-        parser = _PARSERS.get(head)
-        if parser is None:
+        head = str(_atom(_items(form, filename, "declaration", 1)[0], filename))
+        if head not in _PARSERS:
             raise _err(form, filename, f"unknown declaration kind {head!r}")
-        parser(items, filename, ws, form.line)
+        parser, n = _PARSERS[head]
+        parser(_items(form, filename, f"{head} declaration", n),
+               filename, ws, form.line)
     return ws
 
 

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from varietal.algebra import (
     ResourceCeiling,
     TruncatedTermAlgebra,
     enumerate_algebras,
+    enumerate_carriers,
     evaluate,
     interpretation_table,
     is_homomorphism,
@@ -38,7 +43,21 @@ from varietal.algebra import (
     product_algebra,
     satisfies,
 )
-from varietal.catalog import max_semilattice_algebra, semilattice_presentation
+from varietal.catalog import (
+    global_state_presentation,
+    graph_presheaf,
+    internal_category_presentation,
+    max_semilattice_algebra,
+    monoid_presentation,
+    reading_bits_presentation,
+    restriction_presentation,
+    semilattice_presentation,
+)
+from varietal.presentation import (
+    satisfies_quotient_equation,
+    sum_presentations,
+    tensor,
+)
 
 
 I = trivial_index()
@@ -172,6 +191,101 @@ def test_enumerate_empty_signature_counts():
 def test_resource_ceiling_raises(sl):
     with pytest.raises(ResourceCeiling):
         enumerate_algebras(sl, 3, ceiling=10)
+
+
+def test_resource_ceiling_names_its_counter(sl):
+    with pytest.raises(ResourceCeiling,
+                       match="cell assignments tried exceeded the ceiling 10$"):
+        enumerate_algebras(sl, 3, ceiling=10)
+
+
+def brute_force_keys(P, carriers, extra=()):
+    """Canonical keys of the models, by the whole-table product.
+
+    Tables are listed symbol by symbol in signature order, each one
+    lexicographically, and every equation is checked on the finished
+    algebra; this is the labeled order the model search must reproduce.
+    """
+    sig = P.signature
+    keys = []
+    for X in carriers:
+        params = [hom_list(s.parameter, X) for s in sig.symbols]
+        pools = [list(itertools.product(range(len(ps)),
+                                        repeat=len(hom_list(s.arity, X))))
+                 for s, ps in zip(sig.symbols, params)]
+        for tables in itertools.product(*pools):
+            A = Algebra(sig, X, {
+                s.name: [ps[v] for v in table]
+                for s, ps, table in zip(sig.symbols, params, tables)})
+            if all(satisfies(A, eq) for eq in P.equations) and all(
+                    satisfies_quotient_equation(A, q) for q in extra):
+                keys.append(A.canonical_key())
+    return keys
+
+
+SL = semilattice_presentation()
+MO = monoid_presentation()
+
+
+@pytest.mark.parametrize("P", [
+    SL, MO, restriction_presentation(), global_state_presentation(),
+    sum_presentations(SL, MO), tensor(MO, MO),
+], ids=["semilattice", "monoid", "restriction", "globalstate",
+        "sum-semilattice-monoid", "tensor-monoid-monoid"])
+def test_model_search_matches_whole_table_product(P):
+    carriers = enumerate_carriers(P.signature.index, [2])
+    assert ([A.canonical_key() for A in enumerate_algebras(P, 2)]
+            == brute_force_keys(P, carriers))
+
+
+@pytest.mark.parametrize("nv,edges", [
+    (1, [(0, 0), (0, 0)]),
+    (2, [(0, 0), (1, 1), (0, 1)]),
+])
+def test_models_on_matches_whole_table_product(nv, edges):
+    IC = internal_category_presentation()
+    G = graph_presheaf(nv, edges)
+    expected = brute_force_keys(IC.base, [G], IC.extra)
+    assert expected
+    assert [A.canonical_key() for A in IC.models_on(G)] == expected
+
+
+def test_semilattices_up_to_size_four_match_direct_count():
+    # idempotent commutative tables are fixed by their off-diagonal cells,
+    # 4^6 tables at size 4
+    count = 0
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for cells in itertools.product(range(n), repeat=len(pairs)):
+            tab = {(a, a): a for a in range(n)}
+            for (a, b), v in zip(pairs, cells):
+                tab[(a, b)] = tab[(b, a)] = v
+            if all(tab[(tab[(a, b)], c)] == tab[(a, tab[(b, c)])]
+                   for a in range(n) for b in range(n) for c in range(n)):
+                count += 1
+    assert count == 89
+    assert len(enumerate_algebras(SL, 4)) == count
+
+
+def test_model_counts_beyond_the_whole_table_product():
+    # labeled monoids on 0..4 elements and reading-bits models on 0..3
+    assert len(enumerate_algebras(MO, 4)) == 662
+    assert len(enumerate_algebras(reading_bits_presentation(), 3)) == 10
+
+
+def test_model_listing_is_byte_identical_across_hash_seeds():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    args = [sys.executable, "-m", "varietal.cli", "models",
+            str(root / "src" / "varietal" / "data" / "semilattice.var"),
+            "--size", "4", "--list"]
+    outs = []
+    for seed in ("0", "2718"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(args, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stdout
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("models=89\n")
 
 
 def test_interpretation_table_rows(sl, chain2):

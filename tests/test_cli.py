@@ -172,6 +172,28 @@ def test_malformed_pair_is_input_error(pair, tmp_path, capsys):
     assert "broken.var:6:" in out
 
 
+@pytest.mark.parametrize("decl,column", [
+    ("(equation e)", 1),
+    ("(object o)", 1),
+    ("(presentation p)", 1),
+    ("(signature s)", 1),
+    ("(signature s I (op))", 16),
+    ("(object o I (elems (* 1)) (map))", 27),
+    ("(object o I (elems (* x)))", 23),
+], ids=["short-equation", "short-object", "short-presentation",
+        "short-signature", "empty-op", "empty-map", "non-integer-elems"])
+def test_malformed_declaration_is_input_error(decl, column, tmp_path, capsys):
+    text = (DATA / "semilattice.var").read_text()
+    line = text.count("\n") + 1
+    broken = tmp_path / "broken.var"
+    broken.write_text(text + decl + "\n")
+    code = main(["check", str(broken), str(DATA / "chain2.alg")])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert out.splitlines()[-1] == "status=input-error"
+    assert f"broken.var:{line}:{column}:" in out
+
+
 def test_semantic_error_names_equation(tmp_path, capsys):
     text = (DATA / "semilattice.var").read_text()
     # corrupt the idem equation: reference a variable outside the arity
@@ -208,6 +230,19 @@ def test_models_subcommand_iso(capsys):
     assert code == 0
     # 2-element semilattices: max and min tables are isomorphic
     assert "models=3" in out
+
+
+def test_models_listings_match_golden_files(capsys):
+    # tests/golden/models-<theory>-<size>[-iso].txt holds the stdout of
+    # `varietal models <theory>.var --size <size> [--iso] --list`
+    golden = sorted((DATA.parents[2] / "tests" / "golden").glob("models-*.txt"))
+    assert len(golden) == 8
+    for path in golden:
+        theory, size, *iso = path.stem.split("-")[1:]
+        code = main(["models", str(DATA / f"{theory}.var"), "--size", size,
+                     "--list", *(f"--{flag}" for flag in iso)])
+        assert code == 0, path.name
+        assert capsys.readouterr().out == path.read_text(), path.name
 
 
 def test_sum_tensor_subcommands(tmp_path, capsys):
