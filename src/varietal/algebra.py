@@ -7,13 +7,21 @@ presheaf morphisms makes naturality of the operation automatic.  Tables are
 laid out over the canonical hom_set order from :mod:`varietal.base`, so
 every listing and count here is deterministic.
 
-Model enumeration sets one table cell at a time and checks each equation
-instance as soon as the cells it reaches are set, after SEM (Zhang & Zhang,
-1995) and Mace4 (McCune, 2003); its ceiling counts cell assignments tried.
+Every table lives in one cell layout: a cell is one symbol at one input
+family and holds an index into that symbol's choices, the parameter homs in
+the model search and the algebra's own table in an :class:`Algebra`.  Terms
+are compiled once against a layout into integer tuples (``_compile``) and
+evaluated over a flat list of cell values (``_value``); ``evaluate``,
+``satisfies``, ``interpretation_table`` and the model search all share this
+one evaluator.  Model enumeration sets one cell at a time and checks each
+equation instance as soon as the cells it reaches are set, after SEM (Zhang
+& Zhang, 1995) and Mace4 (McCune, 2003); its ceiling counts cell
+assignments tried.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Sequence
 
@@ -30,8 +38,6 @@ from .syntax import (
     Equation,
     FreeFormSignature,
     Term,
-    TermUniverse,
-    app,
     enumerate_terms,
 )
 
@@ -42,6 +48,25 @@ class ResourceCeiling(RuntimeError):
     """An enumeration went past its ceiling; the message names what it counted."""
 
 
+def _cell_layout(sig: FreeFormSignature, X: Presheaf,
+                 choices) -> tuple[dict[str, tuple], list[int]]:
+    """The table cells of ``sig`` over the carrier ``X``, where a cell of
+    the symbol ``s`` holds an index into ``choices(s)``.
+
+    Gives each symbol ``(input position, first cell, choice components)``,
+    symbols with fewer cells first (so constants come first), and each cell
+    the number of values it can take.
+    """
+    cells: dict[str, tuple] = {}
+    nvals: list[int] = []
+    for s in sorted(sig.symbols, key=lambda s: len(hom_list(s.arity, X))):
+        inputs, values = hom_list(s.arity, X), choices(s)
+        cells[s.name] = (inputs.position, len(nvals),
+                         [g.components for g in values])
+        nvals += [len(values)] * len(inputs)
+    return cells, nvals
+
+
 class Algebra:
     """A carrier presheaf with one operation table per signature symbol."""
 
@@ -50,31 +75,41 @@ class Algebra:
         signature: FreeFormSignature,
         carrier: Presheaf,
         values: dict[str, Sequence[PresheafMorphism]],
-        table_indices: dict[str, tuple[int, ...]] | None = None,
     ):
         self.signature = signature
         self.carrier = carrier
         self.values = {k: tuple(v) for k, v in values.items()}
-        self.table_indices = table_indices
         self._canonical_key: tuple | None = None
-        # per symbol: input family components -> hom index, and the values
-        self._tables: dict[str, tuple[dict, tuple[PresheafMorphism, ...]]] = {}
         for sym in signature.symbols:
             if sym.name not in self.values:
                 raise StructureError(f"missing operation table for {sym.name}")
-            homs = hom_list(sym.arity, carrier)
             vals = self.values[sym.name]
-            if len(vals) != len(homs):
+            if len(vals) != len(hom_list(sym.arity, carrier)):
                 raise StructureError(
                     f"table for {sym.name} must have one value per input family")
             for g in vals:
                 if g.source != sym.parameter or g.target != carrier:
                     raise StructureError(
                         f"table value for {sym.name} has wrong endpoints")
-            self._tables[sym.name] = (homs.position, vals)
 
-    def arity_homs(self, name: str) -> HomList:
-        return hom_list(self.signature.symbol(name).arity, self.carrier)
+    @cached_property
+    def _cells(self) -> tuple[dict[str, tuple], list[int]]:
+        """The search's cell layout over the carrier, and the flat list of
+        cell values; built on first use, so models the search lists never pay
+        for it.  A symbol's choices are its own table, not every parameter
+        hom (there can be far more of those), so its i-th cell holds i."""
+        cells, nvals = _cell_layout(self.signature, self.carrier,
+                                    lambda s: self.values[s.name])
+        table = [0] * len(nvals)
+        for _, first, comps in cells.values():
+            table[first:first + len(comps)] = range(len(comps))
+        return cells, table
+
+    def _cell(self, name: str) -> tuple:
+        try:
+            return self._cells[0][name]
+        except KeyError:
+            raise StructureError(f"unknown operation symbol {name!r}") from None
 
     def homs_from(self, J: Presheaf) -> HomList:
         return hom_list(J, self.carrier)
@@ -82,18 +117,12 @@ class Algebra:
     def apply(self, name: str, rows: tuple[tuple[int, ...], ...],
               sort: str, c: int) -> int:
         """Value of the operation at the input family given by ``rows``."""
-        try:
-            position, vals = self._tables[name]
-        except KeyError:
-            raise StructureError(f"unknown operation symbol {name!r}") from None
-        return vals[position[rows]](sort, c)
+        position, first, comps = self._cell(name)
+        v = self._cells[1][first + position[rows]]
+        return comps[v][self.carrier.index.sort_index(sort)][c]
 
     def op_value(self, name: str, h: PresheafMorphism) -> PresheafMorphism:
-        try:
-            position, vals = self._tables[name]
-        except KeyError:
-            raise StructureError(f"unknown operation symbol {name!r}") from None
-        return vals[position[h.components]]
+        return self.values[name][self._cell(name)[0][h.components]]
 
     def canonical_key(self) -> tuple:
         # carrier and tables never change after construction
@@ -112,66 +141,67 @@ class Algebra:
         return f"Algebra(carrier sizes={self.carrier.sizes})"
 
 
-def evaluate(A, t: Term, phi, memo: dict | None = None) -> int:
-    """Interpret a term: variables via phi, applications via the tables.
-
-    ``A`` needs ``apply(name, rows, sort, c)`` and ``phi(sort, x)``; both the
-    finite :class:`Algebra` and the truncated term algebra below qualify.
-    """
-    if memo is None:
-        memo = {}
-
-    def go(s: Term):
-        got = memo.get(id(s))
-        if got is not None:
-            return got
-        if s.is_var:
-            out = phi(s.sort, s.var)
-        else:
-            rows = tuple(
-                tuple(go(u) for u in row) for row in s.binding)
-            out = A.apply(s.symbol.name, rows, s.sort, s.param)
-        memo[id(s)] = out
-        return out
-
-    return go(t)
+def _compile(t: Term, index, cells: dict) -> tuple:
+    """A term over one carrier as nested tuples: a variable becomes
+    ``(sort index, element)``, an application ``(input position, first cell,
+    value components, sort index, parameter element, compiled binding)``."""
+    si = index.sort_index(t.sort)
+    if t.is_var:
+        return (si, t.var)
+    try:
+        position, first, comps = cells[t.symbol.name]
+    except KeyError:
+        raise StructureError(
+            f"unknown operation symbol {t.symbol.name!r}") from None
+    return (position, first, comps, si, t.param, tuple(
+        tuple(_compile(u, index, cells) for u in row) for row in t.binding))
 
 
-class TruncatedTermAlgebra:
-    """The free term algebra cut off at a depth bound; application is partial.
+def _value(node: tuple, phi: tuple, table: list) -> int:
+    """The element a compiled term denotes under the input family with
+    components ``phi`` and the cell values ``table``, or ``~cell`` for the
+    first unassigned (``None``) cell its evaluation needs."""
+    if len(node) == 2:
+        return phi[node[0]][node[1]]
+    position, first, comps, si, c, rows = node
+    key = []
+    for row in rows:
+        vs = []
+        for u in row:
+            x = phi[u[0]][u[1]] if len(u) == 2 else _value(u, phi, table)
+            if x < 0:
+                return x
+            vs.append(x)
+        key.append(tuple(vs))
+    cell = first + position[tuple(key)]
+    v = table[cell]
+    return ~cell if v is None else comps[v][si][c]
 
-    Evaluating a term of depth within the bound against the variable
-    assignment reproduces the term itself; deeper applications raise.
-    """
 
-    def __init__(self, universe: TermUniverse):
-        self.universe = universe
-        self.signature = universe.signature
-
-    def apply(self, name: str, rows, sort: str, c: int) -> Term:
-        t = app(self.signature, name, rows, sort, c, self.universe.variables)
-        if t.depth > self.universe.depth:
-            raise ResourceCeiling(
-                f"application exceeds depth bound {self.universe.depth}")
-        return t
+def evaluate(A: Algebra, t: Term, phi: PresheafMorphism) -> int:
+    """Interpret a term: variables via phi, applications via the tables."""
+    cells, table = A._cells
+    return _value(_compile(t, A.carrier.index, cells), phi.components, table)
 
 
 def satisfies(A: Algebra, eq: Equation, witness: bool = False):
     """Check one parametrized equation against every input family.
 
     With ``witness=True`` returns ``None`` when satisfied, else a triple
-    ``(phi, sort, c)`` exhibiting the failure.
+    ``(phi, sort, c)`` exhibiting the first failure, input families in hom
+    order and parameter elements in sort order.
     """
-    idx = eq.parameter.index
+    cells, table = A._cells
+    index = A.carrier.index
+    sides = [(sort, c, _compile(eq.lhs(sort, c), index, cells),
+              _compile(eq.rhs(sort, c), index, cells))
+             for sort in eq.parameter.index.sorts
+             for c in eq.parameter.elements(sort)]
     for phi in A.homs_from(eq.arity):
-        memo_l: dict = {}
-        memo_r: dict = {}
-        for sort in idx.sorts:
-            for c in eq.parameter.elements(sort):
-                lv = evaluate(A, eq.lhs(sort, c), phi, memo_l)
-                rv = evaluate(A, eq.rhs(sort, c), phi, memo_r)
-                if lv != rv:
-                    return (phi, sort, c) if witness else False
+        comps = phi.components
+        for sort, c, lhs, rhs in sides:
+            if _value(lhs, comps, table) != _value(rhs, comps, table):
+                return (phi, sort, c) if witness else False
     return None if witness else True
 
 
@@ -184,7 +214,7 @@ def is_homomorphism(f: PresheafMorphism, A: Algebra, B: Algebra) -> bool:
     if f.source != A.carrier or f.target != B.carrier:
         raise StructureError("candidate does not map the carriers")
     for sym in A.signature.symbols:
-        for h in A.arity_homs(sym.name):
+        for h in hom_list(sym.arity, A.carrier):
             lhs = A.op_value(sym.name, h).then(f)
             rhs = B.op_value(sym.name, h.then(f))
             if lhs.components != rhs.components:
@@ -230,38 +260,6 @@ def enumerate_carriers(
     return out
 
 
-def _compile(t: Term, index, cells: dict) -> tuple:
-    """A term over one carrier as nested tuples: a variable becomes
-    ``(sort index, element)``, an application ``(input position, first cell,
-    value components, sort index, parameter element, compiled binding)``."""
-    si = index.sort_index(t.sort)
-    if t.is_var:
-        return (si, t.var)
-    position, first, comps = cells[t.symbol.name]
-    return (position, first, comps, si, t.param, tuple(
-        tuple(_compile(u, index, cells) for u in row) for row in t.binding))
-
-
-def _value(node: tuple, phi: tuple, table: list) -> int:
-    """The element a compiled term denotes under the partial cell ``table``,
-    or ``~cell`` for the first unassigned cell its evaluation needs."""
-    if len(node) == 2:
-        return phi[node[0]][node[1]]
-    position, first, comps, si, c, rows = node
-    key = []
-    for row in rows:
-        vs = []
-        for u in row:
-            x = phi[u[0]][u[1]] if len(u) == 2 else _value(u, phi, table)
-            if x < 0:
-                return x
-            vs.append(x)
-        key.append(tuple(vs))
-    cell = first + position[tuple(key)]
-    v = table[cell]
-    return ~cell if v is None else comps[v][si][c]
-
-
 def _propagate(insts, table: list, watch: list, moved: list) -> bool:
     """Check equation instances against the partial table; False on the first
     violation.  An instance that needs an unassigned cell joins that cell's
@@ -288,15 +286,13 @@ def enumerate_algebras(
     """All labeled algebras within the size bounds, optionally one carrier.
 
     ``target`` is a signature or a presentation (anything with ``signature``
-    and ``equations``).  A cell is a symbol at one input family; its value
-    indexes the symbol's parameter homs.  Cells are set one at a time, those
-    of symbols with fewer cells first, so constants come first.  Each
-    equation instance (equation, input family, parameter element) waits on
-    the first unassigned cell its evaluation needs and is checked again when
-    that cell is set.  Each carrier's models are listed in lexicographic
-    order of their tables, in signature order.  Raises
-    :class:`ResourceCeiling` once more than ``ceiling`` cell assignments
-    have been tried.
+    and ``equations``).  Cells (see :func:`_cell_layout`) are set one at a
+    time in layout order, so constants come first.  Each equation instance
+    (equation, input family, parameter element) waits on the first
+    unassigned cell its evaluation needs and is checked again when that cell
+    is set.  Each carrier's models are listed in lexicographic order of their
+    tables, in signature order.  Raises :class:`ResourceCeiling` once more
+    than ``ceiling`` cell assignments have been tried.
     """
     if hasattr(target, "signature"):
         sig = target.signature
@@ -317,17 +313,7 @@ def enumerate_algebras(
     out: list[Algebra] = []
     tried = 0
     for X in carriers:
-        params = {s.name: hom_list(s.parameter, X) for s in sig.symbols}
-        cells: dict[str, tuple] = {}
-        spans: dict[str, slice] = {}
-        nvals: list[int] = []
-        for s in sorted(sig.symbols, key=lambda s: len(hom_list(s.arity, X))):
-            inputs = hom_list(s.arity, X)
-            first = len(nvals)
-            cells[s.name] = (inputs.position, first,
-                             [g.components for g in params[s.name]])
-            spans[s.name] = slice(first, first + len(inputs))
-            nvals += [len(params[s.name])] * len(inputs)
+        cells, nvals = _cell_layout(sig, X, lambda s: hom_list(s.parameter, X))
         insts = []
         for eq in equations:
             sides = [(_compile(eq.lhs(sort, c), index, cells),
@@ -342,6 +328,8 @@ def enumerate_algebras(
         watch: list[list[tuple]] = [[] for _ in range(n)]
         moved: list[list[int]] = [[] for _ in range(n + 1)]
         nxt = [0] * n
+        spans = [slice(first, first + len(position))
+                 for position, first, _ in (cells[s.name] for s in sig.symbols)]
         found: list[tuple] = []
         k = 0 if _propagate(insts, table, watch, []) else -1
         while k >= 0:
@@ -349,8 +337,7 @@ def enumerate_algebras(
                 watch[cell].pop()
             moved[k].clear()
             if k == n:
-                found.append(tuple(
-                    tuple(table[spans[s.name]]) for s in sig.symbols))
+                found.append(tuple(tuple(table[span]) for span in spans))
                 k -= 1
             elif nxt[k] == nvals[k]:
                 table[k] = None
@@ -365,12 +352,11 @@ def enumerate_algebras(
                         f"cell assignments tried exceeded the ceiling {ceiling}")
                 if _propagate(watch[k], table, watch, moved[k]):
                     k += 1
+        params = [hom_list(s.parameter, X) for s in sig.symbols]
         for key in sorted(found):
-            out.append(Algebra(
-                sig, X,
-                {s.name: tuple(params[s.name][v] for v in row)
-                 for s, row in zip(sig.symbols, key)},
-                {s.name: row for s, row in zip(sig.symbols, key)}))
+            out.append(Algebra(sig, X, {
+                s.name: tuple(ps[v] for v in row)
+                for s, ps, row in zip(sig.symbols, params, key)}))
     if iso:
         reduced: list[Algebra] = []
         for A in out:
@@ -388,15 +374,15 @@ def interpretation_table(
     Two terms with equal rows are exactly the pairs the algebra satisfies as
     an equation with terminal parameter.
     """
+    cells, table = A._cells
+    homs = [phi.components for phi in A.homs_from(J)]
     universe = enumerate_terms(A.signature, J, depth)
-    homs = A.homs_from(J)
-    memos = [dict() for _ in homs]
-    table: dict[Term, tuple[int, ...]] = {}
+    out: dict[Term, tuple[int, ...]] = {}
     for sort in J.index.sorts:
         for t in universe.terms(sort):
-            table[t] = tuple(
-                evaluate(A, t, phi, memo) for phi, memo in zip(homs, memos))
-    return table
+            node = _compile(t, A.carrier.index, cells)
+            out[t] = tuple(_value(node, phi, table) for phi in homs)
+    return out
 
 
 def product_algebra(A: Algebra, B: Algebra) -> Algebra:

@@ -192,7 +192,8 @@ class BirkhoffWindow:
             if eq not in self._window:
                 raise ScaleError(f"equation {eq.name} is outside the window")
 
-    def _require_window_algebras(self, algebras: Sequence[Algebra]):
+    def require_window_algebras(self, algebras: Sequence[Algebra]):
+        """Raise :class:`ScaleError` unless every algebra is a window algebra."""
         keys = {A.canonical_key() for A in self.algebras()}
         for A in algebras:
             if A.canonical_key() not in keys:
@@ -202,7 +203,7 @@ class BirkhoffWindow:
                           algebras: Sequence[Algebra]) -> tuple[bool, list[str]]:
         """Adjunction, triple laws, and closure idempotence at this scale."""
         self._require_window_equations(E)
-        self._require_window_algebras(algebras)
+        self.require_window_algebras(algebras)
         scale_tag = (f"scale=({self.scale.size},{self.scale.depth},"
                      f"{len(self.scale.generators)})")
         lines = []

@@ -242,6 +242,7 @@ def cmd_birkhoff(args) -> int:
     gens = tuple(_gen_objects(args.gens, sig.index)) or (terminal(sig.index),)
     window = BirkhoffWindow(sig, GaloisScale(n, d, gens), ceiling=_ceiling())
     algebras = [ws.algebras[name] for name in sorted(ws.algebras)]
+    window.require_window_algebras(algebras)
     closure = window.variety_generated(algebras)
     print(f"generated={len(closure)}")
     for i, A in enumerate(closure):

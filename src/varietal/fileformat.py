@@ -79,10 +79,10 @@ def _atom(node, filename, what="atom"):
 
 
 def _named(items, filename, keyword):
-    for i, node in enumerate(items):
+    for i, node in enumerate(items[:-1]):
         if not node.is_list and node.value == keyword:
             return items[i + 1]
-    raise ParseError(f"{filename}: missing {keyword}")
+    raise _err(items[0], filename, f"missing {keyword}")
 
 
 def _section(items, filename, keyword):
@@ -102,11 +102,33 @@ def _items(node, filename, what, n):
     return items
 
 
-def _int(node, filename, what):
+def _int(node, filename, what, bound=None):
+    """An integer atom; with ``bound``, one in ``0..bound-1``."""
     value = _atom(node, filename, what)
     if not isinstance(value, int):
         raise _err(node, filename, f"expected {what}")
+    if bound is not None and not 0 <= value < bound:
+        raise _err(node, filename, f"{what} {value} out of range")
     return value
+
+
+def _ints(nodes, filename, what) -> tuple[int, ...]:
+    return tuple(_int(x, filename, what) for x in nodes)
+
+
+def _exactly(node, filename, what, n):
+    """The items of a list node that needs exactly ``n`` of them."""
+    items = _expect_list(node, filename, what)
+    if len(items) != n:
+        raise _err(node, filename, f"{what} needs {n} items")
+    return items
+
+
+def _object(node, filename, ws: Workspace) -> Presheaf:
+    name = str(_atom(node, filename, "object name"))
+    if name not in ws.objects:
+        raise _err(node, filename, f"unknown object {name!r}")
+    return ws.objects[name]
 
 
 def parse_term(node: sexpr.Node, sig: FreeFormSignature,
@@ -116,9 +138,9 @@ def parse_term(node: sexpr.Node, sig: FreeFormSignature,
     if head == "var":
         items = _items(node, filename, "var term", 3)
         sort = str(_atom(items[1], filename))
-        elt = _atom(items[2], filename)
-        if not isinstance(elt, int) or not (0 <= elt < variables.size(sort)):
-            raise _err(items[2], filename, "variable element out of range")
+        if sort not in variables.index.sorts:
+            raise _err(items[1], filename, f"unknown sort {sort!r}")
+        elt = _int(items[2], filename, "variable element", variables.size(sort))
         return var(sig, sort, elt)
     if head == "app":
         items = _items(node, filename, "app term", 4)
@@ -171,19 +193,16 @@ def _parse_index(items, filename, ws: Workspace, line):
                   for n in _section(items, filename, "sorts"))
     arrows = []
     for node in _section(items, filename, "arrows"):
-        m, src, tgt = (_atom(x, filename) for x in
-                       _expect_list(node, filename, "arrow"))
-        arrows.append((str(m), str(src), str(tgt)))
+        arrows.append(tuple(str(_atom(x, filename))
+                            for x in _exactly(node, filename, "arrow", 3)))
     idents = {}
     for node in _section(items, filename, "identities"):
-        sort, m = (_atom(x, filename) for x in
-                   _expect_list(node, filename, "identity entry"))
-        idents[str(sort)] = str(m)
+        sort, m = _exactly(node, filename, "identity entry", 2)
+        idents[str(_atom(sort, filename))] = str(_atom(m, filename))
     comp = []
     for node in _section(items, filename, "compose"):
-        f, g, h = (_atom(x, filename) for x in
-                   _expect_list(node, filename, "compose entry"))
-        comp.append((str(f), str(g), str(h)))
+        comp.append(tuple(str(_atom(x, filename))
+                          for x in _exactly(node, filename, "compose entry", 3)))
     try:
         idx = IndexCategory(name, sorts, tuple(arrows),
                             tuple(idents[s] for s in sorts), tuple(comp))
@@ -209,7 +228,7 @@ def _parse_object(items, filename, ws: Workspace, line):
                 and node.items[0].value == "map":
             parts = _items(node, filename, "map entry", 2)
             m = str(_atom(parts[1], filename))
-            maps[m] = tuple(_atom(x, filename) for x in parts[2:])
+            maps[m] = _ints(parts[2:], filename, "map value")
     action = []
     for (m, src, tgt) in idx.morphisms:
         if m in idx.identities:
@@ -237,15 +256,9 @@ def _parse_signature(items, filename, ws: Workspace, line):
         if str(_atom(parts[0], filename)) != "op":
             raise _err(node, filename, "expected (op ...)")
         op_name = str(_atom(parts[1], filename))
-        arity = str(_atom(_named(parts, filename, ":arity"), filename))
-        param = str(_atom(_named(parts, filename, ":param"), filename))
-        for ref in (arity, param):
-            if ref not in ws.objects:
-                raise ParseError(
-                    f"{filename}:{line}: op {op_name!r} references unknown "
-                    f"object {ref!r}")
         symbols.append(OperationSymbol(
-            op_name, ws.objects[arity], ws.objects[param]))
+            op_name, _object(_named(parts, filename, ":arity"), filename, ws),
+            _object(_named(parts, filename, ":param"), filename, ws)))
     try:
         sig = FreeFormSignature(name, symbols)
         if sig.index is None:
@@ -261,14 +274,8 @@ def _parse_equation(items, filename, ws: Workspace, line):
     if sig_name not in ws.signatures:
         raise ParseError(f"{filename}:{line}: unknown signature {sig_name!r}")
     sig = ws.signatures[sig_name]
-    arity_name = str(_atom(_named(items, filename, ":arity"), filename))
-    param_name = str(_atom(_named(items, filename, ":param"), filename))
-    for ref in (arity_name, param_name):
-        if ref not in ws.objects:
-            raise ParseError(
-                f"{filename}:{line}: equation {name!r} references unknown "
-                f"object {ref!r}")
-    arity, param = ws.objects[arity_name], ws.objects[param_name]
+    arity = _object(_named(items, filename, ":arity"), filename, ws)
+    param = _object(_named(items, filename, ":param"), filename, ws)
     lhs_rows = {s: {} for s in sig.index.sorts}
     rhs_rows = {s: {} for s in sig.index.sorts}
     for node in items:
@@ -312,7 +319,7 @@ def _parse_presentation(items, filename, ws: Workspace, line):
         raise ParseError(f"{filename}:{line}: unknown signature {sig_name!r}")
     eqs = []
     for node in items[3:]:
-        parts = _expect_list(node, filename, "(equations ...)")
+        parts = _items(node, filename, "(equations ...)", 1)
         if str(_atom(parts[0], filename)) != "equations":
             raise _err(node, filename, "expected (equations ...)")
         for ref in parts[1:]:
@@ -331,13 +338,10 @@ def _parse_presentation(items, filename, ws: Workspace, line):
 def _parse_algebra(items, filename, ws: Workspace, line):
     name = str(_atom(items[1], filename))
     sig_name = str(_atom(items[2], filename))
-    carrier_name = str(_atom(items[3], filename))
     if sig_name not in ws.signatures:
         raise ParseError(f"{filename}:{line}: unknown signature {sig_name!r}")
-    if carrier_name not in ws.objects:
-        raise ParseError(f"{filename}:{line}: unknown object {carrier_name!r}")
     sig = ws.signatures[sig_name]
-    carrier = ws.objects[carrier_name]
+    carrier = _object(items[3], filename, ws)
     values = {}
     for node in items[4:]:
         parts = _items(node, filename, "op table", 2)
@@ -353,8 +357,8 @@ def _parse_algebra(items, filename, ws: Workspace, line):
                 f"{filename}:{line}: op {op_name!r} needs {len(homs)} value "
                 f"groups, got {len(groups)}")
         for group in groups:
-            flat = [_atom(x, filename) for x in
-                    _expect_list(group, filename, "value group")]
+            flat = _ints(_expect_list(group, filename, "value group"),
+                         filename, "table value")
             comps = []
             k = 0
             for sort in sig.index.sorts:
@@ -381,37 +385,39 @@ def _parse_algebra(items, filename, ws: Workspace, line):
 
 def _parse_relmonad(items, filename, ws: Workspace, line):
     name = str(_atom(items[1], filename))
-    objects = [ws.objects[str(_atom(n, filename))]
+    objects = [_object(n, filename, ws)
                for n in _section(items, filename, "objects")]
-    carriers = [ws.objects[str(_atom(n, filename))]
+    carriers = [_object(n, filename, ws)
                 for n in _section(items, filename, "carriers")]
-    unit = [None] * len(objects)
+    n = len(objects)
+    if len(carriers) != n:
+        raise _err(items[0], filename, "relmonad needs one carrier per object")
+
+    def morphism(source, target, groups):
+        comps = tuple(_ints(_expect_list(g, filename, "component")[1:],
+                            filename, "component value") for g in groups)
+        return PresheafMorphism(source, target, comps)
+
+    unit = [None] * n
     mult: dict[tuple[int, int], list] = {}
-    idx = objects[0].index if objects else None
     for node in items:
         if not (node.is_list and node.items and not node.items[0].is_list):
             continue
         head = node.items[0].value
         if head == "e":
-            i = _atom(node.items[1], filename)
-            comps = []
-            for group in node.items[2:]:
-                parts = _expect_list(group, filename, "component")
-                comps.append(tuple(_atom(x, filename) for x in parts[1:]))
-            unit[i] = PresheafMorphism(objects[i], carriers[i], tuple(comps))
+            parts = _items(node, filename, "unit entry", 2)
+            i = _int(parts[1], filename, "object index", n)
+            unit[i] = morphism(objects[i], carriers[i], parts[2:])
         elif head == "m":
-            i = _atom(node.items[1], filename)
-            j = _atom(node.items[2], filename)
-            values = []
-            for group in node.items[3:]:
-                parts = _expect_list(group, filename, "m value")
-                comps = []
-                for sub in parts[1:]:
-                    rows = _expect_list(sub, filename, "component")
-                    comps.append(tuple(_atom(x, filename) for x in rows[1:]))
-                values.append(PresheafMorphism(carriers[i], carriers[j],
-                                               tuple(comps)))
-            mult[(i, j)] = values
+            parts = _items(node, filename, "m entry", 3)
+            i, j = (_int(x, filename, "object index", n) for x in parts[1:3])
+            mult[(i, j)] = [
+                morphism(carriers[i], carriers[j],
+                         _expect_list(group, filename, "m value")[1:])
+                for group in parts[3:]]
+    if None in unit:
+        raise _err(items[0], filename, f"relmonad {name!r} lacks unit "
+                   f"entry (e {unit.index(None)} ...)")
     try:
         M = RelativeMonad(name, objects, carriers, unit, mult)
     except StructureError as exc:
@@ -421,35 +427,33 @@ def _parse_relmonad(items, filename, ws: Workspace, line):
 
 def _parse_pretheory(items, filename, ws: Workspace, line):
     name = str(_atom(items[1], filename))
-    objects = [ws.objects[str(_atom(n, filename))]
+    objects = [_object(n, filename, ws)
                for n in _section(items, filename, "objects")]
+    identities = _ints(_section(items, filename, "identities"), filename,
+                       "identity token")
     homs = {}
     compose = {}
     tau = {}
-    identities = None
     for node in items:
         if not (node.is_list and node.items and not node.items[0].is_list):
             continue
         head = node.items[0].value
-        parts = node.items
         if head == "homs":
-            i, j = _atom(parts[1], filename), _atom(parts[2], filename)
-            homs[(i, j)] = tuple(str(_atom(x, filename)) for x in parts[3:])
-        elif head == "identities":
-            identities = tuple(_atom(x, filename) for x in parts[1:])
+            parts = _items(node, filename, "homs entry", 3)
+            homs[_ints(parts[1:3], filename, "object index")] = tuple(
+                str(_atom(x, filename)) for x in parts[3:])
         elif head == "compose":
-            i = _atom(parts[1], filename)
-            j = _atom(parts[2], filename)
-            k = _atom(parts[3], filename)
+            parts = _items(node, filename, "compose entry", 4)
             table = {}
             for entry in parts[4:]:
-                f, g, h = (_atom(x, filename) for x in
-                           _expect_list(entry, filename, "compose entry"))
+                f, g, h = _ints(_exactly(entry, filename, "composite", 3),
+                                filename, "hom token index")
                 table[(f, g)] = h
-            compose[(i, j, k)] = table
+            compose[_ints(parts[1:4], filename, "object index")] = table
         elif head == "tau":
-            i, j = _atom(parts[1], filename), _atom(parts[2], filename)
-            tau[(i, j)] = tuple(_atom(x, filename) for x in parts[3:])
+            parts = _items(node, filename, "tau entry", 3)
+            tau[_ints(parts[1:3], filename, "object index")] = _ints(
+                parts[3:], filename, "hom token index")
     try:
         T = Pretheory(name, objects, homs, compose, identities, tau)
     except StructureError as exc:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from varietal import fileformat
 from varietal.base import (
     StructureError,
     element_family,
@@ -28,12 +29,10 @@ from varietal.syntax import (
     precompose_equation,
     substitute,
     var,
-    var_assignment,
 )
 from varietal.algebra import (
     Algebra,
     ResourceCeiling,
-    TruncatedTermAlgebra,
     enumerate_algebras,
     enumerate_carriers,
     evaluate,
@@ -60,6 +59,7 @@ from varietal.presentation import (
 )
 
 
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
 I = trivial_index()
 TWO = finite_set(2, I)
 ONE = terminal(I)
@@ -96,25 +96,6 @@ def test_evaluate_idempotent_join(sl, chain2):
     t = app(sl.signature, "join", ((x, x),), "*", 0, TWO)
     for phi in hom_list(TWO, chain2.carrier):
         assert evaluate(chain2, t, phi) == phi("*", 0)
-
-
-def test_evaluate_on_truncated_free_algebra(sl):
-    # against the variable assignment, a term within the bound evaluates to
-    # itself: the free truncation with unit inputs is the identity
-    uni = enumerate_terms(sl.signature, TWO, 3)
-    free = TruncatedTermAlgebra(uni)
-    phi = var_assignment(sl.signature, TWO)
-    for sort in ("*",):
-        for t in uni.terms(sort):
-            assert evaluate(free, t, phi) is t
-
-
-def test_truncated_algebra_rejects_overflow(sl):
-    uni = enumerate_terms(sl.signature, TWO, 1)
-    free = TruncatedTermAlgebra(uni)
-    deep = uni.terms("*")[-1]
-    with pytest.raises(ResourceCeiling):
-        free.apply("join", ((deep, deep),), "*", 0)
 
 
 def test_satisfies_reflexive_equation(sl, chain2):
@@ -349,3 +330,73 @@ def test_product_algebra_satisfies_equations(sl, chain2):
     P = product_algebra(chain2, chain2)
     for eq in sl.equations:
         assert satisfies(P, eq)
+
+
+def reference_evaluator(A):
+    """A plain recursive interpreter over A's tables, kept here as the oracle
+    for the compiled evaluator: each input family is found by a linear
+    search of a fresh hom_set listing."""
+    inputs = {s.name: [h.components for h in hom_set(s.arity, A.carrier)]
+              for s in A.signature.symbols}
+
+    def value(t, phi):
+        if t.is_var:
+            return phi(t.sort, t.var)
+        rows = tuple(tuple(value(u, phi) for u in row) for row in t.binding)
+        g = A.values[t.symbol.name][inputs[t.symbol.name].index(rows)]
+        return g(t.sort, t.param)
+
+    return value
+
+
+def reference_witness(value, A, eq):
+    """The first failing (phi, sort, c), input families in hom order."""
+    for phi in hom_set(eq.arity, A.carrier):
+        for sort in eq.parameter.index.sorts:
+            for c in eq.parameter.elements(sort):
+                if value(eq.lhs(sort, c), phi) != value(eq.rhs(sort, c), phi):
+                    return (phi, sort, c)
+    return None
+
+
+def check_against_reference(A, equations, J, depth) -> int:
+    """Compare satisfies, interpretation_table and evaluate on A with the
+    reference; returns how many equations A fails."""
+    value = reference_evaluator(A)
+    failures = 0
+    for eq in equations:
+        expected = reference_witness(value, A, eq)
+        assert satisfies(A, eq, witness=True) == expected
+        assert satisfies(A, eq) == (expected is None)
+        failures += expected is not None
+    homs = hom_set(J, A.carrier)
+    universe = enumerate_terms(A.signature, J, depth)
+    table = interpretation_table(A, J, depth)
+    assert list(table) == [t for sort in J.index.sorts
+                           for t in universe.terms(sort)]
+    for t, row in table.items():
+        expected = tuple(value(t, phi) for phi in homs)
+        assert row == expected
+        assert tuple(evaluate(A, t, phi) for phi in homs) == expected
+    return failures
+
+
+@pytest.mark.parametrize("name", [
+    "semilattice.var", "monoid.var", "restriction.var"])
+def test_compiled_evaluator_matches_reference(name):
+    (P,) = fileformat.parse_file(str(DATA / name)).presentations.values()
+    J = finite_set(2, P.signature.index)
+    algebras = enumerate_algebras(P.signature, 2)
+    failures = sum(check_against_reference(A, P.equations, J, 2)
+                   for A in algebras)
+    # the signature's tables include non-models, so witnesses are compared
+    assert 0 < failures < len(algebras) * len(P.equations)
+
+
+def test_compiled_evaluator_matches_reference_on_internal_categories():
+    IC = internal_category_presentation()
+    models = IC.models_on(graph_presheaf(1, [(0, 0), (0, 0)]))
+    assert models
+    path = graph_presheaf(3, [(0, 1), (1, 2)])
+    for A in models:
+        assert check_against_reference(A, IC.base.equations, path, 2) == 0

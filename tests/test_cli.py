@@ -1,13 +1,18 @@
+import copy
+import dataclasses
 import fnmatch
 import importlib.util
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 from varietal import fileformat
+from varietal.base import StructureError
+from varietal.birkhoff import BirkhoffWindow
 from varietal.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
@@ -135,9 +140,10 @@ IDEM_LHS = "(app join ((* 0 (var * 0)) (* 1 (var * 0))) (* 0))"
     "(app join ((q 0 (var * 0)) (* 1 (var * 0))) (* 0))",
     "(app join ((* a (var * 0)) (* 1 (var * 0))) (* 0))",
     "(app join ((* 0 (var * 0)) (* 1 (var * 0))) (* x))",
+    "(app join ((* 0 (var q 0)) (* 1 (var * 0))) (* 0))",
 ], ids=["var-missing-element", "app-missing-parameter", "short-parameter-tail",
         "unknown-binding-sort", "non-integer-binding-element",
-        "non-integer-parameter-element"])
+        "non-integer-parameter-element", "unknown-variable-sort"])
 def test_malformed_term_is_input_error(lhs, tmp_path, capsys):
     text = (DATA / "semilattice.var").read_text()
     assert IDEM_LHS in text
@@ -180,8 +186,17 @@ def test_malformed_pair_is_input_error(pair, tmp_path, capsys):
     ("(signature s I (op))", 16),
     ("(object o I (elems (* 1)) (map))", 27),
     ("(object o I (elems (* x)))", 23),
+    ("(object o I (elems (* 1)) (map id x))", 35),
+    ("(signature s I (op f :arity ob0 :param))", 17),
+    ("(index J (sorts *) (arrows (id *)) (identities (* id)) "
+     "(compose (id id id)))", 28),
+    ("(index J (sorts *) (arrows (id * *)) (identities (* id)) "
+     "(compose (id id)))", 67),
+    ("(presentation p semilattice.sig ())", 33),
 ], ids=["short-equation", "short-object", "short-presentation",
-        "short-signature", "empty-op", "empty-map", "non-integer-elems"])
+        "short-signature", "empty-op", "empty-map", "non-integer-elems",
+        "non-integer-map-value", "keyword-without-value", "short-arrow",
+        "short-index-composite", "empty-equations-list"])
 def test_malformed_declaration_is_input_error(decl, column, tmp_path, capsys):
     text = (DATA / "semilattice.var").read_text()
     line = text.count("\n") + 1
@@ -192,6 +207,106 @@ def test_malformed_declaration_is_input_error(decl, column, tmp_path, capsys):
     assert code == 3, out
     assert out.splitlines()[-1] == "status=input-error"
     assert f"broken.var:{line}:{column}:" in out
+
+
+RELMONAD_CHECK = (["clone", "--check"], "z2aff.rm")
+PRETHEORY_CHECK = (["pretheory", "--check"], "kleisli_semilattice.pt")
+ALGEBRA_CHECK = (["check", str(DATA / "semilattice.var")], "chain2.alg")
+
+
+# each case: the command and bundled file, the text replaced, its
+# replacement, and the text the error's line and column must point at
+@pytest.mark.parametrize("command,old,new,marker", [
+    (RELMONAD_CHECK, "(objects ob0 ob1)", "(objects ob0 ob7)", "ob7"),
+    (RELMONAD_CHECK, "(carriers ob0 ob1)", "(carriers ob7 ob1)", "ob7"),
+    (RELMONAD_CHECK, "(e 1 (* 1 0))", "(e 2 (* 1 0))", "2 (* 1 0)"),
+    (RELMONAD_CHECK, "(e 1 (* 1 0))", "(e x (* 1 0))", "x (* 1 0)"),
+    (RELMONAD_CHECK, "(e 1 (* 1 0))", "(e 1 (* 1 q))", "q))"),
+    (RELMONAD_CHECK, "(m 1 0 (0 (* 0 0)))", "(m 1 5 (0 (* 0 0)))", "5 (0"),
+    (RELMONAD_CHECK, "(m 1 0 (0 (* 0 0)))", "(m 1)", "(m 1)"),
+    (RELMONAD_CHECK, " (e 1 (* 1 0))", "", "relmonad z2aff"),
+    (PRETHEORY_CHECK, "(objects ob0 ob1)", "(objects ob0 ob9)", "ob9"),
+    (PRETHEORY_CHECK, "(identities 0 1)", "(identities 0 i)", "i)"),
+    (PRETHEORY_CHECK, "(homs 0 1 k0)", "(homs 0)", "(homs 0)"),
+    (PRETHEORY_CHECK, "(compose 0 0 1 (0 0 0))", "(compose 0 0)",
+     "(compose 0 0)"),
+    (PRETHEORY_CHECK, "(compose 0 0 1 (0 0 0))", "(compose 0 0 1 (0 0))",
+     "(0 0))"),
+    (PRETHEORY_CHECK, "(tau 0 1 0)", "(tau 0 1 z)", "z)"),
+    (ALGEBRA_CHECK, "(op join (0) (1) (1) (1))", "(op join (0) (1) (y) (1))",
+     "y)"),
+], ids=["unknown-object", "unknown-carrier", "unit-index-out-of-range",
+        "non-integer-unit-index", "non-integer-unit-value",
+        "m-index-out-of-range", "short-m-entry", "missing-unit-entry",
+        "pretheory-unknown-object", "non-integer-identity", "short-homs",
+        "short-compose", "short-composite", "non-integer-tau",
+        "non-integer-table-value"])
+def test_malformed_structure_file_is_input_error(command, old, new, marker,
+                                                 tmp_path, capsys):
+    args, name = command
+    text = (DATA / name).read_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    assert text.count(marker) == 1
+    before = text[:text.index(marker)]
+    line = before.count("\n") + 1
+    column = len(before) - before.rfind("\n")
+    broken = tmp_path / f"broken{pathlib.Path(name).suffix}"
+    broken.write_text(text)
+    code = main([*args, str(broken)])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert out.splitlines()[-1] == "status=input-error"
+    assert f"{broken.name}:{line}:{column}:" in out
+
+
+def mutants(seed, count):
+    """``count`` one-character edits of the bundled files, taken in turn: a
+    substitution, deletion or insertion of a character the files use."""
+    texts = {path.name: path.read_text() for path in sorted(DATA.iterdir())}
+    alphabet = sorted(set("".join(texts.values())))
+    names = sorted(texts)
+    rng = random.Random(seed)
+    for k in range(count):
+        name = names[k % len(names)]
+        text = texts[name]
+        kind = rng.randrange(3)  # substitute, delete, insert
+        pos = rng.randrange(len(text) + (kind == 2))
+        ch = "" if kind == 1 else rng.choice(alphabet)
+        yield name, (kind, pos, ch), text[:pos] + ch + text[pos + (kind != 2):]
+
+
+def test_mutated_bundled_files_raise_only_parse_or_structure_errors():
+    # an algebra file is parsed into a workspace holding its presentation
+    needs = {alg: var for var, alg in BUNDLED_CHECKS}
+    bases = {var: fileformat.parse_file(str(DATA / var))
+             for var in needs.values()}
+    escapes = []
+    for name, edit, text in mutants(0, 2000):
+        base = bases.get(needs.get(name), fileformat.Workspace())
+        ws = fileformat.Workspace(**{
+            f.name: copy.copy(getattr(base, f.name))
+            for f in dataclasses.fields(base)})
+        try:
+            fileformat.parse_text(text, name, ws)
+        except (fileformat.ParseError, StructureError):
+            pass
+        except Exception as exc:
+            escapes.append((name, edit, repr(exc)))
+    assert escapes == []
+
+
+def test_birkhoff_outside_the_scale_fails_before_generating(monkeypatch,
+                                                           capsys):
+    def refuse(self, algebras):
+        raise AssertionError("variety_generated ran")
+
+    monkeypatch.setattr(BirkhoffWindow, "variety_generated", refuse)
+    code = main(["birkhoff", str(DATA / "semilattice_gen.algs"),
+                 "--scale", "1,2", "--gens", "1,2"])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert out == "error: algebra outside the window scale\nstatus=input-error\n"
 
 
 def test_semantic_error_names_equation(tmp_path, capsys):
