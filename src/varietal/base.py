@@ -3,8 +3,10 @@
 Everything is finite and extensional: an index category is a composition
 table, a presheaf assigns a finite set ``{0, .., n-1}`` to each sort and a
 function table to each index morphism, and hom-sets are enumerated outright.
-All values are immutable after construction and constructors validate their
-invariants eagerly, so a value that exists is a value that is well formed.
+All values are immutable after construction and the public constructors
+validate their invariants eagerly, so a value that exists is a value that is
+well formed.  Composites made by ``PresheafMorphism.then`` are trusted: a
+composite of natural maps is natural, so it is built without checking again.
 
 Canonical orders are lexicographic on the underlying integer tables; every
 enumeration in this module is deterministic and stable across runs.
@@ -269,11 +271,16 @@ class PresheafMorphism:
     def then(self, other: "PresheafMorphism") -> "PresheafMorphism":
         if self.target != other.source:
             raise StructureError("composition of non-composable presheaf morphisms")
-        comps = tuple(
-            tuple(oc[y] for y in sc)
-            for sc, oc in zip(self.components, other.components)
-        )
-        return PresheafMorphism(self.source, other.target, comps)
+        return PresheafMorphism._trusted(
+            self.source, other.target,
+            compose_components(self.components, other.components))
+
+    @classmethod
+    def _trusted(cls, source, target, components) -> "PresheafMorphism":
+        """A morphism known to be natural, built without ``__post_init__``."""
+        f = object.__new__(cls)
+        f.__dict__.update(source=source, target=target, components=components)
+        return f
 
     def is_injective(self) -> bool:
         return all(len(set(c)) == len(c) for c in self.components)
@@ -283,6 +290,11 @@ class PresheafMorphism:
             set(c) == set(range(self.target.size(sort)))
             for sort, c in zip(self.source.index.sorts, self.components)
         )
+
+
+def compose_components(f, g):
+    """The components of "f then g", both given as component tuples."""
+    return tuple(tuple(c[y] for y in s) for s, c in zip(f, g))
 
 
 def identity_morphism(X: Presheaf) -> PresheafMorphism:

@@ -348,7 +348,12 @@ def _parse_algebra(items, filename, ws: Workspace, line):
         if str(_atom(parts[0], filename)) != "op":
             raise _err(node, filename, "expected (op ...)")
         op_name = str(_atom(parts[1], filename))
-        sym = sig.symbol(op_name)
+        if op_name in values:
+            raise _err(parts[1], filename, f"repeated op table {op_name!r}")
+        try:
+            sym = sig.symbol(op_name)
+        except StructureError as exc:
+            raise _err(parts[1], filename, str(exc))
         homs = hom_list(sym.arity, carrier)
         vals = []
         groups = parts[2:]

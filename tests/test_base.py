@@ -166,6 +166,24 @@ def test_morphism_validation_rejects_nonnatural():
         PresheafMorphism(G, H, ((0, 1), (1,)))
 
 
+def test_then_equals_the_validated_composite():
+    # then skips re-validation, so its composites must equal the ones the
+    # public constructor builds, and non-composable pairs still raise
+    X = single_edge()
+    Y = Presheaf(X.index, (2, 2), ((0, 1), (0, 1), (0, 1), (1, 0)))  # 2-cycle
+    Z = Presheaf(X.index, (1, 2), ((0,), (0, 1), (0, 0), (0, 0)))  # 2 loops
+    pairs = [(f, g) for f in hom_list(X, Y) for g in hom_list(Y, Z)]
+    assert len(pairs) == 2 * 4
+    for f, g in pairs:
+        comps = tuple(tuple(gc[y] for y in fc)
+                      for fc, gc in zip(f.components, g.components))
+        fg = f.then(g)
+        assert fg == PresheafMorphism(X, Z, comps)
+        assert fg in hom_list(X, Z)
+    with pytest.raises(StructureError):
+        identity_morphism(X).then(identity_morphism(Y))
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_hom_set_size_over_sets(n, m):

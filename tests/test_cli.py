@@ -235,12 +235,17 @@ ALGEBRA_CHECK = (["check", str(DATA / "semilattice.var")], "chain2.alg")
     (PRETHEORY_CHECK, "(tau 0 1 0)", "(tau 0 1 z)", "z)"),
     (ALGEBRA_CHECK, "(op join (0) (1) (1) (1))", "(op join (0) (1) (y) (1))",
      "y)"),
+    (ALGEBRA_CHECK, "(op join (0) (1) (1) (1))", "(op meet (0) (1) (1) (1))",
+     "meet"),
+    (ALGEBRA_CHECK, "(op join (0) (1) (1) (1))",
+     "(op join (0) (1) (1) (1)) (op join (0) (0) (0) (1))",
+     "join (0) (0) (0) (1))"),
 ], ids=["unknown-object", "unknown-carrier", "unit-index-out-of-range",
         "non-integer-unit-index", "non-integer-unit-value",
         "m-index-out-of-range", "short-m-entry", "missing-unit-entry",
         "pretheory-unknown-object", "non-integer-identity", "short-homs",
         "short-compose", "short-composite", "non-integer-tau",
-        "non-integer-table-value"])
+        "non-integer-table-value", "unknown-op", "repeated-op"])
 def test_malformed_structure_file_is_input_error(command, old, new, marker,
                                                  tmp_path, capsys):
     args, name = command

@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from varietal.base import (
     PresheafMorphism,
     finite_set,
+    hom_index,
     hom_list,
+    identity_morphism,
     trivial_index,
 )
 from varietal import base
@@ -76,6 +79,136 @@ def sweep_mutations(M: RelativeMonad, sample_every: int = 1):
                         counter += 1
                         if counter % sample_every == 0:
                             yield mutate_mult(M, key, gi, si, pos, new)
+
+
+def then(f: PresheafMorphism, g: PresheafMorphism) -> PresheafMorphism:
+    """"f then g" through the public, validating constructor."""
+    assert f.target == g.source
+    comps = tuple(tuple(gc[y] for y in fc)
+                  for fc, gc in zip(f.components, g.components))
+    return PresheafMorphism(f.source, g.target, comps)
+
+
+def reference_check_relative_monad(M: RelativeMonad, first_only=False):
+    """The unit and associativity laws checked on validated morphism
+    values; independent of the library's table check."""
+    out = []
+    n = len(M.objects)
+    for j in range(n):
+        if M.m(j, j, M.unit[j]).components != identity_morphism(M.carriers[j]).components:
+            out.append(("left-unit", (j,)))
+            if first_only:
+                return out
+    for i in range(n):
+        for j in range(n):
+            for gi, g in enumerate(M.homs_into(i, j)):
+                if then(M.unit[i], M.mult[(i, j)][gi]).components != g.components:
+                    out.append(("right-unit", (i, j, gi)))
+                    if first_only:
+                        return out
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for gi, g in enumerate(M.homs_into(i, j)):
+                    mg = M.mult[(i, j)][gi]
+                    for hi, h in enumerate(M.homs_into(j, k)):
+                        mh = M.mult[(j, k)][hi]
+                        lhs = M.m(i, k, then(g, mh))
+                        if lhs.components != then(mg, mh).components:
+                            out.append(("associativity", (i, j, k, gi, hi)))
+                            if first_only:
+                                return out
+    return out
+
+
+def reference_check_h_algebra(M: RelativeMonad, struct: HAlgebraStructure):
+    """The H-algebra unit and substitution laws on morphism values."""
+    out = []
+    n = len(M.objects)
+    for i in range(n):
+        for pi, phi in enumerate(struct.homs(i)):
+            if then(M.unit[i], struct.alpha[i][pi]).components != phi.components:
+                out.append(("alg-unit", (i, pi)))
+    for i in range(n):
+        for j in range(n):
+            for pj, phi in enumerate(struct.homs(j)):
+                aphi = struct.alpha[j][pj]
+                for gi, g in enumerate(M.homs_into(i, j)):
+                    lhs = struct.alpha[i][hom_index(struct.homs(i), then(g, aphi))]
+                    rhs = then(M.mult[(i, j)][gi], aphi)
+                    if lhs.components != rhs.components:
+                        out.append(("alg-subst", (i, j, pj, gi)))
+    return out
+
+
+def laws(violations):
+    return [(v.law, v.witness) for v in violations]
+
+
+MUTATION_BASES = {
+    "state01": lambda: state_clone([0, 1], 2),
+    "z2-plain12": lambda: matrix_clone(z2_rig(), [1, 2]),
+    "z2-affine12": lambda: matrix_clone(z2_rig(), [1, 2], affine=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_BASES))
+def test_relative_monad_check_matches_reference(name):
+    M = MUTATION_BASES[name]()
+    mutants = list(sweep_mutations(M))
+    picked = random.Random(name).sample(mutants, min(60, len(mutants)))
+    kinds = set()
+    for bad in [M, *picked]:
+        want = reference_check_relative_monad(bad)
+        assert laws(check_relative_monad(bad)) == want
+        assert (laws(check_relative_monad(bad, first_only=True))
+                == reference_check_relative_monad(bad, first_only=True))
+        kinds.update(law for law, _ in want)
+    assert len(kinds) >= 2  # the mutants break more than one law
+
+
+def mutate_alpha(struct: HAlgebraStructure, i: int, pi: int, pos: int, new: int):
+    alpha = [list(values) for values in struct.alpha]
+    f = alpha[i][pi]
+    comps = [list(c) for c in f.components]
+    comps[0][pos] = new
+    alpha[i][pi] = PresheafMorphism(f.source, f.target,
+                                    tuple(tuple(c) for c in comps))
+    return HAlgebraStructure(struct.monad, struct.carrier, alpha)
+
+
+def test_h_algebra_check_matches_reference():
+    M = state_clone([0, 1, 2], 2)
+    struct = state_h_structure(M, 2)
+    rng = random.Random(0)
+    sizes = struct.carrier.sizes[0]
+    # an entry of alpha_1 that the unit law reads, and a seeded entry of
+    # alpha_2 (H J_0 is empty, so alpha_0's values have no entries)
+    sites = [(1, rng.randrange(len(struct.alpha[1])), M.unit[1].components[0][0]),
+             (2, rng.randrange(len(struct.alpha[2])),
+              rng.randrange(M.carriers[2].sizes[0]))]
+    kinds = set()
+    for i, pi, pos in sites:
+        old = struct.alpha[i][pi].components[0][pos]
+        bad = mutate_alpha(struct, i, pi, pos, (old + rng.randrange(1, sizes)) % sizes)
+        want = reference_check_h_algebra(M, bad)
+        assert laws(check_h_algebra(M, bad)) == want
+        kinds.update(law for law, _ in want)
+    assert kinds == {"alg-unit", "alg-subst"}
+
+
+def test_valid_relative_monad_check_builds_no_morphisms(monkeypatch):
+    M = state_clone([0, 1], 2)
+    built = []
+    real_post_init = PresheafMorphism.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(PresheafMorphism, "__post_init__", counting_post_init)
+    assert check_relative_monad(M) == []
+    assert built == []
 
 
 def test_identity_clone_valid():
