@@ -76,6 +76,13 @@ def _gen_objects(spec: str, index):
     return out
 
 
+def _arity_objects(spec: str, index):
+    objs = _gen_objects(spec, index)
+    if not objs:
+        raise ParseError("--objs needs at least one arity size, e.g. --objs 1,2")
+    return objs
+
+
 def cmd_check(args) -> int:
     ws = _load(args.files)
     P = _only(ws.presentations, "presentation", args.presentation)
@@ -182,7 +189,7 @@ def cmd_clone(args) -> int:
         return _finish(OK)
     if args.of:
         P = _only(ws.presentations, "presentation", args.name)
-        objs = _gen_objects(args.objs, P.signature.index)
+        objs = _arity_objects(args.objs, P.signature.index)
         M = clone_of_presentation(P, objs, args.depth, max_nodes=_ceiling())
         if M is None:
             print("clone=unknown (some free algebra failed to saturate)")
@@ -214,7 +221,7 @@ def cmd_pretheory(args) -> int:
         return _finish(OK)
     if args.kleisli:
         P = _only(ws.presentations, "presentation", args.name)
-        objs = _gen_objects(args.objs, P.signature.index)
+        objs = _arity_objects(args.objs, P.signature.index)
         T = kleisli_pretheory(P, objs, args.depth, max_nodes=_ceiling())
         if T is None:
             print("pretheory=unknown (some free algebra failed to saturate)")

@@ -280,7 +280,7 @@ def clone_of_presentation(
     carriers = [Q.classes for Q in quotients]
     unit = [Q.unit() for Q in quotients]
     mult: dict[tuple[int, int], list[PresheafMorphism]] = {}
-    idx = objects[0].index
+    idx = P.signature.index
     for i, Qi in enumerate(quotients):
         for j, Qj in enumerate(quotients):
             values = []

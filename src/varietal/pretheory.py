@@ -1,11 +1,15 @@
 """Pretheories over a finite object family, concrete models, compilation to
-presentations, and Kleisli pretheories of a presentation.
+presentations, and Kleisli pretheories of relative monads.
 
 A pretheory is a finite category on the chosen arity objects together with
 an identity-on-objects functor from the opposite of their full subcategory;
 hom-sets are abstract tokens with explicit composition tables.  Stored
 composition ``compose(f, g)`` means "f then g"; the structural functor is
 contravariant, so a presheaf morphism x : K -> J yields a token in T(J, K).
+
+Every relative monad has a Kleisli pretheory, read off its tables by
+``pretheory_of_clone``; the free and Kleisli pretheories are built through
+it.  Law checks locate base composites by their ``hom_list`` position.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from .base import (
     Presheaf,
     PresheafMorphism,
     StructureError,
+    compose_components,
     copower,
-    hom_index,
     hom_list,
 )
 from .syntax import (
@@ -31,8 +35,8 @@ from .syntax import (
     var_assignment,
 )
 from .algebra import Algebra
-from .presentation import FreeAlgebra, Presentation, free_algebra
-from .clones import Violation
+from .presentation import Presentation
+from .clones import RelativeMonad, Violation, clone_of_presentation, identity_clone
 
 
 class Pretheory:
@@ -150,22 +154,19 @@ def check_pretheory(T: Pretheory) -> list[Violation]:
                                             "associativity",
                                             (i, j, k, l, f, g, h)))
     for i in range(n):
-        ident_c = None
-        for xi, x in enumerate(T.c_homs(i, i)):
-            if all(c == tuple(range(len(c))) for c in x.components):
-                ident_c = xi
-                break
-        if ident_c is not None and T.tau[(i, i)][ident_c] != T.identities[i]:
+        ident_c = T.c_homs(i, i).position[
+            tuple(tuple(range(size)) for size in T.objects[i].sizes)]
+        if T.tau[(i, i)][ident_c] != T.identities[i]:
             out.append(Violation("tau-identity", (i,)))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                homs_ji = T.c_homs(j, i)
-                homs_kj = T.c_homs(k, j)
-                homs_ki = T.c_homs(k, i)
+                homs_ji = [x.components for x in T.c_homs(j, i)]
+                homs_kj = [y.components for y in T.c_homs(k, j)]
+                position = T.c_homs(k, i).position
                 for xi, x in enumerate(homs_ji):
                     for yi, y in enumerate(homs_kj):
-                        xy = hom_index(homs_ki, y.then(x))
+                        xy = position[compose_components(y, x)]
                         lhs = T.tau[(i, k)][xy]
                         rhs = T.comp(i, j, k, T.tau[(i, j)][xi], T.tau[(j, k)][yi])
                         if lhs != rhs:
@@ -206,9 +207,6 @@ class ConcreteModel:
     def homs(self, i: int) -> HomList:
         return hom_list(self.pretheory.objects[i], self.carrier)
 
-    def hom_idx(self, i: int, f: PresheafMorphism) -> int:
-        return hom_index(self.homs(i), f)
-
 
 def check_concrete_model(M: ConcreteModel,
                          first_only: bool = False) -> list[Violation]:
@@ -223,11 +221,14 @@ def check_concrete_model(M: ConcreteModel,
             if first_only:
                 return out
     for i in range(n):
+        homs_i = [phi.components for phi in M.homs(i)]
         for j in range(n):
+            position = M.homs(j).position
             for xi, x in enumerate(T.c_homs(j, i)):
                 table = M.action[(i, j)][T.tau[(i, j)][xi]]
                 expected = tuple(
-                    M.hom_idx(j, x.then(phi)) for phi in M.homs(i))
+                    position[compose_components(x.components, phi)]
+                    for phi in homs_i)
                 if table != expected:
                     out.append(Violation("model-nerve", (i, j, xi)))
                     if first_only:
@@ -248,40 +249,37 @@ def check_concrete_model(M: ConcreteModel,
     return out
 
 
-def free_pretheory(objects: Sequence[Presheaf], name: str = "free") -> Pretheory:
-    """T(J, K) = hom(K, J) with composition in the base and tau the identity."""
-    objects = tuple(objects)
-    n = len(objects)
-    homs = {}
-    compose = {}
-    tau = {}
-    identities = []
-    hom_lists = {}
+def pretheory_of_clone(M: RelativeMonad, name: str) -> Pretheory:
+    """The Kleisli pretheory of a relative monad, read off its tables.
+
+    T(J_i, J_j) is hom(J_j, H J_i), listed as ``M.homs_into(j, i)``; "f then
+    g" is g followed by the substitution m(f), the identity at J_i is the
+    unit e_i, and tau(x) is x followed by e_i.  Every token is ``k{t}``.
+    """
+    n = len(M.objects)
+    units = [e.components for e in M.unit]
+    homs, compose, tau = {}, {}, {}
     for i in range(n):
         for j in range(n):
-            hom_lists[(i, j)] = hom_list(objects[j], objects[i])
-            homs[(i, j)] = tuple(
-                f"h{t}" for t in range(len(hom_lists[(i, j)])))
-            tau[(i, j)] = tuple(range(len(hom_lists[(i, j)])))
-    for i in range(n):
-        ident = None
-        for xi, x in enumerate(hom_lists[(i, i)]):
-            if all(c == tuple(range(len(c))) for c in x.components):
-                ident = xi
-                break
-        identities.append(ident)
-    for i in range(n):
-        for j in range(n):
+            kleisli_homs = M.homs_into(j, i)
+            homs[(i, j)] = tuple(f"k{t}" for t in range(len(kleisli_homs)))
+            tau[(i, j)] = tuple(
+                kleisli_homs.position[compose_components(x.components, units[i])]
+                for x in hom_list(M.objects[j], M.objects[i]))
+            mult = [mf.components for mf in M.mult[(j, i)]]
             for k in range(n):
-                table = {}
-                for f, x in enumerate(hom_lists[(i, j)]):
-                    for g, y in enumerate(hom_lists[(j, k)]):
-                        # f : J_i -> J_j is x : K_j -> K_i in the base, so
-                        # "f then g" is the base composite y then x.
-                        table[(f, g)] = hom_index(
-                            hom_lists[(i, k)], y.then(x))
-                compose[(i, j, k)] = table
-    return Pretheory(name, objects, homs, compose, identities, tau)
+                position = M.homs_into(k, i).position
+                compose[(i, j, k)] = {
+                    (fi, gi): position[compose_components(g.components, mf)]
+                    for fi, mf in enumerate(mult)
+                    for gi, g in enumerate(M.homs_into(k, j))}
+    identities = [M.homs_into(i, i).position[units[i]] for i in range(n)]
+    return Pretheory(name, M.objects, homs, compose, identities, tau)
+
+
+def free_pretheory(objects: Sequence[Presheaf], name: str = "free") -> Pretheory:
+    """T(J, K) = hom(K, J): the Kleisli pretheory of the identity clone."""
+    return pretheory_of_clone(identity_clone(objects), name)
 
 
 def presentation_of_pretheory(T: Pretheory, name: str | None = None) -> Presentation:
@@ -407,13 +405,13 @@ def algebra_as_model(T: Pretheory, A: Algebra) -> ConcreteModel:
                 for h in homs_i:
                     g = A.op_value(f"m{i}_{j}", h)
                     K = T.objects[j]
+                    # a natural map restricted to a summand is natural
                     comps = tuple(
                         tuple(
                             g(sort, t * K.size(sort) + y)
                             for y in K.elements(sort))
                         for sort in A.carrier.index.sorts)
-                    table.append(hom_index(
-                        homs_j, PresheafMorphism(K, A.carrier, comps)))
+                    table.append(homs_j.position[comps])
                 tables.append(tuple(table))
             action[(i, j)] = tables
     return ConcreteModel(T, A.carrier, action)
@@ -423,55 +421,12 @@ def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf],
                       depth: int, max_nodes: int = 500_000) -> Pretheory | None:
     """Hom tokens are families into the free algebras; None if unsaturated.
 
-    T(J, K) enumerates hom(K, T_P J); composition is class-level
-    substitution and the structural functor postcomposes with the unit.
+    T(J, K) enumerates hom(K, T_P J): this is the Kleisli pretheory of
+    ``clone_of_presentation``, which has checked the relative-monad laws on
+    the same tables, so the result is not checked again.  With "f then g"
+    = g;m(f), the unit laws m(e) = id and e;m(f) = f give the identity laws;
+    m(g;m(f)) = m(g);m(f) gives associativity; tau(x) = x;e sends the
+    identity to e, and e;m(x;e) = x;e gives tau(x) then tau(y) = tau(y;x).
     """
-    objects = tuple(objects)
-    quotients: list[FreeAlgebra] = []
-    for J in objects:
-        Q = free_algebra(P, J, depth, max_nodes=max_nodes)
-        if not Q.saturated:
-            return None
-        quotients.append(Q)
-    n = len(objects)
-    kleisli_homs = {}
-    homs = {}
-    for i in range(n):
-        for j in range(n):
-            kl = hom_list(objects[j], quotients[i].classes)
-            kleisli_homs[(i, j)] = kl
-            homs[(i, j)] = tuple(f"k{t}" for t in range(len(kl)))
-    identities = []
-    for i in range(n):
-        identities.append(hom_index(kleisli_homs[(i, i)], quotients[i].unit()))
-    compose = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                table = {}
-                for fi, f in enumerate(kleisli_homs[(i, j)]):
-                    for gi, g in enumerate(kleisli_homs[(j, k)]):
-                        memo: dict = {}
-                        comps = tuple(
-                            tuple(
-                                quotients[j].evaluate_class(
-                                    quotients[i], f, sort, g(sort, x), memo)
-                                for x in objects[k].elements(sort))
-                            for sort in objects[k].index.sorts)
-                        composite = PresheafMorphism(
-                            objects[k], quotients[i].classes, comps)
-                        table[(fi, gi)] = hom_index(
-                            kleisli_homs[(i, k)], composite)
-                compose[(i, j, k)] = table
-    tau = {}
-    for i in range(n):
-        unit = quotients[i].unit()
-        for j in range(n):
-            tau[(i, j)] = tuple(
-                hom_index(kleisli_homs[(i, j)], x.then(unit))
-                for x in hom_list(objects[j], objects[i]))
-    T = Pretheory(f"kleisli[{P.name}]", objects, homs, compose, identities, tau)
-    bad = check_pretheory(T)
-    if bad:
-        raise StructureError(f"Kleisli pretheory violates category laws: {bad[0]}")
-    return T
+    M = clone_of_presentation(P, objects, depth, max_nodes=max_nodes)
+    return None if M is None else pretheory_of_clone(M, f"kleisli[{P.name}]")

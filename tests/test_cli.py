@@ -365,6 +365,40 @@ def test_models_listings_match_golden_files(capsys):
         assert capsys.readouterr().out == path.read_text(), path.name
 
 
+def test_kleisli_outputs_match_golden_files(tmp_path, capsys):
+    # tests/golden/kleisli-<theory>-<objs>.txt holds the stdout of
+    # `varietal pretheory <theory>.var --kleisli --objs <objs>`, with the
+    # commas of <objs> written as "_", and the .pt file beside it the file
+    # that the same command writes with -o
+    golden = sorted((DATA.parents[2] / "tests" / "golden").glob("kleisli-*.txt"))
+    assert len(golden) == 2
+    for path in golden:
+        theory, objs = path.stem.split("-")[1:]
+        args = ["pretheory", str(DATA / f"{theory}.var"), "--kleisli",
+                "--objs", objs.replace("_", ",")]
+        assert main(args) == 0, path.name
+        assert capsys.readouterr().out == path.read_text(), path.name
+        written = tmp_path / f"{path.stem}.pt"
+        assert main([*args, "-o", str(written)]) == 0, path.name
+        capsys.readouterr()
+        assert written.read_bytes() == path.with_suffix(".pt").read_bytes(), path.name
+
+
+@pytest.mark.parametrize("args", [
+    ["clone", "--of"],
+    ["pretheory", "--kleisli"],
+    ["pretheory", "--kleisli", "-o", "k.pt"],
+], ids=["clone-of", "kleisli", "kleisli-output"])
+def test_empty_objs_is_input_error(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main([args[0], str(DATA / "semilattice.var"), *args[1:]])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert out.splitlines()[-1] == "status=input-error"
+    assert "--objs" in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sum_tensor_subcommands(tmp_path, capsys):
     out_file = tmp_path / "st.var"
     code = main(["sum", str(DATA / "semilattice.var"), str(DATA / "monoid.var"),

@@ -1,7 +1,10 @@
 import itertools
+import pathlib
+import random
 
 import pytest
 
+from varietal import fileformat, pretheory
 from varietal.base import (
     PresheafMorphism,
     finite_set,
@@ -10,7 +13,7 @@ from varietal.base import (
     trivial_index,
 )
 from varietal.algebra import enumerate_algebras, satisfies
-from varietal.presentation import palg_satisfies
+from varietal.presentation import FreeAlgebra, free_algebra, palg_satisfies
 from varietal.pretheory import (
     ConcreteModel,
     Pretheory,
@@ -23,6 +26,8 @@ from varietal.pretheory import (
     presentation_of_pretheory,
 )
 from varietal.catalog import semilattice_presentation
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
 
 I = trivial_index()
 
@@ -52,6 +57,281 @@ def precomposition_model_of(T, carrier):
                     hom_index(homs[j], x.then(phi)) for phi in homs[i]))
             action[(i, j)] = tables
     return ConcreteModel(T, carrier, action)
+
+
+def then(f: PresheafMorphism, g: PresheafMorphism) -> PresheafMorphism:
+    """"f then g" through the public, validating constructor."""
+    assert f.target == g.source
+    comps = tuple(tuple(gc[y] for y in fc)
+                  for fc, gc in zip(f.components, g.components))
+    return PresheafMorphism(f.source, g.target, comps)
+
+
+def reference_kleisli_pretheory(P, objects, depth, max_nodes=500_000):
+    """The Kleisli pretheory built straight from the free algebras: one
+    ``evaluate_class`` per composite pair, each composite a validated
+    morphism located by ``hom_index``.  Shares no code with the clone."""
+    objects = tuple(objects)
+    quotients: list[FreeAlgebra] = []
+    for J in objects:
+        Q = free_algebra(P, J, depth, max_nodes=max_nodes)
+        if not Q.saturated:
+            return None
+        quotients.append(Q)
+    n = len(objects)
+    kleisli_homs = {}
+    homs = {}
+    for i in range(n):
+        for j in range(n):
+            kl = hom_list(objects[j], quotients[i].classes)
+            kleisli_homs[(i, j)] = kl
+            homs[(i, j)] = tuple(f"k{t}" for t in range(len(kl)))
+    identities = [hom_index(kleisli_homs[(i, i)], quotients[i].unit())
+                  for i in range(n)]
+    compose = {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                table = {}
+                for fi, f in enumerate(kleisli_homs[(i, j)]):
+                    for gi, g in enumerate(kleisli_homs[(j, k)]):
+                        memo: dict = {}
+                        comps = tuple(
+                            tuple(
+                                quotients[j].evaluate_class(
+                                    quotients[i], f, sort, g(sort, x), memo)
+                                for x in objects[k].elements(sort))
+                            for sort in objects[k].index.sorts)
+                        composite = PresheafMorphism(
+                            objects[k], quotients[i].classes, comps)
+                        table[(fi, gi)] = hom_index(
+                            kleisli_homs[(i, k)], composite)
+                compose[(i, j, k)] = table
+    tau = {}
+    for i in range(n):
+        unit = quotients[i].unit()
+        for j in range(n):
+            tau[(i, j)] = tuple(
+                hom_index(kleisli_homs[(i, j)], then(x, unit))
+                for x in hom_list(objects[j], objects[i]))
+    return Pretheory(f"kleisli[{P.name}]", objects, homs, compose, identities, tau)
+
+
+def reference_free_pretheory(objects, name="free"):
+    """T(J, K) = hom(K, J) composed in the base, built pair by pair."""
+    objects = tuple(objects)
+    n = len(objects)
+    homs = {}
+    compose = {}
+    tau = {}
+    identities = []
+    hom_lists = {}
+    for i in range(n):
+        for j in range(n):
+            hom_lists[(i, j)] = hom_list(objects[j], objects[i])
+            homs[(i, j)] = tuple(
+                f"k{t}" for t in range(len(hom_lists[(i, j)])))
+            tau[(i, j)] = tuple(range(len(hom_lists[(i, j)])))
+    for i in range(n):
+        ident = None
+        for xi, x in enumerate(hom_lists[(i, i)]):
+            if all(c == tuple(range(len(c))) for c in x.components):
+                ident = xi
+                break
+        identities.append(ident)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                table = {}
+                for f, x in enumerate(hom_lists[(i, j)]):
+                    for g, y in enumerate(hom_lists[(j, k)]):
+                        # f : J_i -> J_j is x : K_j -> K_i in the base, so
+                        # "f then g" is the base composite y then x.
+                        table[(f, g)] = hom_index(hom_lists[(i, k)], then(y, x))
+                compose[(i, j, k)] = table
+    return Pretheory(name, objects, homs, compose, identities, tau)
+
+
+def reference_check_pretheory(T: Pretheory):
+    """The category and tau laws, with every base composite a validated
+    morphism located by ``hom_index``."""
+    out = []
+    n = len(T.objects)
+    for i in range(n):
+        for j in range(n):
+            for f in range(T.hom_count(i, j)):
+                if T.comp(i, i, j, T.identities[i], f) != f:
+                    out.append(("left-identity", (i, j, f)))
+                if T.comp(i, j, j, f, T.identities[j]) != f:
+                    out.append(("right-identity", (i, j, f)))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        for f in range(T.hom_count(i, j)):
+            for g in range(T.hom_count(j, k)):
+                for h in range(T.hom_count(k, l)):
+                    lhs = T.comp(i, k, l, T.comp(i, j, k, f, g), h)
+                    if lhs != T.comp(i, j, l, f, T.comp(j, k, l, g, h)):
+                        out.append(("associativity", (i, j, k, l, f, g, h)))
+    for i in range(n):
+        ident_c = None
+        for xi, x in enumerate(T.c_homs(i, i)):
+            if all(c == tuple(range(len(c))) for c in x.components):
+                ident_c = xi
+                break
+        if ident_c is not None and T.tau[(i, i)][ident_c] != T.identities[i]:
+            out.append(("tau-identity", (i,)))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for xi, x in enumerate(T.c_homs(j, i)):
+            for yi, y in enumerate(T.c_homs(k, j)):
+                xy = hom_index(T.c_homs(k, i), then(y, x))
+                rhs = T.comp(i, j, k, T.tau[(i, j)][xi], T.tau[(j, k)][yi])
+                if T.tau[(i, k)][xy] != rhs:
+                    out.append(("tau-composition", (i, j, k, xi, yi)))
+    return out
+
+
+def reference_check_concrete_model(M: ConcreteModel, first_only=False):
+    """Functoriality and the nerve, with each nerve image a validated
+    morphism located by ``hom_index``."""
+    T = M.pretheory
+    out = []
+    n = len(T.objects)
+    for i in range(n):
+        if M.action[(i, i)][T.identities[i]] != tuple(range(len(M.homs(i)))):
+            out.append(("model-identity", (i,)))
+            if first_only:
+                return out
+    for i in range(n):
+        for j in range(n):
+            for xi, x in enumerate(T.c_homs(j, i)):
+                expected = tuple(hom_index(M.homs(j), then(x, phi))
+                                 for phi in M.homs(i))
+                if M.action[(i, j)][T.tau[(i, j)][xi]] != expected:
+                    out.append(("model-nerve", (i, j, xi)))
+                    if first_only:
+                        return out
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for f in range(T.hom_count(i, j)):
+            tf = M.action[(i, j)][f]
+            for g in range(T.hom_count(j, k)):
+                tg = M.action[(j, k)][g]
+                if tuple(tg[v] for v in tf) != M.action[(i, k)][T.comp(i, j, k, f, g)]:
+                    out.append(("model-composition", (i, j, k, f, g)))
+                    if first_only:
+                        return out
+    return out
+
+
+def laws(violations):
+    return [(v.law, v.witness) for v in violations]
+
+
+def bundled_presentation(theory):
+    (P,) = fileformat.parse_file(str(DATA / f"{theory}.var")).presentations.values()
+    return P
+
+
+def assert_same_pretheory(got, want):
+    assert got.name == want.name
+    assert got.objects == want.objects
+    assert got.homs == want.homs
+    assert got.compose == want.compose
+    assert got.identities == want.identities
+    assert got.tau == want.tau
+
+
+@pytest.mark.parametrize("theory,sizes,depth", [
+    ("semilattice", (1, 2), 2),
+    ("semilattice", (2, 1), 2),
+    ("semilattice", (0, 1, 2), 2),
+    ("semilattice", (2, 2), 2),
+    ("globalstate", (1,), 3),
+    ("restriction", (1,), 3),
+    ("restriction", (1, 2), 3),
+    ("z2mod", (1, 2), 3),
+    ("boolmod", (2, 1), 3),
+    ("readbits", (1,), 3),
+    ("monoid", (1,), 3),
+])
+def test_kleisli_pretheory_matches_reference(theory, sizes, depth):
+    P = bundled_presentation(theory)
+    objects = [finite_set(k, P.signature.index) for k in sizes]
+    got = kleisli_pretheory(P, objects, depth)
+    want = reference_kleisli_pretheory(P, objects, depth)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same_pretheory(got, want)
+
+
+@pytest.mark.parametrize("sizes", [(1, 2), (0, 1, 2), (2, 3)])
+def test_free_pretheory_matches_reference(sizes):
+    objects = [finite_set(k, I) for k in sizes]
+    assert_same_pretheory(free_pretheory(objects), reference_free_pretheory(objects))
+
+
+def test_kleisli_pretheory_is_not_checked_again(monkeypatch):
+    # the clone's relative-monad laws imply the pretheory laws
+    calls = []
+    real = pretheory.check_pretheory
+    monkeypatch.setattr(pretheory, "check_pretheory",
+                        lambda T: calls.append(T) or real(T))
+    T = kleisli_pretheory(semilattice_presentation(),
+                          [finite_set(1, I), finite_set(2, I)], 3)
+    assert T is not None
+    assert calls == []
+
+
+def test_check_pretheory_matches_reference_on_mutants(free2):
+    # every entry of every table, each moved to a seeded other value
+    rng = random.Random(7)
+
+    def moved(value, count):
+        return (value + rng.randrange(1, count)) % count if count > 1 else value
+
+    sites = [("compose", key, fg) for key, table in free2.compose.items()
+             for fg in table]
+    sites += [("identities", i, None) for i in range(len(free2.objects))]
+    sites += [("tau", key, xi) for key, table in free2.tau.items()
+              for xi in range(len(table))]
+    kinds = set()
+    for kind, key, entry in [(None, None, None), *sites]:
+        compose = {k: dict(v) for k, v in free2.compose.items()}
+        identities = list(free2.identities)
+        tau = {k: list(v) for k, v in free2.tau.items()}
+        if kind == "compose":
+            i, _, k = key
+            compose[key][entry] = moved(compose[key][entry], free2.hom_count(i, k))
+        elif kind == "identities":
+            identities[key] = moved(identities[key], free2.hom_count(key, key))
+        elif kind == "tau":
+            tau[key][entry] = moved(tau[key][entry], free2.hom_count(*key))
+        bad = Pretheory("bad", free2.objects, free2.homs, compose,
+                        identities, tau)
+        want = reference_check_pretheory(bad)
+        assert laws(check_pretheory(bad)) == want
+        kinds.update(law for law, _ in want)
+    assert {"associativity", "tau-composition", "tau-identity"} <= kinds
+
+
+def test_check_concrete_model_matches_reference_on_mutants(free2):
+    M = precomposition_model_of(free2, finite_set(2, I))
+    # every action entry, each moved to a seeded other value
+    rng = random.Random(11)
+    sites = [(key, t, row) for key, tables in M.action.items()
+             for t, table in enumerate(tables) for row in range(len(table))]
+    kinds = set()
+    for site in [None, *sites]:
+        action = {k: [list(t) for t in v] for k, v in M.action.items()}
+        if site is not None:
+            (i, j), t, row = site
+            count = len(M.homs(j))
+            action[(i, j)][t][row] = (action[(i, j)][t][row]
+                                      + rng.randrange(1, count)) % count
+        bad = ConcreteModel(free2, M.carrier, action)
+        assert laws(check_concrete_model(bad)) == reference_check_concrete_model(bad)
+        assert (laws(check_concrete_model(bad, first_only=True))
+                == reference_check_concrete_model(bad, first_only=True))
+        kinds.update(law for law, _ in reference_check_concrete_model(bad))
+    assert {"model-nerve", "model-composition"} <= kinds
 
 
 def test_free_pretheory_valid(free2):
