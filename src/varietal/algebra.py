@@ -291,8 +291,9 @@ def enumerate_algebras(
     (equation, input family, parameter element) waits on the first
     unassigned cell its evaluation needs and is checked again when that cell
     is set.  Each carrier's models are listed in lexicographic order of their
-    tables, in signature order.  Raises :class:`ResourceCeiling` once more
-    than ``ceiling`` cell assignments have been tried.
+    tables, in signature order.  Raises :class:`StructureError` on a negative
+    size bound and :class:`ResourceCeiling` once more than ``ceiling`` cell
+    assignments have been tried.
     """
     if hasattr(target, "signature"):
         sig = target.signature
@@ -308,6 +309,8 @@ def enumerate_algebras(
         index = trivial_index()
     if isinstance(max_sizes, int):
         max_sizes = [max_sizes] * len(index.sorts)
+    if any(n < 0 for n in max_sizes):
+        raise StructureError("size bounds must be nonnegative")
     carriers = [carrier] if carrier is not None else enumerate_carriers(index, max_sizes)
 
     out: list[Algebra] = []

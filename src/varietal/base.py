@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 class StructureError(ValueError):
@@ -322,23 +322,27 @@ def finite_set(n: int, index: IndexCategory | None = None) -> Presheaf:
 
 def enumerate_families(
     X: Presheaf,
-    targets: Sequence[Sequence[object]],
+    choices: Callable[[str, int], Sequence[object]],
     act: Callable[[str, object], object],
-    candidates: Callable[[str, int], Iterable[object]] | None = None,
 ) -> list[tuple[tuple[object, ...], ...]]:
     """All natural families from X into a finite "presheaf of values".
 
-    ``targets[b]`` lists the values available at sort ``b`` and ``act(u, y)``
-    transports a value along an index morphism.  ``candidates`` may narrow the
-    choices per element; naturality is enforced against already-chosen
-    elements, so enumeration order (sort-major, element-minor, value order as
-    listed) is the canonical lexicographic one.
+    ``choices(sort, x)`` lists the values that element ``x`` of X at ``sort``
+    may take; it is called once per element, before the search starts.
+    ``act(u, y)`` transports a value along an index morphism.  Naturality is
+    enforced against already-chosen elements, so enumeration order
+    (sort-major, element-minor, value order as listed) is the canonical
+    lexicographic one.
     """
     idx = X.index
     slots: list[tuple[str, int]] = []
+    cuts: list[tuple[int, int]] = []  # each sort's stretch of slots
     for sort in idx.sorts:
+        start = len(slots)
         slots.extend((sort, x) for x in X.elements(sort))
+        cuts.append((start, len(slots)))
     pos = {slot: i for i, slot in enumerate(slots)}
+    pools = [choices(sort, x) for sort, x in slots]
     constraints: list[list[tuple[str, int, int]]] = [[] for _ in slots]
     for m, src, tgt in idx.morphisms:
         if m in idx.identities:
@@ -369,21 +373,9 @@ def enumerate_families(
 
     def rec(k: int):
         if k == len(slots):
-            fam = []
-            i = 0
-            for sort in idx.sorts:
-                n = X.size(sort)
-                fam.append(tuple(chosen[i:i + n]))
-                i += n
-            out.append(tuple(fam))
+            out.append(tuple([tuple(chosen[i:j]) for i, j in cuts]))
             return
-        sort, x = slots[k]
-        pool = (
-            candidates(sort, x)
-            if candidates is not None
-            else targets[idx.sort_index(sort)]
-        )
-        for value in pool:
+        for value in pools[k]:
             if ok(k, value):
                 chosen[k] = value
                 rec(k + 1)
@@ -398,10 +390,7 @@ def hom_set(X: Presheaf, Y: Presheaf) -> list[PresheafMorphism]:
     if X.index != Y.index:
         raise StructureError("hom_set requires a common index category")
     families = enumerate_families(
-        X,
-        [list(range(n)) for n in Y.sizes],
-        lambda m, y: Y.map(m)[y],
-    )
+        X, lambda sort, x: range(Y.size(sort)), lambda m, y: Y.map(m)[y])
     return [PresheafMorphism(X, Y, fam) for fam in families]
 
 

@@ -89,12 +89,8 @@ class BirkhoffWindow:
         if got is None:
             uni = self.universe(ai)
             G = self.scale.generators[gi]
-            idx = G.index
             fams = enumerate_families(
-                G,
-                [uni.terms(s) for s in idx.sorts],
-                lambda m, t: uni.act(m, t),
-            )
+                G, lambda sort, x: uni.terms(sort), uni.act)
             got = [
                 ParamTerm(self.signature, self.arities[ai], G, rows)
                 for rows in fams]

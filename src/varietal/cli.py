@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 property violated, 2 unknown or unsaturated,
-3 input error, 4 resource ceiling.  Every run ends with a machine-readable
-``status=`` line; all other output is deterministic given the inputs.
+3 input error (bad files or bad arguments), 4 resource ceiling.  Every run
+ends with a machine-readable ``status=`` line; all other output is
+deterministic given the inputs.
 """
 
 from __future__ import annotations
@@ -261,8 +262,15 @@ def cmd_birkhoff(args) -> int:
     return _finish(OK if ok else VIOLATION)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are input errors (exit 3), like bad input files."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="varietal",
         description="finite presheaf algebra workbench")
     sub = top.add_subparsers(dest="command", required=True)
@@ -334,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ResourceCeiling as exc:
         print(f"error: {exc}")

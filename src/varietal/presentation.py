@@ -11,6 +11,8 @@ makes the truncation the genuine free algebra.
 
 Soundness is unconditional: each union is logged with the equation instance
 or the congruence/act step that forced it.
+
+Depth, best nodes and saturation each have one home in FreeAlgebra.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .syntax import (
     term_leaf_depths,
     var,
 )
-from .algebra import Algebra, ResourceCeiling, enumerate_algebras, satisfies
+from .algebra import (
+    DEFAULT_CEILING, Algebra, ResourceCeiling, enumerate_algebras, satisfies)
 
 
 class Presentation:
@@ -219,6 +222,12 @@ class FreeAlgebra:
     representative terms, operation application at class level, and the
     saturation certificate.  ``saturated`` being False is a value, not an
     error: it means the depth budget could not certify closure.
+
+    ``_depth`` is the one depth rule, ``_build_side`` the one insertion walk
+    (seeds and equation sides), and ``_applications`` the one list of
+    one-step applications, which ``_grow_pass`` grows and
+    ``_check_saturated`` checks; ``_finalize`` finds every class's best node
+    in one scan.
     """
 
     def __init__(self, P: Presentation, generators: Presheaf, depth: int,
@@ -238,13 +247,13 @@ class FreeAlgebra:
         self._node_sort: list[str] = []
         self._mindepth: list[int] = []
         self.audit: list[AuditEntry] = []
-        self._var_node: dict[tuple[str, int], int] = {}
-        for sort in self.index.sorts:
-            for x in generators.elements(sort):
-                nid = self._add_node(("v", sort, x), sort)
-                self._var_node[(sort, x)] = nid
+        self._gen_rows = tuple(  # the variable node of each generator
+            tuple(self._add_node(("v", sort, x), sort)
+                  for x in generators.elements(sort))
+            for sort in self.index.sorts)
+        memo: dict = {}
         for t in seeds:
-            self._fold_insert(t)
+            self._build_side(t, self._gen_rows, memo)
         self._close(grow)
         self._finalize()
 
@@ -290,31 +299,26 @@ class FreeAlgebra:
         self._nodes.append(key)
         self._parent.append(nid)
         self._node_sort.append(sort)
-        if key[0] == "v":
-            self._mindepth.append(0)
-        else:
-            children = [r for row in key[4] for r in row]
-            self._mindepth.append(
-                1 + max((self._mindepth[self._find(r)] for r in children),
-                        default=0))
+        self._mindepth.append(self._depth(key))
         self._hash[key] = nid
         return nid
+
+    def _depth(self, key: tuple) -> int:
+        """Depth of a node: one more than its shallowest-class children."""
+        if key[0] == "v":
+            return 0
+        find, mindepth = self._find, self._mindepth
+        return 1 + max([mindepth[find(r)] for row in key[4] for r in row],
+                       default=0)
 
     def _app_node(self, sym_name: str, binding_cls, sort: str, c: int) -> int:
         return self._add_node(("a", sym_name, sort, c, binding_cls), sort)
 
-    def _fold_insert(self, t: Term) -> int:
-        """Insert the nodes of a term (over the generator presheaf)."""
-        if t.is_var:
-            return self._find(self._var_node[(t.sort, t.var)])
-        binding = tuple(
-            tuple(self._fold_insert(u) for u in row) for row in t.binding)
-        return self._find(self._app_node(t.symbol.name, binding, t.sort, t.param))
-
     def class_of_term(self, t: Term) -> int | None:
         """Final class of a term, or None if it leads outside the universe."""
         if t.is_var:
-            return self._class_index[self._find(self._var_node[(t.sort, t.var)])]
+            row = self._gen_rows[self.index.sort_index(t.sort)]
+            return self._class_index[self._find(row[t.var])]
         rows = []
         for row in t.binding:
             out = []
@@ -324,8 +328,7 @@ class FreeAlgebra:
                     return None
                 out.append(c)
             rows.append(tuple(out))
-        got = self.apply(t.symbol.name, tuple(rows), t.sort, t.param)
-        return got
+        return self.apply(t.symbol.name, tuple(rows), t.sort, t.param)
 
     # -- closure -------------------------------------------------------------
 
@@ -335,11 +338,7 @@ class FreeAlgebra:
             changed = False
             for nid, key in enumerate(self._nodes):
                 root = self._find(nid)
-                if key[0] == "v":
-                    d = 0
-                else:
-                    children = [self._find(r) for row in key[4] for r in row]
-                    d = 1 + max((self._mindepth[c] for c in children), default=0)
+                d = self._depth(key)
                 if d < self._mindepth[root]:
                     self._mindepth[root] = d
                     changed = True
@@ -349,7 +348,8 @@ class FreeAlgebra:
         tgt = self.index.tgt(m)
         if key[0] == "v":
             _, sort, x = key
-            return self._find(self._var_node[(tgt, self.generators.map(m)[x])])
+            row = self._gen_rows[self.index.sort_index(tgt)]
+            return self._find(row[self.generators.map(m)[x]])
         _, sym, sort, c, binding = key
         param = self.signature.symbol(sym).parameter
         return self._find(self._app_node(sym, binding, tgt, param.map(m)[c]))
@@ -400,24 +400,17 @@ class FreeAlgebra:
         return roots
 
     def _enumerate_class_families(self, X: Presheaf, budgets=None):
+        """Natural families of classes on X; ``budgets`` caps each element's
+        class depth (unlisted elements at the full depth)."""
         roots = self._class_lists()
 
-        def act_fn(m, root):
-            return self._act_image(m, self._find(root))
+        def choices(sort, x):
+            if budgets is None:
+                return roots[sort]
+            limit = budgets.get((sort, x), self.depth)
+            return [r for r in roots[sort] if self._mindepth[r] <= limit]
 
-        if budgets is None:
-            candidates = None
-        else:
-            def candidates(sort, x):
-                limit = budgets.get((sort, x), self.depth)
-                return [r for r in roots[sort]
-                        if self._mindepth[self._find(r)] <= limit]
-        return enumerate_families(
-            X,
-            [roots[s] for s in self.index.sorts],
-            act_fn,
-            candidates=candidates,
-        )
+        return enumerate_families(X, choices, self._act_image)
 
     def _build_side(self, t: Term, phi_rows, memo) -> int | None:
         got = memo.get(id(t))
@@ -462,18 +455,24 @@ class FreeAlgebra:
                             changed = True
         return changed
 
+    def _applications(self):
+        """The one-step applications over the current classes: for each
+        natural family, the node keys at every parameter element (they share
+        a binding, so a depth).  Each symbol's families are listed when the
+        walk reaches it; callers merge nothing meanwhile, so a family's
+        classes are roots and the family is a binding as it stands."""
+        for sym in self.signature.symbols:
+            params = [(sort, c) for sort in self.index.sorts
+                      for c in sym.parameter.elements(sort)]
+            for fam in self._enumerate_class_families(sym.arity):
+                yield [("a", sym.name, sort, c, fam) for sort, c in params]
+
     def _grow_pass(self) -> bool:
         before = len(self._nodes)
-        for sym in self.signature.symbols:
-            for fam in self._enumerate_class_families(sym.arity):
-                children = [self._find(r) for row in fam for r in row]
-                dep = 1 + max((self._mindepth[c] for c in children), default=0)
-                if dep > self.depth:
-                    continue
-                binding = tuple(tuple(self._find(r) for r in row) for row in fam)
-                for sort in self.index.sorts:
-                    for c in sym.parameter.elements(sort):
-                        self._app_node(sym.name, binding, sort, c)
+        for keys in self._applications():
+            if keys and self._depth(keys[0]) <= self.depth:
+                for key in keys:
+                    self._add_node(key, key[2])
         return len(self._nodes) > before
 
     def _close(self, grow: bool):
@@ -489,51 +488,8 @@ class FreeAlgebra:
 
     # -- finalization ---------------------------------------------------------
 
-    def _best_node(self, root: int) -> int:
-        cache = self.__dict__.setdefault("_best_cache", {})
-        best = cache.get(root)
-        if best is not None:
-            return best
-        for nid in range(len(self._nodes)):
-            if self._find(nid) != root:
-                continue
-            key = self._nodes[nid]
-            if key[0] == "v":
-                d = 0
-            else:
-                children = [self._find(r) for row in key[4] for r in row]
-                d = 1 + max((self._mindepth[c] for c in children), default=0)
-            if d == self._mindepth[root]:
-                if best is None or nid < best:
-                    best = nid
-        assert best is not None
-        cache[root] = best
-        return best
-
-    def _root_key(self, root: int) -> tuple:
-        """Structural sort key of a class via its minimal defining node.
-
-        Classes can lack an honest term representative over a nontrivial
-        index (class-level composability outruns term-level naturality), so
-        canonical ordering works on node structure, not extracted terms.
-        """
-        memo = self.__dict__.setdefault("_root_key_memo", {})
-        got = memo.get(root)
-        if got is not None:
-            return got
-        key = self._nodes[self._best_node(root)]
-        if key[0] == "v":
-            out = (0, key[1], key[2])
-        else:
-            _, sym, sort, c, binding = key
-            out = (1, self.signature.symbol_index(sym), sort, c,
-                   tuple(tuple(self._root_key(self._find(r)) for r in row)
-                         for row in binding))
-        memo[root] = out
-        return out
-
     def _root_text(self, root: int) -> str:
-        return self._node_text(self._best_node(root))
+        return self._node_text(self._best[root])
 
     def _node_text(self, nid: int) -> str:
         key = self._nodes[nid]
@@ -549,13 +505,27 @@ class FreeAlgebra:
         return f"(app {sym} ({' '.join(entries)}) ({sort} {c}))"
 
     def _finalize(self):
+        """Best nodes (lowest id among a class's shallowest) in one scan, then
+        classes ordered by depth and best-node structure.  Classes can lack
+        an honest term representative over a nontrivial index, so the order
+        works on node structure; a best node's children are shallower, so
+        their shapes come first.
+        """
         self._recompute_depths()
-        roots = self._class_lists()
-        order: dict[str, list[int]] = {}
+        self._best: dict[int, int] = {}
+        for nid, key in enumerate(self._nodes):
+            root = self._find(nid)
+            if root not in self._best and self._depth(key) == self._mindepth[root]:
+                self._best[root] = nid
+        shape: dict[int, tuple] = {}
+        for root in sorted(self._best, key=self._mindepth.__getitem__):
+            key = self._nodes[self._best[root]]
+            shape[root] = (0, key[1], key[2]) if key[0] == "v" else (
+                1, self.signature.symbol_index(key[1]), key[2], key[3],
+                tuple(tuple(shape[self._find(r)] for r in row) for row in key[4]))
+        order = self._class_lists()
         for sort in self.index.sorts:
-            rs = roots[sort]
-            rs.sort(key=lambda r: (self._mindepth[r], self._root_key(r)))
-            order[sort] = rs
+            order[sort].sort(key=lambda r: (self._mindepth[r], shape[r]))
         self._class_index: dict[int, int] = {}
         self._roots_by_sort = order
         for sort in self.index.sorts:
@@ -572,14 +542,11 @@ class FreeAlgebra:
         self.saturated, self.saturation_witness = self._check_saturated()
 
     def _check_saturated(self) -> tuple[bool, tuple | None]:
-        for sym in self.signature.symbols:
-            for fam in self._enumerate_class_families(sym.arity):
-                binding = tuple(tuple(self._find(r) for r in row) for row in fam)
-                for sort in self.index.sorts:
-                    for c in sym.parameter.elements(sort):
-                        key = self._canon_key(("a", sym.name, sort, c, binding))
-                        if key not in self._hash:
-                            return False, (sym.name, binding, sort, c)
+        for keys in self._applications():
+            for key in keys:
+                if key not in self._hash:
+                    _, sym, sort, c, binding = key
+                    return False, (sym, binding, sort, c)
         return True, None
 
     # -- public surface --------------------------------------------------------
@@ -594,10 +561,8 @@ class FreeAlgebra:
         return self._root_text(self._roots_by_sort[sort][i])
 
     def unit(self) -> PresheafMorphism:
-        comps = tuple(
-            tuple(self._class_index[self._find(self._var_node[(sort, x)])]
-                  for x in self.generators.elements(sort))
-            for sort in self.index.sorts)
+        comps = tuple(tuple(self._class_index[self._find(v)] for v in row)
+                      for row in self._gen_rows)
         return PresheafMorphism(self.generators, self.classes, comps)
 
     def apply(self, sym_name: str, rows, sort: str, c: int) -> int | None:
@@ -647,7 +612,7 @@ class FreeAlgebra:
         got = memo.get(root)
         if got is not None:
             return got
-        key = self._nodes[self._best_node(root)]
+        key = self._nodes[self._best[root]]
         if key[0] == "v":
             out = phi(key[1], key[2])
         else:
@@ -698,7 +663,7 @@ UNKNOWN = "Unknown"
 def quotient_map_equal(P: Presentation, t: ParamTerm, u: ParamTerm,
                        depth: int, search_size: int = 3,
                        max_nodes: int = 200_000,
-                       ceiling: int | None = None) -> tuple[str, object]:
+                       ceiling: int = DEFAULT_CEILING) -> tuple[str, object]:
     """Do two parametrized terms become equal in the presented monad?
 
     Equal verdicts come from the congruence closure (sound by the audit
@@ -729,8 +694,7 @@ def quotient_map_equal(P: Presentation, t: ParamTerm, u: ParamTerm,
             if full.saturated:
                 return DISTINCT, full
     eq = Equation("probe", t, u)
-    kwargs = {} if ceiling is None else {"ceiling": ceiling}
-    for A in enumerate_algebras(P, search_size, **kwargs):
+    for A in enumerate_algebras(P, search_size, ceiling=ceiling):
         witness = satisfies(A, eq, witness=True)
         if witness is not None:
             return DISTINCT, (A, witness)
@@ -803,8 +767,9 @@ class TwoStagePresentation:
     base: Presentation
     extra: tuple[QuotientEquation, ...]
 
-    def models_on(self, carrier: Presheaf, ceiling: int | None = None) -> list[Algebra]:
-        kwargs = {} if ceiling is None else {"ceiling": ceiling}
+    def models_on(self, carrier: Presheaf,
+                  ceiling: int = DEFAULT_CEILING) -> list[Algebra]:
         return [
-            A for A in enumerate_algebras(self.base, 0, carrier=carrier, **kwargs)
+            A for A in enumerate_algebras(self.base, 0, carrier=carrier,
+                                          ceiling=ceiling)
             if all(satisfies_quotient_equation(A, q) for q in self.extra)]

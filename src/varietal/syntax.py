@@ -460,7 +460,7 @@ def enumerate_terms(
         for sym in sig.symbols:
             families = enumerate_families(
                 sym.arity,
-                [by_sort[s] for s in idx.sorts],
+                lambda sort, x: by_sort[sort],
                 lambda m, t: act(sig, variables, m, t),
             )
             for fam in families:

@@ -169,6 +169,12 @@ def test_enumerate_empty_signature_counts():
     assert len(algs) == 4  # one per carrier size 0..3
 
 
+@pytest.mark.parametrize("sizes", [-1, [2, -1]])
+def test_negative_size_bound_is_rejected(sl, sizes):
+    with pytest.raises(StructureError, match="nonnegative"):
+        enumerate_algebras(sl, sizes)
+
+
 def test_resource_ceiling_raises(sl):
     with pytest.raises(ResourceCeiling):
         enumerate_algebras(sl, 3, ceiling=10)

@@ -384,6 +384,51 @@ def test_kleisli_outputs_match_golden_files(tmp_path, capsys):
         assert written.read_bytes() == path.with_suffix(".pt").read_bytes(), path.name
 
 
+def test_free_outputs_match_golden_files(capsys):
+    # tests/golden/free-<theory>-<k>-<d>.txt holds the stdout of
+    # `varietal free <theory>.var --gens <k> --depth <d> --table --audit`;
+    # monoid and internalcat do not saturate at these depths (exit 2)
+    golden = sorted((DATA.parents[2] / "tests" / "golden").glob("free-*.txt"))
+    assert len(golden) == 5
+    for path in golden:
+        theory, k, d = path.stem.split("-")[1:]
+        code = main(["free", str(DATA / f"{theory}.var"), "--gens", k,
+                     "--depth", d, "--table", "--audit"])
+        assert code == (2 if theory in ("monoid", "internalcat") else 0), path.name
+        assert capsys.readouterr().out == path.read_text(), path.name
+
+
+@pytest.mark.parametrize("args,message", [
+    (["free", str(DATA / "semilattice.var"), "--gens", "x", "--depth", "2"],
+     "invalid int value"),
+    (["bogus"], "invalid choice"),
+    (["models"], "required"),
+], ids=["bad-int", "unknown-command", "missing-argument"])
+def test_bad_arguments_are_input_errors(args, message, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3, captured.out
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("error: ") and message in lines[0]
+    assert lines[-1] == "status=input-error"
+    assert captured.err == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: varietal" in capsys.readouterr().out
+
+
+def test_negative_model_size_is_input_error(capsys):
+    code = main(["models", str(DATA / "semilattice.var"), "--size", "-1"])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert "models=" not in out
+    assert out.splitlines()[-1] == "status=input-error"
+
+
 @pytest.mark.parametrize("args", [
     ["clone", "--of"],
     ["pretheory", "--kleisli"],

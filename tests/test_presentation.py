@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 
 import pytest
 
@@ -43,6 +44,7 @@ from varietal.catalog import (
     state_transformer_algebra,
 )
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 I = trivial_index()
 ONE = terminal(I)
 TWO = finite_set(2, I)
@@ -315,6 +317,20 @@ def test_equal_implies_all_models_satisfy(semilattice):
     eq = Equation("absorb", t, u)
     for A in enumerate_algebras(semilattice, 2):
         assert satisfies(A, eq)
+
+
+def test_quotient_map_equal_lazy_algebra_is_pinned(semilattice):
+    # the seeded, non-growing closure behind an Equal verdict; the audit
+    # trail in tests/golden/quotient-absorb-audit.txt is pinned byte for byte
+    sig = semilattice.signature
+    x, y = (var(sig, "*", i) for i in range(2))
+    xy = app(sig, "join", ((x, y),), "*", 0, TWO)
+    t = single(sig, TWO, app(sig, "join", ((x, xy),), "*", 0, TWO))
+    verdict, lazy = quotient_map_equal(semilattice, t, single(sig, TWO, xy), 3)
+    assert verdict == EQUAL
+    assert lazy.class_count() == 3
+    golden = GOLDEN / "quotient-absorb-audit.txt"
+    assert "".join(f"{line}\n" for line in lazy.audit_lines()) == golden.read_text()
 
 
 def test_saturated_free_algebra_satisfaction_matches_equality(semilattice):
