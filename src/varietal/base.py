@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class StructureError(ValueError):
@@ -320,19 +320,25 @@ def finite_set(n: int, index: IndexCategory | None = None) -> Presheaf:
     return constant_presheaf(index if index is not None else trivial_index(), n)
 
 
-def enumerate_families(
+def enumerate_families(X: Presheaf, choices, act) -> list[tuple]:
+    """All of ``iter_families``, as a list."""
+    return list(iter_families(X, choices, act))
+
+
+def iter_families(
     X: Presheaf,
     choices: Callable[[str, int], Sequence[object]],
     act: Callable[[str, object], object],
-) -> list[tuple[tuple[object, ...], ...]]:
-    """All natural families from X into a finite "presheaf of values".
+) -> Iterator[tuple[tuple[object, ...], ...]]:
+    """The natural families from X into a finite "presheaf of values", lazily.
 
     ``choices(sort, x)`` lists the values that element ``x`` of X at ``sort``
-    may take; it is called once per element, before the search starts.
-    ``act(u, y)`` transports a value along an index morphism.  Naturality is
-    enforced against already-chosen elements, so enumeration order
-    (sort-major, element-minor, value order as listed) is the canonical
-    lexicographic one.
+    may take; it is called once per element, when the first family is asked
+    for.  ``act(u, y)`` transports a value along an index morphism.
+    Naturality is enforced against already-chosen elements, so enumeration
+    order (sort-major, element-minor, value order as listed) is the
+    canonical lexicographic one.  A caller that stops early does no work
+    for the families it never asks for.
     """
     idx = X.index
     slots: list[tuple[str, int]] = []
@@ -343,46 +349,36 @@ def enumerate_families(
         cuts.append((start, len(slots)))
     pos = {slot: i for i, slot in enumerate(slots)}
     pools = [choices(sort, x) for sort, x in slots]
+    # (m, i, j): act(m, chosen[i]) == chosen[j], checked at the later slot
     constraints: list[list[tuple[str, int, int]]] = [[] for _ in slots]
     for m, src, tgt in idx.morphisms:
         if m in idx.identities:
             continue
         for x in X.elements(src):
             i, j = pos[(src, x)], pos[(tgt, X.map(m)[x])]
-            if i < j:
-                constraints[j].append((m, i, +1))
-            elif j < i:
-                constraints[i].append((m, j, -1))
-            else:
-                constraints[i].append((m, i, 0))
-    out: list[tuple[tuple[object, ...], ...]] = []
+            constraints[max(i, j)].append((m, i, j))
+    if not slots:
+        yield tuple(() for _ in cuts)
+        return
+    # depth first: each slot's iterator resumes when the search backs up to it
+    last, k = len(slots) - 1, 0
     chosen: list[object] = [None] * len(slots)
-
-    def ok(k: int, value: object) -> bool:
-        for m, other, direction in constraints[k]:
-            if direction == +1:
-                if act(m, chosen[other]) != value:
-                    return False
-            elif direction == -1:
-                if act(m, value) != chosen[other]:
-                    return False
+    its = [iter(pools[0])] + [None] * last
+    while k >= 0:
+        checked = constraints[k]
+        for value in its[k]:
+            chosen[k] = value
+            if checked and any(
+                    act(m, chosen[i]) != chosen[j] for m, i, j in checked):
+                continue
+            if k == last:
+                yield tuple([tuple(chosen[i:j]) for i, j in cuts])
             else:
-                if act(m, value) != value:
-                    return False
-        return True
-
-    def rec(k: int):
-        if k == len(slots):
-            out.append(tuple([tuple(chosen[i:j]) for i, j in cuts]))
-            return
-        for value in pools[k]:
-            if ok(k, value):
-                chosen[k] = value
-                rec(k + 1)
-        chosen[k] = None
-
-    rec(0)
-    return out
+                k += 1
+                its[k] = iter(pools[k])
+                break
+        else:
+            k -= 1
 
 
 def hom_set(X: Presheaf, Y: Presheaf) -> list[PresheafMorphism]:

@@ -36,7 +36,8 @@ from .syntax import (
     var,
     var_assignment,
 )
-from .presentation import FreeAlgebra, Presentation, free_algebra
+from .presentation import (
+    DEFAULT_MAX_NODES, FreeAlgebra, Presentation, free_algebra)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +268,7 @@ def algebra_as_h_structure(M: RelativeMonad, A) -> HAlgebraStructure:
 
 def clone_of_presentation(
     P: Presentation, objects: Sequence[Presheaf], depth: int,
-    max_nodes: int = 500_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> RelativeMonad | None:
     """The relative monad of saturated free algebras, or None if any
     generator fails to saturate at this depth."""

@@ -17,6 +17,7 @@ Depth, best nodes and saturation each have one home in FreeAlgebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .base import (
     coproduct_of,
     enumerate_families,
     hom_list,
+    iter_families,
     product,
     product_pair,
 )
@@ -205,6 +207,9 @@ def bundle_equations(P: Presentation) -> Presentation:
 # Free algebras by congruence closure
 
 
+DEFAULT_MAX_NODES = 500_000  # node ceiling of a free algebra
+
+
 @dataclass
 class AuditEntry:
     kind: str                 # "eq" | "cong" | "act"
@@ -223,16 +228,17 @@ class FreeAlgebra:
     saturation certificate.  ``saturated`` being False is a value, not an
     error: it means the depth budget could not certify closure.
 
-    ``_depth`` is the one depth rule, ``_build_side`` the one insertion walk
-    (seeds and equation sides), and ``_applications`` the one list of
-    one-step applications, which ``_grow_pass`` grows and
-    ``_check_saturated`` checks; ``_finalize`` finds every class's best node
-    in one scan.
+    ``_depth`` is the one depth rule, ``_run`` the one insertion walk (of
+    seeds and equation sides, compiled once into flat steps), and
+    ``_applications`` the one list of one-step applications, which
+    ``_grow_pass`` grows over the classes shallow enough to stay within the
+    depth and ``_check_saturated`` walks lazily up to the first gap;
+    ``_finalize`` finds every class's best node in one scan.
     """
 
     def __init__(self, P: Presentation, generators: Presheaf, depth: int,
                  grow: bool = True, seeds: Sequence[Term] = (),
-                 max_nodes: int = 500_000):
+                 max_nodes: int = DEFAULT_MAX_NODES):
         if depth < 0:
             raise StructureError("depth must be nonnegative")
         self.presentation = P
@@ -251,9 +257,8 @@ class FreeAlgebra:
             tuple(self._add_node(("v", sort, x), sort)
                   for x in generators.elements(sort))
             for sort in self.index.sorts)
-        memo: dict = {}
-        for t in seeds:
-            self._build_side(t, self._gen_rows, memo)
+        self._run(_compile_terms(self.index, seeds)[0], self._gen_rows)
+        self._instances = self._equation_instances()
         self._close(grow)
         self._finalize()
 
@@ -311,9 +316,6 @@ class FreeAlgebra:
         return 1 + max([mindepth[find(r)] for row in key[4] for r in row],
                        default=0)
 
-    def _app_node(self, sym_name: str, binding_cls, sort: str, c: int) -> int:
-        return self._add_node(("a", sym_name, sort, c, binding_cls), sort)
-
     def class_of_term(self, t: Term) -> int | None:
         """Final class of a term, or None if it leads outside the universe."""
         if t.is_var:
@@ -352,7 +354,8 @@ class FreeAlgebra:
             return self._find(row[self.generators.map(m)[x]])
         _, sym, sort, c, binding = key
         param = self.signature.symbol(sym).parameter
-        return self._find(self._app_node(sym, binding, tgt, param.map(m)[c]))
+        return self._find(
+            self._add_node(("a", sym, tgt, param.map(m)[c], binding), tgt))
 
     def _rebuild(self) -> bool:
         """Congruence and act closure to a local fixpoint; True if changed."""
@@ -399,80 +402,86 @@ class FreeAlgebra:
                 roots[self._node_sort[r]].append(r)
         return roots
 
-    def _enumerate_class_families(self, X: Presheaf, budgets=None):
-        """Natural families of classes on X; ``budgets`` caps each element's
-        class depth (unlisted elements at the full depth)."""
-        roots = self._class_lists()
+    def _class_pools(self, limit: float, budgets: dict):
+        """``choices`` for a family search over the current classes: each
+        element's classes of mindepth at most its budget (``limit`` where
+        unlisted), in class-list order."""
+        roots, mindepth = self._class_lists(), self._mindepth
 
         def choices(sort, x):
-            if budgets is None:
-                return roots[sort]
-            limit = budgets.get((sort, x), self.depth)
-            return [r for r in roots[sort] if self._mindepth[r] <= limit]
+            b = budgets.get((sort, x), limit)
+            return [r for r in roots[sort] if mindepth[r] <= b]
 
-        return enumerate_families(X, choices, self._act_image)
+        return choices
 
-    def _build_side(self, t: Term, phi_rows, memo) -> int | None:
-        got = memo.get(id(t))
-        if got is not None:
-            return got
-        if t.is_var:
-            out = self._find(phi_rows[self.index.sort_index(t.sort)][t.var])
-        else:
-            rows = []
-            for row in t.binding:
-                rows.append(tuple(
-                    self._build_side(u, phi_rows, memo) for u in row))
-            out = self._find(
-                self._app_node(t.symbol.name, tuple(rows), t.sort, t.param))
-        memo[id(t)] = out
-        return out
-
-    def _equation_pass(self) -> bool:
-        changed = False
+    def _equation_instances(self) -> list[tuple]:
+        """Each equation instance whose sides fit the depth, compiled once,
+        with the class-depth budget of each variable leaf."""
+        out = []
         for eq in self.presentation.equations:
-            idx = self.index
-            for sort in idx.sorts:
+            for sort in self.index.sorts:
                 for c in eq.parameter.elements(sort):
                     lt, rt = eq.lhs(sort, c), eq.rhs(sort, c)
                     if max(lt.depth, rt.depth) > self.depth:
                         continue
                     budgets: dict[tuple[str, int], int] = {}
-                    for t in (lt, rt):
+                    for t in (lt, rt):  # no leaf lies deeper than its term
                         for leaf, path in term_leaf_depths(t).items():
                             b = self.depth - path
-                            if b < budgets.get(leaf, 1 << 30):
-                                budgets[leaf] = b
-                    if any(b < 0 for b in budgets.values()):
-                        continue
-                    for fam in self._enumerate_class_families(eq.arity, budgets):
-                        memo: dict = {}
-                        a = self._build_side(lt, fam, memo)
-                        b = self._build_side(rt, fam, memo)
-                        if self._union(a, b, AuditEntry(
-                                "eq", a, b, equation=eq.name,
-                                phi=tuple(fam))):
-                            changed = True
+                            budgets[leaf] = min(b, budgets.get(leaf, b))
+                    steps, (left, right) = _compile_terms(self.index, (lt, rt))
+                    out.append((eq.name, eq.arity, budgets, steps, left, right))
+        return out
+
+    def _run(self, steps: list[tuple], phi_rows) -> list[int]:
+        """Insert compiled terms with variables at the classes in
+        ``phi_rows``; the class of each step.  Nothing merges during a run,
+        so a step's children are roots and its key is canonical as built."""
+        find, lookup = self._find, self._hash.get
+        vals: list[int] = []
+        for sym, sort, c, rows in steps:
+            if sym is None:  # a variable; ``sort`` is its sort's position
+                vals.append(find(phi_rows[sort][c]))
+                continue
+            key = ("a", sym, sort, c,
+                   tuple([tuple([vals[j] for j in row]) for row in rows]))
+            got = lookup(key)
+            vals.append(self._add_node(key, sort) if got is None else find(got))
+        return vals
+
+    def _equation_pass(self) -> bool:
+        changed = False
+        for name, arity, budgets, steps, left, right in self._instances:
+            pools = self._class_pools(self.depth, budgets)
+            for fam in enumerate_families(arity, pools, self._act_image):
+                vals = self._run(steps, fam)
+                a, b = vals[left], vals[right]
+                if self._union(a, b, AuditEntry(
+                        "eq", a, b, equation=name, phi=fam)):
+                    changed = True
         return changed
 
-    def _applications(self):
-        """The one-step applications over the current classes: for each
-        natural family, the node keys at every parameter element (they share
-        a binding, so a depth).  Each symbol's families are listed when the
-        walk reaches it; callers merge nothing meanwhile, so a family's
-        classes are roots and the family is a binding as it stands."""
+    def _applications(self, limit: float, listing):
+        """The one-step applications over the classes of mindepth at most
+        ``limit``: for each natural family, as ``listing`` gives them, the
+        node keys at every parameter element.  Each symbol's families are
+        listed when the walk reaches it; callers merge nothing meanwhile, so
+        a family's classes are roots and the family is a binding as is."""
         for sym in self.signature.symbols:
             params = [(sort, c) for sort in self.index.sorts
                       for c in sym.parameter.elements(sort)]
-            for fam in self._enumerate_class_families(sym.arity):
+            pools = self._class_pools(limit, {})
+            for fam in listing(sym.arity, pools, self._act_image):
                 yield [("a", sym.name, sort, c, fam) for sort, c in params]
 
     def _grow_pass(self) -> bool:
+        """Add the one-step applications of depth at most ``depth``."""
+        if self.depth == 0:
+            return False
         before = len(self._nodes)
-        for keys in self._applications():
-            if keys and self._depth(keys[0]) <= self.depth:
-                for key in keys:
-                    self._add_node(key, key[2])
+        for keys in self._applications(self.depth - 1, enumerate_families):
+            for key in keys:
+                self._add_node(key, key[2])
         return len(self._nodes) > before
 
     def _close(self, grow: bool):
@@ -542,7 +551,7 @@ class FreeAlgebra:
         self.saturated, self.saturation_witness = self._check_saturated()
 
     def _check_saturated(self) -> tuple[bool, tuple | None]:
-        for keys in self._applications():
+        for keys in self._applications(math.inf, iter_families):
             for key in keys:
                 if key not in self._hash:
                     _, sym, sort, c, binding = key
@@ -646,9 +655,31 @@ class FreeAlgebra:
 
 
 def free_algebra(P: Presentation, generators: Presheaf, depth: int,
-                 max_nodes: int = 500_000) -> FreeAlgebra:
+                 max_nodes: int = DEFAULT_MAX_NODES) -> FreeAlgebra:
     """The depth-bounded free P-algebra on a generator presheaf."""
     return FreeAlgebra(P, generators, depth, grow=True, max_nodes=max_nodes)
+
+
+def _compile_terms(index, terms) -> tuple[list[tuple], list[int]]:
+    """Post-order steps for ``FreeAlgebra._run``, a shared subterm object
+    once, and each term's slot.  A step is ``(None, sort position,
+    variable, None)`` or ``(symbol, sort, parameter, child slot rows)``."""
+    steps: list[tuple] = []
+    memo: dict[int, int] = {}
+
+    def walk(t: Term) -> int:
+        got = memo.get(id(t))
+        if got is None:
+            if t.is_var:
+                step = (None, index.sort_index(t.sort), t.var, None)
+            else:
+                step = (t.symbol.name, t.sort, t.param,
+                        tuple(tuple(walk(u) for u in row) for row in t.binding))
+            got = memo[id(t)] = len(steps)
+            steps.append(step)
+        return got
+
+    return steps, [walk(t) for t in terms]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .syntax import (
     var_assignment,
 )
 from .algebra import Algebra
-from .presentation import Presentation
+from .presentation import DEFAULT_MAX_NODES, Presentation
 from .clones import RelativeMonad, Violation, clone_of_presentation, identity_clone
 
 
@@ -417,8 +417,8 @@ def algebra_as_model(T: Pretheory, A: Algebra) -> ConcreteModel:
     return ConcreteModel(T, A.carrier, action)
 
 
-def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf],
-                      depth: int, max_nodes: int = 500_000) -> Pretheory | None:
+def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf], depth: int,
+                      max_nodes: int = DEFAULT_MAX_NODES) -> Pretheory | None:
     """Hom tokens are families into the free algebras; None if unsaturated.
 
     T(J, K) enumerates hom(K, T_P J): this is the Kleisli pretheory of

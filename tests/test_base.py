@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from varietal.base import (
     Presheaf,
     PresheafMorphism,
+    IndexCategory,
     StructureError,
     coproduct,
     copower,
@@ -20,6 +21,7 @@ from varietal.base import (
     hom_set,
     identity_morphism,
     injections,
+    iter_families,
     jointly_surjective,
     parallel_pair_index,
     product,
@@ -219,3 +221,113 @@ def test_hom_list_racing_threads_keep_one_listing(I):
     assert not any(t.is_alive() for t in threads)
     assert len(got) == len(threads)
     assert all(homs is hom_list(X, Y) for homs in got)
+
+
+# -- iter_families -------------------------------------------------------------
+
+
+def recursive_families(X, choices, act):
+    """The eager recursive search ``iter_families`` replaced, kept as the
+    reference it must match."""
+    idx = X.index
+    slots, cuts = [], []
+    for sort in idx.sorts:
+        start = len(slots)
+        slots.extend((sort, x) for x in X.elements(sort))
+        cuts.append((start, len(slots)))
+    pos = {slot: i for i, slot in enumerate(slots)}
+    pools = [choices(sort, x) for sort, x in slots]
+    constraints = [[] for _ in slots]
+    for m, src, tgt in idx.morphisms:
+        if m in idx.identities:
+            continue
+        for x in X.elements(src):
+            i, j = pos[(src, x)], pos[(tgt, X.map(m)[x])]
+            if i < j:
+                constraints[j].append((m, i, +1))
+            elif j < i:
+                constraints[i].append((m, j, -1))
+            else:
+                constraints[i].append((m, i, 0))
+    out, chosen = [], [None] * len(slots)
+
+    def ok(k, value):
+        for m, other, direction in constraints[k]:
+            if direction == +1:
+                if act(m, chosen[other]) != value:
+                    return False
+            elif direction == -1:
+                if act(m, value) != chosen[other]:
+                    return False
+            elif act(m, value) != value:
+                return False
+        return True
+
+    def rec(k):
+        if k == len(slots):
+            out.append(tuple([tuple(chosen[i:j]) for i, j in cuts]))
+            return
+        for value in pools[k]:
+            if ok(k, value):
+                chosen[k] = value
+                rec(k + 1)
+        chosen[k] = None
+
+    rec(0)
+    return out
+
+
+def idempotent_index():
+    """One sort with an idempotent endomorphism e: its fixed points and the
+    elements it moves forward or back give every kind of constraint."""
+    return IndexCategory(
+        name="idem", sorts=("*",),
+        morphisms=(("id", "*", "*"), ("e", "*", "*")), identities=("id",),
+        composition=(("id", "id", "id"), ("id", "e", "e"), ("e", "id", "e"),
+                     ("e", "e", "e")))
+
+
+def hom_families(X, Y):
+    return iter_families(
+        X, lambda sort, x: range(Y.size(sort)), lambda m, y: Y.map(m)[y])
+
+
+def test_iter_families_matches_the_recursive_search_on_homs(I):
+    E = idempotent_index()
+    pairs = [(finite_set(n, I), finite_set(m, I))
+             for n in range(4) for m in range(4)]
+    rng = random.Random(11)
+    pairs += [(random_graph(rng), random_graph(rng)) for _ in range(6)]
+    pairs += [(single_edge(), random_graph(rng)) for _ in range(3)]
+    pairs += [(Presheaf(E, (3,), ((0, 1, 2), src)),
+               Presheaf(E, (4,), ((0, 1, 2, 3), (0, 0, 3, 3))))
+              for src in ((1, 1, 2), (0, 0, 2))]
+    for X, Y in pairs:
+        got = list(hom_families(X, Y))
+        assert got == recursive_families(
+            X, lambda sort, x: range(Y.size(sort)), lambda m, y: Y.map(m)[y])
+        assert got == [h.components for h in hom_set(X, Y)]
+
+
+def test_iter_families_on_an_empty_arity_yields_one_family(I, B):
+    assert list(hom_families(empty(I), finite_set(3, I))) == [((),)]
+    assert list(hom_families(empty(B), empty(B))) == [((), ())]
+
+
+def test_iter_families_is_lazy(I):
+    # 10^8 families; the first costs one choices call per element
+    calls = []
+
+    def choices(sort, x):
+        calls.append((sort, x))
+        return range(10)
+
+    def act(m, y):
+        raise AssertionError("no naturality constraint over a set")
+
+    families = iter_families(finite_set(8, I), choices, act)
+    assert calls == []
+    assert next(families) == ((0,) * 8,)
+    assert calls == [("*", x) for x in range(8)]
+    assert next(families) == ((0,) * 7 + (1,),)
+    assert len(calls) == 8

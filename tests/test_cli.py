@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -385,17 +386,37 @@ def test_kleisli_outputs_match_golden_files(tmp_path, capsys):
 
 
 def test_free_outputs_match_golden_files(capsys):
-    # tests/golden/free-<theory>-<k>-<d>.txt holds the stdout of
-    # `varietal free <theory>.var --gens <k> --depth <d> --table --audit`;
-    # monoid and internalcat do not saturate at these depths (exit 2)
+    # tests/golden/free-<theory>-<k>-<d>[-<flag>...].txt holds the stdout of
+    # `varietal free <theory>.var --gens <k> --depth <d>` with the listed
+    # flags, or with `--table --audit` where none are listed; monoid and
+    # internalcat do not saturate at these depths (exit 2)
     golden = sorted((DATA.parents[2] / "tests" / "golden").glob("free-*.txt"))
-    assert len(golden) == 5
+    assert len(golden) == 7
     for path in golden:
-        theory, k, d = path.stem.split("-")[1:]
+        theory, k, d, *flags = path.stem.split("-")[1:]
         code = main(["free", str(DATA / f"{theory}.var"), "--gens", k,
-                     "--depth", d, "--table", "--audit"])
+                     "--depth", d,
+                     *(f"--{flag}" for flag in flags or ("table", "audit"))])
         assert code == (2 if theory in ("monoid", "internalcat") else 0), path.name
         assert capsys.readouterr().out == path.read_text(), path.name
+
+
+def test_free_monoid_three_generators_depth_three_stays_small(capsys):
+    # the free monoid on three generators never saturates at depth 3; only
+    # applications over classes of depth at most 2 may be listed, and the
+    # saturation check stops at the first missing one
+    tracemalloc.start()
+    try:
+        code = main(["free", str(DATA / "monoid.var"), "--gens", "3",
+                     "--depth", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.splitlines() == ["classes=12757 saturated=false",
+                                "status=unknown"]
+    assert peak < 200 * 2**20
 
 
 @pytest.mark.parametrize("args,message", [

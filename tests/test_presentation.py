@@ -1,10 +1,13 @@
 import itertools
 import pathlib
+import random
 
 import pytest
 
+from varietal import fileformat
 from varietal.base import (
     PresheafMorphism,
+    enumerate_families,
     finite_set,
     hom_list,
     hom_set,
@@ -20,13 +23,17 @@ from varietal.syntax import (
     enumerate_terms,
     from_traditional,
     standardize,
+    term_leaf_depths,
     var,
 )
 from varietal.algebra import Algebra, enumerate_algebras, satisfies
 from varietal.presentation import (
+    DEFAULT_MAX_NODES,
     DISTINCT,
     EQUAL,
     UNKNOWN,
+    AuditEntry,
+    FreeAlgebra,
     Presentation,
     bundle_equations,
     free_algebra,
@@ -45,6 +52,7 @@ from varietal.catalog import (
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
 I = trivial_index()
 ONE = terminal(I)
 TWO = finite_set(2, I)
@@ -395,3 +403,159 @@ def test_global_state_bundling(global_state):
     left = {A.canonical_key() for A in enumerate_algebras(global_state, 2)}
     right = {A.canonical_key() for A in enumerate_algebras(bundled, 2)}
     assert left == right
+
+
+# -- reference engine ----------------------------------------------------------
+
+
+class ReferenceFreeAlgebra(FreeAlgebra):
+    """The closure as it was before compiled sides and capped pools: seeds
+    and equation sides by a memoized recursive walk, the grow pass over
+    every class with a per-family depth test, and the saturation check over
+    the whole eager listing.  Kept as the reference the engine must match
+    node for node."""
+
+    def __init__(self, P, generators, depth, grow=True, seeds=(),
+                 max_nodes=DEFAULT_MAX_NODES):
+        self.presentation = P
+        self.signature = P.signature
+        self.generators = generators
+        self.depth = depth
+        self.index = generators.index
+        self.max_nodes = max_nodes
+        self._nodes, self._parent, self._node_sort, self._mindepth = [], [], [], []
+        self._hash = {}
+        self.audit = []
+        self._gen_rows = tuple(
+            tuple(self._add_node(("v", sort, x), sort)
+                  for x in generators.elements(sort))
+            for sort in self.index.sorts)
+        memo = {}
+        for t in seeds:
+            self._build_side(t, self._gen_rows, memo)
+        self._close(grow)
+        self._finalize()
+
+    def _app_node(self, sym_name, binding_cls, sort, c):
+        return self._add_node(("a", sym_name, sort, c, binding_cls), sort)
+
+    def _enumerate_class_families(self, X, budgets=None):
+        roots = self._class_lists()
+
+        def choices(sort, x):
+            if budgets is None:
+                return roots[sort]
+            limit = budgets.get((sort, x), self.depth)
+            return [r for r in roots[sort] if self._mindepth[r] <= limit]
+
+        return enumerate_families(X, choices, self._act_image)
+
+    def _build_side(self, t, phi_rows, memo):
+        got = memo.get(id(t))
+        if got is not None:
+            return got
+        if t.is_var:
+            out = self._find(phi_rows[self.index.sort_index(t.sort)][t.var])
+        else:
+            rows = []
+            for row in t.binding:
+                rows.append(tuple(
+                    self._build_side(u, phi_rows, memo) for u in row))
+            out = self._find(
+                self._app_node(t.symbol.name, tuple(rows), t.sort, t.param))
+        memo[id(t)] = out
+        return out
+
+    def _equation_pass(self):
+        changed = False
+        for eq in self.presentation.equations:
+            for sort in self.index.sorts:
+                for c in eq.parameter.elements(sort):
+                    lt, rt = eq.lhs(sort, c), eq.rhs(sort, c)
+                    if max(lt.depth, rt.depth) > self.depth:
+                        continue
+                    budgets = {}
+                    for t in (lt, rt):
+                        for leaf, path in term_leaf_depths(t).items():
+                            b = self.depth - path
+                            if b < budgets.get(leaf, 1 << 30):
+                                budgets[leaf] = b
+                    if any(b < 0 for b in budgets.values()):
+                        continue
+                    for fam in self._enumerate_class_families(eq.arity, budgets):
+                        memo = {}
+                        a = self._build_side(lt, fam, memo)
+                        b = self._build_side(rt, fam, memo)
+                        if self._union(a, b, AuditEntry(
+                                "eq", a, b, equation=eq.name,
+                                phi=tuple(fam))):
+                            changed = True
+        return changed
+
+    def _applications(self):
+        for sym in self.signature.symbols:
+            params = [(sort, c) for sort in self.index.sorts
+                      for c in sym.parameter.elements(sort)]
+            for fam in self._enumerate_class_families(sym.arity):
+                yield [("a", sym.name, sort, c, fam) for sort, c in params]
+
+    def _grow_pass(self):
+        before = len(self._nodes)
+        for keys in self._applications():
+            if keys and self._depth(keys[0]) <= self.depth:
+                for key in keys:
+                    self._add_node(key, key[2])
+        return len(self._nodes) > before
+
+    def _check_saturated(self):
+        for keys in self._applications():
+            for key in keys:
+                if key not in self._hash:
+                    _, sym, sort, c, binding = key
+                    return False, (sym, binding, sort, c)
+        return True, None
+
+
+def _bundled_presentation(theory):
+    ws = fileformat.parse_file(str(DATA / f"{theory}.var"))
+    return next(iter(ws.presentations.values()))
+
+
+def _same_closure(engine, reference):
+    assert engine._nodes == reference._nodes
+    assert engine._parent == reference._parent
+    assert engine._mindepth == reference._mindepth
+    assert ([(e.kind, e.left, e.right, e.equation, e.phi) for e in engine.audit]
+            == [(e.kind, e.left, e.right, e.equation, e.phi)
+                for e in reference.audit])
+    assert engine.saturated == reference.saturated
+    assert engine.saturation_witness == reference.saturation_witness
+
+
+BUNDLED_THEORIES = sorted(path.stem for path in DATA.glob("*.var"))
+
+
+@pytest.mark.parametrize("theory,k,d", [
+    *((theory, k, d) for theory in BUNDLED_THEORIES
+      for k, d in ((1, 2), (2, 2), (1, 3))),
+    ("semilattice", 4, 4), ("globalstate", 2, 3), ("readbits", 2, 3),
+])
+def test_free_algebra_matches_reference_engine(theory, k, d):
+    P = _bundled_presentation(theory)
+    gens = finite_set(k, P.signature.index)
+    _same_closure(FreeAlgebra(P, gens, d), ReferenceFreeAlgebra(P, gens, d))
+
+
+def test_seeded_closure_matches_reference_engine(monoid):
+    # the seeded, non-growing closure that quotient_map_equal builds, on
+    # random terms deeper than its depth; the universe shares subterms
+    sig = monoid.signature
+    terms = enumerate_terms(sig, TWO, 3).terms("*")
+    rng = random.Random(2718)
+    t, u = (single(sig, TWO, rng.choice(terms)) for _ in range(2))
+    seeds = [s for pt in (t, u) for row in pt.rows for s in row]
+    assert max(s.depth for s in seeds) > 2
+    args = (monoid, TWO, 2)
+    options = dict(grow=False, seeds=seeds, max_nodes=200_000)
+    _same_closure(FreeAlgebra(*args, **options),
+                  ReferenceFreeAlgebra(*args, **options))
