@@ -28,6 +28,7 @@ from typing import Sequence
 from .base import (
     Presheaf,
     PresheafMorphism,
+    ResourceCeiling,
     StructureError,
     HomList,
     hom_list,
@@ -42,10 +43,6 @@ from .syntax import (
 )
 
 DEFAULT_CEILING = 10_000_000
-
-
-class ResourceCeiling(RuntimeError):
-    """An enumeration went past its ceiling; the message names what it counted."""
 
 
 def _cell_layout(sig: FreeFormSignature, X: Presheaf,

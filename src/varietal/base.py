@@ -3,10 +3,15 @@
 Everything is finite and extensional: an index category is a composition
 table, a presheaf assigns a finite set ``{0, .., n-1}`` to each sort and a
 function table to each index morphism, and hom-sets are enumerated outright.
-All values are immutable after construction and the public constructors
-validate their invariants eagerly, so a value that exists is a value that is
-well formed.  Composites made by ``PresheafMorphism.then`` are trusted: a
-composite of natural maps is natural, so it is built without checking again.
+All values are immutable after construction.
+
+Values are validated once, at the boundary: the parser and the public
+constructors check every invariant eagerly, and each natural family out of a
+presheaf (a morphism, binding, assignment, parametrized term or class family)
+goes through ``check_family``.  Values natural by construction are built
+trusted: ``then`` composites, ``hom_set`` listings, identities, projections,
+injections and Yoneda maps.  A morphism whose naturality rests on an engine
+being right, such as a free algebra's unit, keeps the check.
 
 Canonical orders are lexicographic on the underlying integer tables; every
 enumeration in this module is deterministic and stable across runs.
@@ -24,6 +29,10 @@ from typing import Callable, Iterator, Sequence
 
 class StructureError(ValueError):
     """An invariant of a finite structure failed; the message names it."""
+
+
+class ResourceCeiling(RuntimeError):
+    """An enumeration went past its ceiling; the message names what it counted."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,20 +259,9 @@ class PresheafMorphism:
     def __post_init__(self):
         if self.source.index != self.target.index:
             raise StructureError("morphism between presheaves over different indices")
-        if len(self.components) != len(self.source.index.sorts):
-            raise StructureError("one component per sort required")
-        for sort, comp in zip(self.source.index.sorts, self.components):
-            if len(comp) != self.source.size(sort):
-                raise StructureError(f"component at {sort} has wrong length")
-            if any(not (0 <= y < self.target.size(sort)) for y in comp):
-                raise StructureError(f"component at {sort} is out of range")
-        for m, src, tgt in self.source.index.morphisms:
-            fsrc = self.components[self.source.index.sort_index(src)]
-            ftgt = self.components[self.source.index.sort_index(tgt)]
-            for x in self.source.elements(src):
-                if ftgt[self.source.map(m)[x]] != self.target.map(m)[fsrc[x]]:
-                    raise StructureError(
-                        f"naturality fails at morphism {m}, element {x}")
+        check_family(self.source, self.components,
+                     lambda sort, y: 0 <= y < self.target.size(sort),
+                     lambda m, y: self.target.map(m)[y], "morphism")
 
     def __call__(self, sort: str, x: int) -> int:
         return self.components[self.source.index.sort_index(sort)][x]
@@ -298,7 +296,7 @@ def compose_components(f, g):
 
 
 def identity_morphism(X: Presheaf) -> PresheafMorphism:
-    return PresheafMorphism(
+    return PresheafMorphism._trusted(
         X, X, tuple(tuple(range(n)) for n in X.sizes))
 
 
@@ -318,6 +316,37 @@ def empty(index: IndexCategory) -> Presheaf:
 def finite_set(n: int, index: IndexCategory | None = None) -> Presheaf:
     """The n-element set as a presheaf over the trivial index."""
     return constant_presheaf(index if index is not None else trivial_index(), n)
+
+
+def check_family(X: Presheaf, rows: Sequence[Sequence[object]],
+                 valid: Callable[[str, object], bool],
+                 act: Callable[[str, object], object], what: str) -> None:
+    """Raise ``StructureError`` unless ``rows`` is a natural family out of X.
+
+    One row per sort, one value per element of X there, each passing
+    ``valid(sort, y)``; and ``act(m, row_src[x]) == row_tgt[X.map(m)[x]]``
+    for every non-identity m, with ``act`` as for ``iter_families``.
+    ``what`` names the family in the messages.
+    """
+    idx = X.index
+    if len(rows) != len(idx.sorts):
+        raise StructureError(f"{what} needs one row per sort")
+    for sort, row in zip(idx.sorts, rows):
+        if len(row) != X.size(sort):
+            raise StructureError(f"{what}: row at {sort} has wrong length")
+        for x, y in enumerate(row):
+            if not valid(sort, y):
+                raise StructureError(
+                    f"{what}: entry {x} at {sort} is out of range")
+    for m, src, tgt in idx.morphisms:
+        if m in idx.identities:
+            continue
+        src_row, tgt_row = rows[idx.sort_index(src)], rows[idx.sort_index(tgt)]
+        table = X.map(m)
+        for x, y in enumerate(src_row):
+            if act(m, y) != tgt_row[table[x]]:
+                raise StructureError(
+                    f"{what} is not natural at {m}, element {x}")
 
 
 def enumerate_families(X: Presheaf, choices, act) -> list[tuple]:
@@ -387,7 +416,7 @@ def hom_set(X: Presheaf, Y: Presheaf) -> list[PresheafMorphism]:
         raise StructureError("hom_set requires a common index category")
     families = enumerate_families(
         X, lambda sort, x: range(Y.size(sort)), lambda m, y: Y.map(m)[y])
-    return [PresheafMorphism(X, Y, fam) for fam in families]
+    return [PresheafMorphism._trusted(X, Y, fam) for fam in families]
 
 
 def hom_index(homs: HomList, f: PresheafMorphism) -> int:
@@ -453,7 +482,8 @@ def projections(X: Presheaf, Y: Presheaf) -> tuple[PresheafMorphism, PresheafMor
     p2 = tuple(
         tuple(z % Y.size(sort) for z in P.elements(sort))
         for sort in X.index.sorts)
-    return PresheafMorphism(P, X, p1), PresheafMorphism(P, Y, p2)
+    return (PresheafMorphism._trusted(P, X, p1),
+            PresheafMorphism._trusted(P, Y, p2))
 
 
 def coproduct(X: Presheaf, Y: Presheaf) -> Presheaf:
@@ -488,7 +518,8 @@ def injections(X: Presheaf, Y: Presheaf) -> tuple[PresheafMorphism, PresheafMorp
     i2 = tuple(
         tuple(X.size(sort) + y for y in Y.elements(sort))
         for sort in X.index.sorts)
-    return PresheafMorphism(X, S, i1), PresheafMorphism(Y, S, i2)
+    return (PresheafMorphism._trusted(X, S, i1),
+            PresheafMorphism._trusted(Y, S, i2))
 
 
 def jointly_surjective(
@@ -540,7 +571,7 @@ def element_morphism(X: Presheaf, sort: str, x: int) -> PresheafMorphism:
     for b in X.index.sorts:
         names = [m for m, s, t in X.index.morphisms if s == sort and t == b]
         comps.append(tuple(X.map(v)[x] for v in names))
-    return PresheafMorphism(Y, X, tuple(comps))
+    return PresheafMorphism._trusted(Y, X, tuple(comps))
 
 
 def element_family(X: Presheaf) -> list[PresheafMorphism]:

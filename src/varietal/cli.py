@@ -119,7 +119,7 @@ def cmd_free(args) -> int:
     ws = _load(args.files)
     P = _only(ws.presentations, "presentation", args.presentation)
     gens = finite_set(args.gens, P.signature.index)
-    Q = free_algebra(P, gens, args.depth, max_nodes=_ceiling())
+    Q = free_algebra(P, gens, args.depth)
     print(f"classes={Q.class_count()} saturated={'true' if Q.saturated else 'false'}")
     if args.table:
         for sort in Q.index.sorts:
@@ -191,7 +191,7 @@ def cmd_clone(args) -> int:
     if args.of:
         P = _only(ws.presentations, "presentation", args.name)
         objs = _arity_objects(args.objs, P.signature.index)
-        M = clone_of_presentation(P, objs, args.depth, max_nodes=_ceiling())
+        M = clone_of_presentation(P, objs, args.depth)
         if M is None:
             print("clone=unknown (some free algebra failed to saturate)")
             return _finish(UNKNOWN)
@@ -223,7 +223,7 @@ def cmd_pretheory(args) -> int:
     if args.kleisli:
         P = _only(ws.presentations, "presentation", args.name)
         objs = _arity_objects(args.objs, P.signature.index)
-        T = kleisli_pretheory(P, objs, args.depth, max_nodes=_ceiling())
+        T = kleisli_pretheory(P, objs, args.depth)
         if T is None:
             print("pretheory=unknown (some free algebra failed to saturate)")
             return _finish(UNKNOWN)

@@ -36,8 +36,7 @@ from .syntax import (
     var,
     var_assignment,
 )
-from .presentation import (
-    DEFAULT_MAX_NODES, FreeAlgebra, Presentation, free_algebra)
+from .presentation import FreeAlgebra, Presentation, free_algebra
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,13 +267,12 @@ def algebra_as_h_structure(M: RelativeMonad, A) -> HAlgebraStructure:
 
 def clone_of_presentation(
     P: Presentation, objects: Sequence[Presheaf], depth: int,
-    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> RelativeMonad | None:
     """The relative monad of saturated free algebras, or None if any
     generator fails to saturate at this depth."""
     quotients: list[FreeAlgebra] = []
     for J in objects:
-        Q = free_algebra(P, J, depth, max_nodes=max_nodes)
+        Q = free_algebra(P, J, depth)
         if not Q.saturated:
             return None
         quotients.append(Q)

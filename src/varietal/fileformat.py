@@ -40,7 +40,7 @@ class ParseError(ValueError):
 
 @dataclass
 class Workspace:
-    """Parsed declarations keyed by kind and name, with provenance."""
+    """Parsed declarations keyed by kind and name."""
 
     indexes: dict[str, IndexCategory] = field(default_factory=dict)
     objects: dict[str, Presheaf] = field(default_factory=dict)
@@ -50,16 +50,12 @@ class Workspace:
     algebras: dict[str, Algebra] = field(default_factory=dict)
     relmonads: dict[str, RelativeMonad] = field(default_factory=dict)
     pretheories: dict[str, Pretheory] = field(default_factory=dict)
-    provenance: dict[tuple[str, str], tuple[str, int]] = field(default_factory=dict)
-    order: list[tuple[str, str]] = field(default_factory=list)
 
     def _declare(self, kind: str, name: str, value, table: dict,
                  filename: str, line: int):
         if name in table:
             raise ParseError(f"{filename}:{line}: duplicate {kind} {name!r}")
         table[name] = value
-        self.provenance[(kind, name)] = (filename, line)
-        self.order.append((kind, name))
 
 
 def _err(node: sexpr.Node, filename: str, message: str) -> ParseError:

@@ -24,7 +24,9 @@ from typing import Sequence
 from .base import (
     Presheaf,
     PresheafMorphism,
+    ResourceCeiling,
     StructureError,
+    check_family,
     coproduct_of,
     enumerate_families,
     hom_list,
@@ -44,7 +46,7 @@ from .syntax import (
     var,
 )
 from .algebra import (
-    DEFAULT_CEILING, Algebra, ResourceCeiling, enumerate_algebras, satisfies)
+    DEFAULT_CEILING, Algebra, enumerate_algebras, satisfies)
 
 
 class Presentation:
@@ -753,24 +755,10 @@ class QuotientEquation:
     rhs_rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        idx = self.parameter.index
         for rows in (self.lhs_rows, self.rhs_rows):
-            for sort, row in zip(idx.sorts, rows):
-                if len(row) != self.parameter.size(sort):
-                    raise StructureError(f"row at {sort} has wrong length")
-                for i in row:
-                    if not (0 <= i < self.base.classes.size(sort)):
-                        raise StructureError("class id out of range")
-        for m, msrc, mtgt in idx.morphisms:
-            if m in idx.identities:
-                continue
-            for rows in (self.lhs_rows, self.rhs_rows):
-                src_row = rows[idx.sort_index(msrc)]
-                tgt_row = rows[idx.sort_index(mtgt)]
-                for c, i in enumerate(src_row):
-                    if tgt_row[self.parameter.map(m)[c]] != self.base.act_class(m, i):
-                        raise StructureError(
-                            f"class family not natural at {m}, element {c}")
+            check_family(self.parameter, rows,
+                         lambda sort, i: 0 <= i < self.base.classes.size(sort),
+                         self.base.act_class, "class family")
 
 
 def satisfies_quotient_equation(A: Algebra, qeq: QuotientEquation) -> bool:

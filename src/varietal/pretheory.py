@@ -35,7 +35,7 @@ from .syntax import (
     var_assignment,
 )
 from .algebra import Algebra
-from .presentation import DEFAULT_MAX_NODES, Presentation
+from .presentation import Presentation
 from .clones import RelativeMonad, Violation, clone_of_presentation, identity_clone
 
 
@@ -417,8 +417,8 @@ def algebra_as_model(T: Pretheory, A: Algebra) -> ConcreteModel:
     return ConcreteModel(T, A.carrier, action)
 
 
-def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf], depth: int,
-                      max_nodes: int = DEFAULT_MAX_NODES) -> Pretheory | None:
+def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf],
+                      depth: int) -> Pretheory | None:
     """Hom tokens are families into the free algebras; None if unsaturated.
 
     T(J, K) enumerates hom(K, T_P J): this is the Kleisli pretheory of
@@ -428,5 +428,5 @@ def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf], depth: int,
     m(g;m(f)) = m(g);m(f) gives associativity; tau(x) = x;e sends the
     identity to e, and e;m(x;e) = x;e gives tau(x) then tau(y) = tau(y;x).
     """
-    M = clone_of_presentation(P, objects, depth, max_nodes=max_nodes)
+    M = clone_of_presentation(P, objects, depth)
     return None if M is None else pretheory_of_clone(M, f"kleisli[{P.name}]")

@@ -13,13 +13,15 @@ variable node can be read over any presheaf large enough to contain it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .base import (
     Presheaf,
     PresheafMorphism,
+    ResourceCeiling,
     StructureError,
+    check_family,
     enumerate_families,
     identity_morphism,
     injections,
@@ -100,7 +102,6 @@ class Term:
     binding: tuple[tuple["Term", ...], ...] | None = None
     param: int | None = None
     depth: int = 0
-    skey: tuple = field(default_factory=tuple, repr=False)
 
     @property
     def is_var(self) -> bool:
@@ -125,7 +126,7 @@ def var(sig: FreeFormSignature, sort: str, x: int) -> Term:
             raise StructureError(f"unknown sort {sort!r}")
         if x < 0:
             raise StructureError("negative variable element")
-        t = Term(sort=sort, var=x, depth=0, skey=(0, sort, x))
+        t = Term(sort=sort, var=x, depth=0)
         sig._intern[key] = t
     return t
 
@@ -140,9 +141,8 @@ def app(
 ) -> Term:
     """Apply ``symbol`` with a natural binding of its arity into terms.
 
-    ``variables`` is the variable presheaf of the binding's terms; it is
-    needed to validate naturality of the binding (variable leaves transport
-    along it).
+    ``variables`` is the variable presheaf of the binding's terms: variable
+    children must be elements of it, and naturality transports along it.
     """
     sym = sig.symbol(symbol)
     binding = tuple(tuple(row) for row in binding)
@@ -159,32 +159,30 @@ def app(
     if not (0 <= param_elt < sym.parameter.size(sort)):
         raise StructureError(
             f"parameter element {param_elt} out of range for {symbol} at {sort}")
-    if len(binding) != len(idx.sorts):
-        raise StructureError("binding needs one row per sort")
-    for bsort, row in zip(idx.sorts, binding):
-        if len(row) != sym.arity.size(bsort):
-            raise StructureError(
-                f"binding row at {bsort} has wrong length for {symbol}")
-        for t in row:
-            if t.sort != bsort:
-                raise StructureError("binding row contains term of wrong sort")
-    for m, msrc, mtgt in idx.morphisms:
-        if m in idx.identities:
-            continue
-        src_row = binding[idx.sort_index(msrc)]
-        tgt_row = binding[idx.sort_index(mtgt)]
-        table = sym.arity.map(m)
-        for x, t in enumerate(src_row):
-            if tgt_row[table[x]] is not act(sig, variables, m, t):
-                raise StructureError(
-                    f"binding for {symbol} is not natural at {m}, element {x}")
+    check_family(sym.arity, binding, _in_context(variables, deep=False),
+                 lambda m, t: act(sig, variables, m, t), f"binding for {symbol}")
     depth = 1 + max((t.depth for row in binding for t in row), default=0)
-    skey = (1, sig.symbol_index(symbol), sort, param_elt,
-            tuple(tuple(t.skey for t in row) for row in binding))
     t = Term(sort=sort, symbol=sym, binding=binding, param=param_elt,
-             depth=depth, skey=skey)
+             depth=depth)
     sig._intern[key] = t
     return t
+
+
+def _in_context(J: Presheaf, deep: bool = True):
+    """The check on a term in a row over the context J: the row's sort, and
+    variables in J.  ``app`` passes ``deep=False`` to look at its direct
+    children only, as it checked the deeper terms when it built them."""
+    seen: set[int] = set()
+
+    def within(t: Term) -> bool:
+        if t.is_var:
+            return t.var < J.size(t.sort)
+        if not deep or id(t) in seen:
+            return True
+        seen.add(id(t))
+        return all(within(u) for row in t.binding for u in row)
+
+    return lambda sort, t: t.sort == sort and within(t)
 
 
 def act(sig: FreeFormSignature, variables: Presheaf, m: str, t: Term) -> Term:
@@ -211,25 +209,9 @@ class Assignment:
     rows: tuple[tuple[Term, ...], ...]
 
     def __post_init__(self):
-        idx = self.source.index
-        if len(self.rows) != len(idx.sorts):
-            raise StructureError("assignment needs one row per sort")
-        for sort, row in zip(idx.sorts, self.rows):
-            if len(row) != self.source.size(sort):
-                raise StructureError(f"assignment row at {sort} has wrong length")
-            for t in row:
-                if t.sort != sort:
-                    raise StructureError("assignment row contains term of wrong sort")
-        for m, msrc, mtgt in idx.morphisms:
-            if m in idx.identities:
-                continue
-            src_row = self.rows[idx.sort_index(msrc)]
-            tgt_row = self.rows[idx.sort_index(mtgt)]
-            table = self.source.map(m)
-            for x, t in enumerate(src_row):
-                if tgt_row[table[x]] is not act(self.signature, self.context, m, t):
-                    raise StructureError(
-                        f"assignment is not natural at {m}, element {x}")
+        check_family(self.source, self.rows, _in_context(self.context),
+                     lambda m, t: act(self.signature, self.context, m, t),
+                     "assignment")
 
     def __call__(self, sort: str, x: int) -> Term:
         return self.rows[self.source.index.sort_index(sort)][x]
@@ -280,51 +262,14 @@ class ParamTerm:
     rows: tuple[tuple[Term, ...], ...]
 
     def __post_init__(self):
-        idx = self.parameter.index
-        if self.arity.index != idx:
+        if self.arity.index != self.parameter.index:
             raise StructureError("arity and parameter over different indices")
-        if len(self.rows) != len(idx.sorts):
-            raise StructureError("parametrized term needs one row per sort")
-        for sort, row in zip(idx.sorts, self.rows):
-            if len(row) != self.parameter.size(sort):
-                raise StructureError(f"row at {sort} has wrong length")
-            for t in row:
-                if t.sort != sort:
-                    raise StructureError("row contains term of wrong sort")
-                _check_variables_within(t, self.arity)
-        for m, msrc, mtgt in idx.morphisms:
-            if m in idx.identities:
-                continue
-            src_row = self.rows[idx.sort_index(msrc)]
-            tgt_row = self.rows[idx.sort_index(mtgt)]
-            table = self.parameter.map(m)
-            for c, t in enumerate(src_row):
-                if tgt_row[table[c]] is not act(self.signature, self.arity, m, t):
-                    raise StructureError(
-                        f"parametrized term not natural at {m}, element {c}")
+        check_family(self.parameter, self.rows, _in_context(self.arity),
+                     lambda m, t: act(self.signature, self.arity, m, t),
+                     "parametrized term")
 
     def __call__(self, sort: str, c: int) -> Term:
         return self.rows[self.parameter.index.sort_index(sort)][c]
-
-    @property
-    def skey(self) -> tuple:
-        return tuple(tuple(t.skey for t in row) for row in self.rows)
-
-
-def _check_variables_within(t: Term, J: Presheaf, _seen=None) -> None:
-    if _seen is None:
-        _seen = set()
-    if id(t) in _seen:
-        return
-    _seen.add(id(t))
-    if t.is_var:
-        if t.var >= J.size(t.sort):
-            raise StructureError(
-                f"variable ({t.sort}, {t.var}) outside arity presheaf")
-    else:
-        for row in t.binding:
-            for u in row:
-                _check_variables_within(u, J, _seen)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,20 +377,24 @@ class TermUniverse:
         return len(self._members)
 
 
+# the most terms one universe may hold; read at each call
+MAX_TERMS = 2_000_000
+
+
 def enumerate_terms(
     sig: FreeFormSignature,
     variables: Presheaf,
     depth: int,
-    max_terms: int = 2_000_000,
 ) -> TermUniverse:
     """Exactly the terms of depth <= d, layered by depth, canonical order.
 
     Each universe is listed once per signature and then shared, as the terms
-    in it are.
+    in it are.  A universe of more than ``MAX_TERMS`` terms raises
+    ``ResourceCeiling``.
     """
     if depth < 0:
         raise StructureError("depth must be nonnegative")
-    key = (variables, depth, max_terms)
+    key = (variables, depth)
     got = sig._universes.get(key)
     if got is not None:
         return got
@@ -470,9 +419,10 @@ def enumerate_terms(
                         if id(t) not in seen:
                             seen.add(id(t))
                             new[sort].append(t)
-                            if len(seen) > max_terms:
-                                raise StructureError(
-                                    f"term universe exceeds {max_terms} terms")
+                            if len(seen) > MAX_TERMS:
+                                raise ResourceCeiling(
+                                    f"term universe reached {len(seen)} "
+                                    f"terms, over the bound {MAX_TERMS}")
         for sort in idx.sorts:
             by_sort[sort].extend(new[sort])
     return sig._universes.setdefault(

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -184,6 +185,40 @@ def test_then_equals_the_validated_composite():
         assert fg in hom_list(X, Z)
     with pytest.raises(StructureError):
         identity_morphism(X).then(identity_morphism(Y))
+
+
+def test_morphism_check_agrees_with_hom_set_on_random_graphs():
+    # hom_set builds its morphisms without the check, so the check and
+    # iter_families must accept exactly the same in-range component rows
+    rng = random.Random(11)
+    accepted = rejected = 0
+    for _ in range(12):
+        X = random_graph(rng, max_v=3, max_e=2)
+        Y = random_graph(rng, max_v=3, max_e=3)
+        rows = [itertools.product(range(Y.size(sort)), repeat=X.size(sort))
+                for sort in X.index.sorts]
+        passed = set()
+        for comps in itertools.product(*rows):
+            try:
+                PresheafMorphism(X, Y, comps)
+            except StructureError:
+                rejected += 1
+            else:
+                passed.add(comps)
+        assert passed == {h.components for h in hom_set(X, Y)}
+        accepted += len(passed)
+    assert accepted > 0 and rejected > 0
+
+
+def test_trusted_builders_pass_the_check():
+    # identities, projections, injections and Yoneda maps skip the check
+    rng = random.Random(5)
+    for _ in range(5):
+        X, Y = random_graph(rng), random_graph(rng)
+        built = [identity_morphism(X), *projections(X, Y),
+                 *injections(X, Y), *element_family(X), *hom_set(X, Y)[:20]]
+        for f in built:
+            assert PresheafMorphism(f.source, f.target, f.components) == f
 
 
 @settings(max_examples=30)

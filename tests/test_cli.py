@@ -61,6 +61,19 @@ def test_regen_examples_reproduces_bundled_data(tmp_path, monkeypatch, capsys):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
+def test_regen_examples_into_a_directory_rebuilds_every_bundled_file(
+        tmp_path, capsys):
+    script = DATA.parents[2] / "scripts" / "regen_examples.py"
+    spec = importlib.util.spec_from_file_location("regen_examples", script)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    regen.main(tmp_path)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in DATA.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("name", [
     "semilattice.var", "monoid.var", "globalstate.var", "boolmod.var",
     "z2mod.var", "internalcat.var", "readbits.var", "restriction.var",
@@ -343,6 +356,35 @@ def test_resource_ceiling_exit_code(capsys):
         assert "status=resource" in out
     finally:
         del os.environ["VARIETAL_CEILING"]
+
+
+@pytest.mark.parametrize("args", [
+    ["free", "semilattice.var", "--gens", "2", "--depth", "3"],
+    ["clone", "semilattice.var", "--of", "--objs", "1,2"],
+    ["pretheory", "semilattice.var", "--kleisli", "--objs", "1,2"],
+])
+def test_cell_ceiling_does_not_bound_free_algebra_nodes(args, monkeypatch,
+                                                        capsys):
+    # VARIETAL_CEILING counts cell assignments of the model search only
+    args = [args[0], str(DATA / args[1]), *args[2:]]
+    monkeypatch.delenv("VARIETAL_CEILING", raising=False)
+    code = main(args)
+    out = capsys.readouterr().out
+    monkeypatch.setenv("VARIETAL_CEILING", "5")
+    assert (main(args), capsys.readouterr().out) == (code, out)
+    assert code == 0, out
+
+
+def test_birkhoff_term_universe_past_its_bound_is_a_resource_ceiling(
+        monkeypatch, capsys):
+    from varietal import syntax
+    monkeypatch.setattr(syntax, "MAX_TERMS", 3)
+    code = main(["birkhoff", str(DATA / "semilattice_gen.algs"),
+                 "--scale", "2,2", "--gens", "1"])
+    out = capsys.readouterr().out
+    assert code == 4, out
+    assert out.splitlines()[-1] == "status=resource"
+    assert "over the bound 3" in out
 
 
 def test_models_subcommand_iso(capsys):

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from varietal import syntax
 from varietal.base import (
+    Presheaf,
+    ResourceCeiling,
     StructureError,
     finite_set,
     hom_set,
@@ -183,6 +186,48 @@ def test_binding_validation_rejects_nonnatural():
         # vertex components swapped: act(s, e0) is v0, not v1
         app(sig, "nu", ((var(sig, "v", 1), var(sig, "v", 0)),
                         (var(sig, "e", 0),)), "e", 0, e1)
+
+
+def test_out_of_range_variable_is_a_structure_error_on_the_graph_index():
+    # the variable (v, 5) in a context with two vertices and no edges
+    B = parallel_pair_index()
+    e1 = Presheaf(B, (2, 1), ((0, 1), (0,), (0,), (1,)))
+    two_v = Presheaf(B, (2, 0), ((0, 1), (), (), ()))
+    sig = FreeFormSignature("g", [OperationSymbol("nu", e1, terminal(B))])
+    rows = ((var(sig, "v", 5), var(sig, "v", 1)), (var(sig, "e", 0),))
+    with pytest.raises(StructureError, match="entry 0 at v"):
+        app(sig, "nu", rows, "e", 0, two_v)
+    with pytest.raises(StructureError, match="entry 0 at v"):
+        Assignment(sig, e1, two_v, rows)
+    with pytest.raises(StructureError, match="entry 0 at v"):
+        Assignment(sig, two_v, two_v, (rows[0], ()))
+
+
+def test_term_families_check_variables_below_the_top(sl_sig):
+    # a term built over three variables does not fit a context of two
+    I = trivial_index()
+    two, three = finite_set(2, I), finite_set(3, I)
+    x, z = var(sl_sig, "*", 0), var(sl_sig, "*", 2)
+    t = app(sl_sig, "join", ((x, z),), "*", 0, three)
+    with pytest.raises(StructureError, match="parametrized term"):
+        ParamTerm(sl_sig, two, terminal(I), ((t,),))
+    with pytest.raises(StructureError, match="assignment"):
+        Assignment(sl_sig, finite_set(1, I), two, ((t,),))
+    with pytest.raises(StructureError, match="binding for join"):
+        app(sl_sig, "join", ((x, z),), "*", 0, two)
+    assert ParamTerm(sl_sig, three, terminal(I), ((t,),)).rows == ((t,),)
+
+
+def test_enumerate_terms_past_its_bound_is_a_resource_ceiling(monkeypatch):
+    I = trivial_index()
+    sig = FreeFormSignature(
+        "sl", [OperationSymbol("join", finite_set(2, I), terminal(I))])
+    two = finite_set(2, I)
+    monkeypatch.setattr(syntax, "MAX_TERMS", 5)
+    with pytest.raises(ResourceCeiling, match="6 terms, over the bound 5"):
+        enumerate_terms(sig, two, 2)
+    monkeypatch.setattr(syntax, "MAX_TERMS", 6)
+    assert enumerate_terms(sig, two, 1).total == 6
 
 
 def test_precompose_identity_and_column(sl_sig):
