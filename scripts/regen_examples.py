@@ -2,9 +2,7 @@
 """Regenerate the bundled example files under src/varietal/data/.
 
 Run from the repository root after changing the catalog builders; the files
-are committed so that golden tests and the CLI examples are stable.  An
-optional argument names another output directory, for comparing a fresh
-build with the committed files.
+are committed so that golden tests and the CLI examples are stable.
 """
 
 from __future__ import annotations
@@ -42,14 +40,14 @@ from varietal.base import finite_set, trivial_index
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
 
 
-def main(out=None):
-    out = pathlib.Path(DATA if out is None else out)
-    out.mkdir(parents=True, exist_ok=True)
+def write(name: str, nodes):
+    path = DATA / name
+    path.write_text(fileformat.render(nodes), encoding="utf-8")
+    print(f"wrote {path}")
 
-    def write(name: str, nodes):
-        path = out / name
-        path.write_text(fileformat.render(nodes), encoding="utf-8")
-        print(f"wrote {path}")
+
+def main():
+    DATA.mkdir(parents=True, exist_ok=True)
 
     SL = semilattice_presentation()
     write("semilattice.var", fileformat.presentation_nodes(SL))
@@ -109,4 +107,4 @@ def main(out=None):
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()

@@ -159,7 +159,11 @@ def app(
     if not (0 <= param_elt < sym.parameter.size(sort)):
         raise StructureError(
             f"parameter element {param_elt} out of range for {symbol} at {sort}")
-    check_family(sym.arity, binding, _in_context(variables, deep=False),
+    # Direct children only: deeper terms were checked against the presheaf
+    # they were built over, which may be larger than ``variables``.
+    check_family(sym.arity, binding,
+                 lambda s, t: t.sort == s and (
+                     not t.is_var or t.var < variables.size(s)),
                  lambda m, t: act(sig, variables, m, t), f"binding for {symbol}")
     depth = 1 + max((t.depth for row in binding for t in row), default=0)
     t = Term(sort=sort, symbol=sym, binding=binding, param=param_elt,
@@ -168,16 +172,15 @@ def app(
     return t
 
 
-def _in_context(J: Presheaf, deep: bool = True):
+def _in_context(J: Presheaf):
     """The check on a term in a row over the context J: the row's sort, and
-    variables in J.  ``app`` passes ``deep=False`` to look at its direct
-    children only, as it checked the deeper terms when it built them."""
+    every variable of the term, at any depth, in J."""
     seen: set[int] = set()
 
     def within(t: Term) -> bool:
         if t.is_var:
             return t.var < J.size(t.sort)
-        if not deep or id(t) in seen:
+        if id(t) in seen:
             return True
         seen.add(id(t))
         return all(within(u) for row in t.binding for u in row)
