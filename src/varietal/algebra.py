@@ -11,19 +11,20 @@ Every table lives in one cell layout: a cell is one symbol at one input
 family and holds an index into that symbol's choices, the parameter homs in
 the model search and the algebra's own table in an :class:`Algebra`.  Terms
 are compiled once against a layout into integer tuples (``_compile``) and
-evaluated over a flat list of cell values (``_value``); ``evaluate``,
-``satisfies``, ``interpretation_table`` and the model search all share this
-one evaluator.  Model enumeration sets one cell at a time and checks each
-equation instance as soon as the cells it reaches are set, after SEM (Zhang
-& Zhang, 1995) and Mace4 (McCune, 2003); its ceiling counts cell
-assignments tried.
+evaluated over a flat list of cell values (``_value``), and so are free-
+algebra classes (``FreeAlgebra.compile_class``): ``evaluate``,
+``evaluate_class``, ``satisfies``, ``interpretation_table`` and the model
+search share this one evaluator, for term and quotient equations alike.
+Model enumeration sets one cell at a time and checks each equation instance
+as soon as the cells it reaches are set, after SEM (Zhang & Zhang, 1995) and
+Mace4 (McCune, 2003); its ceiling counts cell assignments tried.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as iproduct
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .base import (
     Presheaf,
@@ -34,6 +35,7 @@ from .base import (
     hom_list,
     product,
     projections,
+    trivial_index,
 )
 from .syntax import (
     Equation,
@@ -41,6 +43,9 @@ from .syntax import (
     Term,
     enumerate_terms,
 )
+
+if TYPE_CHECKING:
+    from .presentation import QuotientEquation
 
 DEFAULT_CEILING = 10_000_000
 
@@ -102,24 +107,11 @@ class Algebra:
             table[first:first + len(comps)] = range(len(comps))
         return cells, table
 
-    def _cell(self, name: str) -> tuple:
-        try:
-            return self._cells[0][name]
-        except KeyError:
-            raise StructureError(f"unknown operation symbol {name!r}") from None
-
     def homs_from(self, J: Presheaf) -> HomList:
         return hom_list(J, self.carrier)
 
-    def apply(self, name: str, rows: tuple[tuple[int, ...], ...],
-              sort: str, c: int) -> int:
-        """Value of the operation at the input family given by ``rows``."""
-        position, first, comps = self._cell(name)
-        v = self._cells[1][first + position[rows]]
-        return comps[v][self.carrier.index.sort_index(sort)][c]
-
     def op_value(self, name: str, h: PresheafMorphism) -> PresheafMorphism:
-        return self.values[name][self._cell(name)[0][h.components]]
+        return self.values[name][self._cells[0][name][0][h.components]]
 
     def canonical_key(self) -> tuple:
         # carrier and tables never change after construction
@@ -181,19 +173,31 @@ def evaluate(A: Algebra, t: Term, phi: PresheafMorphism) -> int:
     return _value(_compile(t, A.carrier.index, cells), phi.components, table)
 
 
-def satisfies(A: Algebra, eq: Equation, witness: bool = False):
+def _compiled_sides(eq: Equation | QuotientEquation, index,
+                    cells: dict) -> list[tuple]:
+    """``(sort, c, lhs, rhs)`` per parameter element, both sides compiled
+    against ``cells``: terms, or classes of a ``QuotientEquation``'s base."""
+    if isinstance(eq, Equation):
+        def compile_side(sort, t):
+            return _compile(t, index, cells)
+    else:
+        compile_side = partial(eq.base.compile_class, cells=cells, memo={})
+    return [(sort, c, compile_side(sort, eq.lhs(sort, c)),
+             compile_side(sort, eq.rhs(sort, c)))
+            for sort in index.sorts for c in eq.parameter.elements(sort)]
+
+
+def satisfies(A: Algebra, eq: Equation | QuotientEquation,
+              witness: bool = False):
     """Check one parametrized equation against every input family.
 
-    With ``witness=True`` returns ``None`` when satisfied, else a triple
+    A ``QuotientEquation`` needs ``A`` to model its base presentation.  With
+    ``witness=True`` returns ``None`` when satisfied, else a triple
     ``(phi, sort, c)`` exhibiting the first failure, input families in hom
     order and parameter elements in sort order.
     """
     cells, table = A._cells
-    index = A.carrier.index
-    sides = [(sort, c, _compile(eq.lhs(sort, c), index, cells),
-              _compile(eq.rhs(sort, c), index, cells))
-             for sort in eq.parameter.index.sorts
-             for c in eq.parameter.elements(sort)]
+    sides = _compiled_sides(eq, A.carrier.index, cells)
     for phi in A.homs_from(eq.arity):
         comps = phi.components
         for sort, c, lhs, rhs in sides:
@@ -291,19 +295,19 @@ def enumerate_algebras(
     tables, in signature order.  Raises :class:`StructureError` on a negative
     size bound and :class:`ResourceCeiling` once more than ``ceiling`` cell
     assignments have been tried.
+
+    A ``QuotientEquation``'s class programs look up input families that are
+    natural only where the base equations hold, and no guard catches a miss.
+    The instances first checked, term equations before quotient equations,
+    stay first on their cells' watch lists.  So a base equation that reads
+    one cell (an endpoint law of ``internalcat``) rejects a bad value of it
+    before any class program reads it.
     """
-    if hasattr(target, "signature"):
-        sig = target.signature
-        equations = list(target.equations)
-    else:
-        sig = target
-        equations = []
+    sig = getattr(target, "signature", target)
+    equations = getattr(target, "equations", ())
     index = sig.index
-    if index is None and carrier is not None:
-        index = carrier.index
     if index is None:
-        from .base import trivial_index
-        index = trivial_index()
+        index = carrier.index if carrier is not None else trivial_index()
     if isinstance(max_sizes, int):
         max_sizes = [max_sizes] * len(index.sorts)
     if any(n < 0 for n in max_sizes):
@@ -316,11 +320,10 @@ def enumerate_algebras(
         cells, nvals = _cell_layout(sig, X, lambda s: hom_list(s.parameter, X))
         insts = []
         for eq in equations:
-            sides = [(_compile(eq.lhs(sort, c), index, cells),
-                      _compile(eq.rhs(sort, c), index, cells))
-                     for sort in index.sorts for c in eq.parameter.elements(sort)]
+            sides = _compiled_sides(eq, index, cells)
             insts += [(lhs, rhs, phi.components)
-                      for phi in hom_list(eq.arity, X) for lhs, rhs in sides]
+                      for phi in hom_list(eq.arity, X)
+                      for _, _, lhs, rhs in sides]
         n = len(nvals)
         table: list[int | None] = [None] * n
         # watch[k]: instances whose evaluation stopped at unassigned cell k;

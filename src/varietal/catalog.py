@@ -36,6 +36,7 @@ from .presentation import (
     Presentation,
     QuotientEquation,
     TwoStagePresentation,
+    free_algebra,
 )
 from .clones import RelativeMonad
 
@@ -485,8 +486,6 @@ def internal_category_presentation() -> TwoStagePresentation:
         eq_ident_ends, eq_ident_ends_t, eq_comp_src, eq_comp_tgt])
 
     # stage two: associativity and unit laws, over the stage-one quotients
-    from .presentation import free_algebra
-
     q3 = free_algebra(base, g3, 3)
     q1 = free_algebra(base, g1, 3)
 
@@ -524,7 +523,7 @@ def internal_category_presentation() -> TwoStagePresentation:
                               edge_rows(q1, left_unit), edge_rows(q1, e1))
     unit_r = QuotientEquation("comp-unit-right", q1, path_graph(1),
                               edge_rows(q1, right_unit), edge_rows(q1, e1))
-    # unit laws first: they are far cheaper and prune most candidates
+    # unit laws first: cheaper, they run first on cells shared with assoc
     return TwoStagePresentation("internalcat", base, (unit_l, unit_r, assoc))
 
 

@@ -280,14 +280,15 @@ def clone_of_presentation(
     unit = [Q.unit() for Q in quotients]
     mult: dict[tuple[int, int], list[PresheafMorphism]] = {}
     idx = P.signature.index
+    algebras = [Q.as_algebra() for Q in quotients]
     for i, Qi in enumerate(quotients):
-        for j, Qj in enumerate(quotients):
+        for j, Aj in enumerate(algebras):
             values = []
+            memo: dict = {}
             for g in hom_list(objects[i], carriers[j]):
-                memo: dict = {}
                 comps = tuple(
                     tuple(
-                        Qi.evaluate_class(Qj, g, sort, ci, memo)
+                        Qi.evaluate_class(Aj, g, sort, ci, memo)
                         for ci in range(carriers[i].size(sort)))
                     for sort in idx.sorts)
                 values.append(PresheafMorphism(carriers[i], carriers[j], comps))

@@ -46,7 +46,7 @@ from .syntax import (
     var,
 )
 from .algebra import (
-    DEFAULT_CEILING, Algebra, enumerate_algebras, satisfies)
+    DEFAULT_CEILING, Algebra, _value, enumerate_algebras, satisfies)
 
 
 class Presentation:
@@ -323,16 +323,11 @@ class FreeAlgebra:
         if t.is_var:
             row = self._gen_rows[self.index.sort_index(t.sort)]
             return self._class_index[self._find(row[t.var])]
-        rows = []
-        for row in t.binding:
-            out = []
-            for u in row:
-                c = self.class_of_term(u)
-                if c is None:
-                    return None
-                out.append(c)
-            rows.append(tuple(out))
-        return self.apply(t.symbol.name, tuple(rows), t.sort, t.param)
+        rows = tuple(tuple(self.class_of_term(u) for u in row)
+                     for row in t.binding)
+        if any(c is None for row in rows for c in row):
+            return None
+        return self.apply(t.symbol.name, rows, t.sort, t.param)
 
     # -- closure -------------------------------------------------------------
 
@@ -606,41 +601,42 @@ class FreeAlgebra:
             values[sym.name] = vals
         return Algebra(self.signature, self.classes, values)
 
+    def compile_class(self, sort: str, i: int, cells: dict, memo: dict) -> tuple:
+        """Class ``i`` of ``sort``, read off the best nodes, as the nested
+        tuples ``algebra._value`` runs over the cell layout ``cells``
+        (see ``algebra._compile``); ``memo`` serves one layout only."""
+        def walk(root: int) -> tuple:
+            got = memo.get(root)
+            if got is None:
+                key = self._nodes[self._best[root]]
+                if key[0] == "v":
+                    got = (self.index.sort_index(key[1]), key[2])
+                else:
+                    _, sym, s, c, binding = key
+                    got = (*cells[sym], self.index.sort_index(s), c, tuple(
+                        tuple(walk(self._find(r)) for r in row)
+                        for row in binding))
+                memo[root] = got
+            return got
+
+        return walk(self._roots_by_sort[sort][i])
+
     def evaluate_class(self, A: Algebra, phi: PresheafMorphism, sort: str,
                        i: int, memo: dict | None = None) -> int:
         """Interpret a class in an algebra satisfying the base presentation.
 
-        ``phi`` assigns carrier elements to the generators; the value is
-        independent of the chosen representative exactly when the algebra is
-        a model of the presentation.
+        ``phi`` assigns carrier elements to the generators, and ``memo``
+        caches compiled classes for ``A``; the value is independent of the
+        chosen representative exactly when ``A`` models the presentation.
         """
         if memo is None:
             memo = {}
-        root = self._roots_by_sort[sort][i]
-        return self._eval_root(A, phi, root, memo)
-
-    def _eval_root(self, A: Algebra, phi, root: int, memo: dict) -> int:
-        got = memo.get(root)
-        if got is not None:
-            return got
-        key = self._nodes[self._best[root]]
-        if key[0] == "v":
-            out = phi(key[1], key[2])
-        else:
-            _, sym, sort, c, binding = key
-            rows = tuple(
-                tuple(self._eval_root(A, phi, self._find(r), memo) for r in row)
-                for row in binding)
-            out = A.apply(sym, rows, sort, c)
-        memo[root] = out
-        return out
+        cells, table = A._cells
+        return _value(self.compile_class(sort, i, cells, memo),
+                      phi.components, table)
 
     def audit_lines(self) -> list[str]:
-        lines = []
-
-        def show(nid: int) -> str:
-            return self._node_text(nid)
-
+        lines, show = [], self._node_text
         for e in self.audit:
             if e.kind == "eq":
                 phi = " ".join(
@@ -714,7 +710,6 @@ def quotient_map_equal(P: Presentation, t: ParamTerm, u: ParamTerm,
         for sort in idx.sorts for c in t.parameter.elements(sort)]
     if all(lazy.class_of_term(a) == lazy.class_of_term(b) for a, b in pairs):
         return EQUAL, lazy
-    full = None
     try:
         full = free_algebra(P, t.arity, depth, max_nodes=max_nodes)
     except ResourceCeiling:
@@ -744,8 +739,9 @@ class QuotientEquation:
 
     This is how equations whose sides only exist modulo earlier equations are
     expressed: the sides are classes of the base presentation's free algebra
-    on the arity.  Satisfaction is checked by interpreting classes, which is
-    well defined on algebras of the base presentation.
+    on the arity.  ``satisfies`` and ``enumerate_algebras`` take it like an
+    :class:`Equation` whose input families are the base's generator maps;
+    class values are well defined on algebras of the base presentation.
     """
 
     name: str
@@ -760,35 +756,35 @@ class QuotientEquation:
                          lambda sort, i: 0 <= i < self.base.classes.size(sort),
                          self.base.act_class, "class family")
 
+    @property
+    def arity(self) -> Presheaf:
+        return self.base.generators
 
-def satisfies_quotient_equation(A: Algebra, qeq: QuotientEquation) -> bool:
-    """Check a class-level equation; the algebra must model the base."""
-    Q = qeq.base
-    idx = qeq.parameter.index
-    for phi in A.homs_from(Q.generators):
-        memo: dict = {}
-        for sort in idx.sorts:
-            for c in qeq.parameter.elements(sort):
-                lv = Q.evaluate_class(A, phi, sort,
-                                      qeq.lhs_rows[idx.sort_index(sort)][c], memo)
-                rv = Q.evaluate_class(A, phi, sort,
-                                      qeq.rhs_rows[idx.sort_index(sort)][c], memo)
-                if lv != rv:
-                    return False
-    return True
+    def lhs(self, sort: str, c: int) -> int:
+        return self.lhs_rows[self.parameter.index.sort_index(sort)][c]
+
+    def rhs(self, sort: str, c: int) -> int:
+        return self.rhs_rows[self.parameter.index.sort_index(sort)][c]
 
 
 @dataclass(frozen=True, eq=False)
 class TwoStagePresentation:
-    """A presentation plus further equations stated over its algebras."""
+    """A presentation plus further equations stated over its algebras; its
+    ``equations`` are the base equations, then the quotient equations, and
+    one model search checks both."""
 
     name: str
     base: Presentation
     extra: tuple[QuotientEquation, ...]
 
+    @property
+    def signature(self) -> FreeFormSignature:
+        return self.base.signature
+
+    @property
+    def equations(self) -> tuple:
+        return self.base.equations + self.extra
+
     def models_on(self, carrier: Presheaf,
                   ceiling: int = DEFAULT_CEILING) -> list[Algebra]:
-        return [
-            A for A in enumerate_algebras(self.base, 0, carrier=carrier,
-                                          ceiling=ceiling)
-            if all(satisfies_quotient_equation(A, q) for q in self.extra)]
+        return enumerate_algebras(self, 0, carrier=carrier, ceiling=ceiling)

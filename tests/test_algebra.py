@@ -48,12 +48,14 @@ from varietal.catalog import (
     internal_category_presentation,
     max_semilattice_algebra,
     monoid_presentation,
+    path_graph,
     reading_bits_presentation,
     restriction_presentation,
     semilattice_presentation,
+    state_transformer_algebra,
 )
 from varietal.presentation import (
-    satisfies_quotient_equation,
+    free_algebra,
     sum_presentations,
     tensor,
 )
@@ -196,6 +198,8 @@ def brute_force_keys(P, carriers, extra=()):
     sig = P.signature
     keys = []
     for X in carriers:
+        inputs = reference_inputs(sig, X)
+        maps = [hom_set(q.base.generators, X) for q in extra]
         params = [hom_list(s.parameter, X) for s in sig.symbols]
         pools = [list(itertools.product(range(len(ps)),
                                         repeat=len(hom_list(s.arity, X))))
@@ -205,7 +209,8 @@ def brute_force_keys(P, carriers, extra=()):
                 s.name: [ps[v] for v in table]
                 for s, ps, table in zip(sig.symbols, params, tables)})
             if all(satisfies(A, eq) for eq in P.equations) and all(
-                    satisfies_quotient_equation(A, q) for q in extra):
+                    reference_quotient_holds(A, q, inputs, qmaps)
+                    for q, qmaps in zip(extra, maps)):
                 keys.append(A.canonical_key())
     return keys
 
@@ -355,6 +360,45 @@ def reference_evaluator(A):
     return value
 
 
+def reference_inputs(sig, X):
+    """Each symbol's input families over X, numbered in a fresh hom_set
+    listing."""
+    return {s.name: {h.components: k for k, h in enumerate(hom_set(s.arity, X))}
+            for s in sig.symbols}
+
+
+def reference_class_value(Q, A, phi, sort, i, inputs):
+    """The value of class ``i`` of ``sort`` in ``A`` under the generator map
+    ``phi``: a recursive walk over each class's best node (``Q._best`` and
+    ``Q._nodes``) that reads an application from ``A.values`` at its input
+    family's number in ``inputs``.  Kept here as the oracle for compiled
+    class programs."""
+    def value(root):
+        key = Q._nodes[Q._best[root]]
+        if key[0] == "v":
+            return phi(key[1], key[2])
+        _, sym, s, c, binding = key
+        rows = tuple(tuple(value(Q._find(r)) for r in row) for row in binding)
+        return A.values[sym][inputs[sym][rows]](s, c)
+
+    return value(Q._roots_by_sort[sort][i])
+
+
+def reference_quotient_holds(A, q, inputs, maps) -> bool:
+    """Does A satisfy the quotient equation q at every generator map in
+    ``maps``, by the reference walk?"""
+    Q = q.base
+    for phi in maps:
+        for si, sort in enumerate(q.parameter.index.sorts):
+            for c in q.parameter.elements(sort):
+                if (reference_class_value(Q, A, phi, sort, q.lhs_rows[si][c],
+                                          inputs)
+                        != reference_class_value(Q, A, phi, sort,
+                                                 q.rhs_rows[si][c], inputs)):
+                    return False
+    return True
+
+
 def reference_witness(value, A, eq):
     """The first failing (phi, sort, c), input families in hom order."""
     for phi in hom_set(eq.arity, A.carrier):
@@ -406,3 +450,100 @@ def test_compiled_evaluator_matches_reference_on_internal_categories():
     path = graph_presheaf(3, [(0, 1), (1, 2)])
     for A in models:
         assert check_against_reference(A, IC.base.equations, path, 2) == 0
+
+
+def check_classes_against_reference(Q, models):
+    """Compare evaluate_class with the reference on every class of Q, for
+    every generator map into every model; one compile memo per model."""
+    for A in models:
+        inputs = reference_inputs(A.signature, A.carrier)
+        memo: dict = {}
+        for phi in hom_set(Q.generators, A.carrier):
+            for sort in Q.index.sorts:
+                for i in range(Q.classes.size(sort)):
+                    assert (Q.evaluate_class(A, phi, sort, i, memo)
+                            == reference_class_value(Q, A, phi, sort, i, inputs))
+
+
+@pytest.mark.parametrize("name,k,depth", [
+    ("semilattice.var", 3, 3), ("z2mod.var", 2, 3)])
+def test_evaluate_class_matches_reference(name, k, depth):
+    (P,) = fileformat.parse_file(str(DATA / name)).presentations.values()
+    Q = free_algebra(P, finite_set(k, P.signature.index), depth)
+    models = enumerate_algebras(P, 2)
+    assert any(A.carrier.sizes == (2,) for A in models)
+    check_classes_against_reference(Q, models)
+
+
+def test_evaluate_class_matches_reference_on_global_state():
+    # global state has no model of size 2; the store algebra on one
+    # element (four states-to-pairs functions) is added
+    GS = global_state_presentation()
+    Q = free_algebra(GS, finite_set(2, I), 3)
+    models = enumerate_algebras(GS, 2) + [state_transformer_algebra(GS, 1)]
+    check_classes_against_reference(Q, models)
+
+
+@pytest.fixture(scope="module")
+def ic():
+    return internal_category_presentation()
+
+
+def test_evaluate_class_matches_reference_on_internal_categories(ic):
+    models = (ic.models_on(graph_presheaf(1, [(0, 0), (0, 0)]))
+              + ic.models_on(graph_presheaf(2, [(0, 0), (1, 1), (0, 1)])))
+    assert len(models) > 2
+    # the stage-one free algebras on path_graph(1) and path_graph(3), depth 3
+    bases = list({id(q.base): q.base for q in ic.extra}.values())
+    assert [(Q.generators.sizes, Q.depth) for Q in bases] == [
+        (path_graph(1).sizes, 3), (path_graph(3).sizes, 3)]
+    for Q in bases:
+        check_classes_against_reference(Q, models)
+
+
+@pytest.mark.parametrize("nv,edges", [
+    (1, [(0, 0)]),
+    (2, [(0, 0), (1, 1), (0, 1)]),
+    (3, [(0, 0), (1, 1), (2, 2)]),
+    (1, [(0, 0), (0, 0)]),
+    (2, [(0, 1), (1, 0)]),
+    (2, [(0, 0), (0, 1)]),
+    (2, [(0, 1)]),
+    (3, [(0, 1), (1, 2)]),
+    (2, [(0, 0), (1, 1)]),
+    (1, [(0, 0)] * 3),
+])
+def test_models_on_matches_filtered_base_search(ic, nv, edges):
+    # the quotient equations are checked cell by cell inside one search; the
+    # oracle lists the base models and filters them afterwards
+    G = graph_presheaf(nv, edges)
+    inputs = reference_inputs(ic.base.signature, G)
+    maps = [hom_set(q.base.generators, G) for q in ic.extra]
+    expected = [
+        A.canonical_key()
+        for A in enumerate_algebras(ic.base, 0, carrier=G)
+        if all(reference_quotient_holds(A, q, inputs, qmaps)
+               for q, qmaps in zip(ic.extra, maps))]
+    assert [A.canonical_key() for A in ic.models_on(G)] == expected
+
+
+def test_models_on_prunes_before_the_base_models_are_listed(ic):
+    # one vertex, three loops: 59,049 base models, 33 categories
+    G = graph_presheaf(1, [(0, 0)] * 3)
+    assert len(ic.models_on(G, ceiling=10_000)) == 33
+    with pytest.raises(ResourceCeiling):
+        enumerate_algebras(ic.base, 0, carrier=G, ceiling=10_000)
+
+
+def test_satisfies_takes_quotient_equations(ic):
+    G = graph_presheaf(1, [(0, 0), (0, 0)])
+    inputs = reference_inputs(ic.base.signature, G)
+    base_models = enumerate_algebras(ic.base, 0, carrier=G)
+    for q in ic.extra:
+        maps = hom_set(q.base.generators, G)
+        verdicts = [satisfies(A, q) for A in base_models]
+        assert verdicts == [reference_quotient_holds(A, q, inputs, maps)
+                            for A in base_models]
+        assert set(verdicts) == {True, False}, q.name
+        for A, holds in zip(base_models, verdicts):
+            assert (satisfies(A, q, witness=True) is None) == holds

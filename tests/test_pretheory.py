@@ -78,6 +78,7 @@ def reference_kleisli_pretheory(P, objects, depth, max_nodes=500_000):
         if not Q.saturated:
             return None
         quotients.append(Q)
+    algebras = [Q.as_algebra() for Q in quotients]
     n = len(objects)
     kleisli_homs = {}
     homs = {}
@@ -93,13 +94,13 @@ def reference_kleisli_pretheory(P, objects, depth, max_nodes=500_000):
         for j in range(n):
             for k in range(n):
                 table = {}
+                memo: dict = {}
                 for fi, f in enumerate(kleisli_homs[(i, j)]):
                     for gi, g in enumerate(kleisli_homs[(j, k)]):
-                        memo: dict = {}
                         comps = tuple(
                             tuple(
                                 quotients[j].evaluate_class(
-                                    quotients[i], f, sort, g(sort, x), memo)
+                                    algebras[i], f, sort, g(sort, x), memo)
                                 for x in objects[k].elements(sort))
                             for sort in objects[k].index.sorts)
                         composite = PresheafMorphism(
@@ -455,16 +456,17 @@ def enumerate_kleisli_models(P, object_sizes, depth, carrier):
         def build(A):
             action = {}
             for a, ja in enumerate(indices):
-                value_memo = [dict() for _ in homs[a]]
+                Q, memo = quotients[ja], {}
+                values = [tuple(Q.evaluate_class(A, phi, "*", c, memo)
+                                for c in range(Q.class_count()))
+                          for phi in homs[a]]
                 for b, jb in enumerate(indices):
                     tables = []
                     for g in kleisli_homs[(a, b)]:
                         rows = []
-                        for pi, phi in enumerate(homs[a]):
-                            comps = tuple(
-                                quotients[ja].evaluate_class(
-                                    A, phi, "*", g("*", x), value_memo[pi])
-                                for x in objects[jb].elements("*"))
+                        for vals in values:
+                            comps = tuple(vals[g("*", x)]
+                                          for x in objects[jb].elements("*"))
                             psi = PresheafMorphism(
                                 objects[jb], carrier, (comps,))
                             rows.append(hom_index(homs[b], psi))
