@@ -191,11 +191,15 @@ def satisfies(A: Algebra, eq: Equation | QuotientEquation,
               witness: bool = False):
     """Check one parametrized equation against every input family.
 
-    A ``QuotientEquation`` needs ``A`` to model its base presentation.  With
-    ``witness=True`` returns ``None`` when satisfied, else a triple
-    ``(phi, sort, c)`` exhibiting the first failure, input families in hom
-    order and parameter elements in sort order.
+    A ``QuotientEquation`` raises ``StructureError`` unless ``A`` models its
+    base presentation.  With ``witness=True`` returns ``None`` when
+    satisfied, else a triple ``(phi, sort, c)`` exhibiting the first failure,
+    input families in hom order and parameter elements in sort order.
     """
+    if not isinstance(eq, Equation):
+        base = eq.base.presentation
+        if not all(satisfies(A, e) for e in base.equations):
+            raise StructureError(f"{eq.name}: not a model of {base.name}")
     cells, table = A._cells
     sides = _compiled_sides(eq, A.carrier.index, cells)
     for phi in A.homs_from(eq.arity):

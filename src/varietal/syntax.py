@@ -3,12 +3,11 @@
 A term over a variable presheaf J is either a variable (an element of J at
 some sort) or an operation symbol applied to a natural binding of its arity
 into terms, together with a parameter element at the term's sort.  Terms are
-interned per signature, so structural equality is identity and hashing is
-O(1); build them only through :func:`var` and :func:`app`.
-
-The variable presheaf is tracked by the surrounding context (assignments,
-parametrized terms, universes), not stored inside the term, so the same
-variable node can be read over any presheaf large enough to contain it.
+interned per signature on their structure alone, so structural equality is
+identity and hashing is O(1); build them only through :func:`var` and
+:func:`app`.  Validity is relative to J: :meth:`Term.fits` tells whether all
+the variables of a term lie in J, and app, assignments and parametrized
+terms check their entries against their presheaf with it.
 """
 
 from __future__ import annotations
@@ -102,10 +101,16 @@ class Term:
     binding: tuple[tuple["Term", ...], ...] | None = None
     param: int | None = None
     depth: int = 0
+    # (sort, one more than the largest variable there), at any depth
+    bound: tuple[tuple[str, int], ...] = ()
 
     @property
     def is_var(self) -> bool:
         return self.var is not None
+
+    def fits(self, J: Presheaf) -> bool:
+        """Is every variable of the term, at any depth, an element of J?"""
+        return all(n <= J.size(s) for s, n in self.bound)
 
     def __repr__(self):
         if self.is_var:
@@ -126,8 +131,7 @@ def var(sig: FreeFormSignature, sort: str, x: int) -> Term:
             raise StructureError(f"unknown sort {sort!r}")
         if x < 0:
             raise StructureError("negative variable element")
-        t = Term(sort=sort, var=x, depth=0)
-        sig._intern[key] = t
+        t = sig._intern[key] = Term(sort=sort, var=x, bound=((sort, x + 1),))
     return t
 
 
@@ -141,51 +145,41 @@ def app(
 ) -> Term:
     """Apply ``symbol`` with a natural binding of its arity into terms.
 
-    ``variables`` is the variable presheaf of the binding's terms: variable
-    children must be elements of it, and naturality transports along it.
+    Every call checks it against ``variables``: each child has its slot's
+    sort and fits ``variables``, and the binding is natural along it.
     """
     sym = sig.symbol(symbol)
     binding = tuple(tuple(row) for row in binding)
-    # The variable presheaf is part of the key: naturality of the binding
-    # depends on it, and a cache hit must only replay a validated build.
-    key = ("a", symbol, sort, param_elt, variables,
-           tuple(tuple(id(t) for t in row) for row in binding))
-    cached = sig._intern.get(key)
-    if cached is not None:
-        return cached
-    idx = sym.arity.index
-    if sort not in idx.sorts:
+    if sort not in sym.arity.index.sorts:
         raise StructureError(f"unknown sort {sort!r}")
     if not (0 <= param_elt < sym.parameter.size(sort)):
         raise StructureError(
             f"parameter element {param_elt} out of range for {symbol} at {sort}")
-    # Direct children only: deeper terms were checked against the presheaf
-    # they were built over, which may be larger than ``variables``.
-    check_family(sym.arity, binding,
-                 lambda s, t: t.sort == s and (
-                     not t.is_var or t.var < variables.size(s)),
+    check_family(sym.arity, binding, _fits_in(variables),
                  lambda m, t: act(sig, variables, m, t), f"binding for {symbol}")
-    depth = 1 + max((t.depth for row in binding for t in row), default=0)
-    t = Term(sort=sort, symbol=sym, binding=binding, param=param_elt,
-             depth=depth)
-    sig._intern[key] = t
+    return _node(sig, sym, binding, sort, param_elt)
+
+
+def _node(sig: FreeFormSignature, sym: OperationSymbol,
+          binding: tuple[tuple[Term, ...], ...], sort: str, param: int) -> Term:
+    """The interned application, built unchecked: for bindings already known
+    to be natural, such as a transported term's or an enumerated family."""
+    key = ("a", sym.name, sort, param,
+           tuple(tuple(id(t) for t in row) for row in binding))
+    t = sig._intern.get(key)
+    if t is None:
+        children = [u for row in binding for u in row]
+        # sorted pairs: the last one of each sort holds its largest bound
+        bound = tuple(dict(sorted(p for u in children for p in u.bound)).items())
+        t = sig._intern[key] = Term(
+            sort=sort, symbol=sym, binding=binding, param=param, bound=bound,
+            depth=1 + max((u.depth for u in children), default=0))
     return t
 
 
-def _in_context(J: Presheaf):
-    """The check on a term in a row over the context J: the row's sort, and
-    every variable of the term, at any depth, in J."""
-    seen: set[int] = set()
-
-    def within(t: Term) -> bool:
-        if t.is_var:
-            return t.var < J.size(t.sort)
-        if id(t) in seen:
-            return True
-        seen.add(id(t))
-        return all(within(u) for row in t.binding for u in row)
-
-    return lambda sort, t: t.sort == sort and within(t)
+def _fits_in(J: Presheaf):
+    """The check on each entry of a term family over J."""
+    return lambda sort, t: t.sort == sort and t.fits(J)
 
 
 def act(sig: FreeFormSignature, variables: Presheaf, m: str, t: Term) -> Term:
@@ -198,8 +192,8 @@ def act(sig: FreeFormSignature, variables: Presheaf, m: str, t: Term) -> Term:
     tgt = idx.tgt(m)
     if t.is_var:
         return var(sig, tgt, variables.map(m)[t.var])
-    return app(sig, t.symbol.name, t.binding, tgt,
-               t.symbol.parameter.map(m)[t.param], variables)
+    return _node(sig, t.symbol, t.binding, tgt,
+                 t.symbol.parameter.map(m)[t.param])
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +206,7 @@ class Assignment:
     rows: tuple[tuple[Term, ...], ...]
 
     def __post_init__(self):
-        check_family(self.source, self.rows, _in_context(self.context),
+        check_family(self.source, self.rows, _fits_in(self.context),
                      lambda m, t: act(self.signature, self.context, m, t),
                      "assignment")
 
@@ -267,7 +261,7 @@ class ParamTerm:
     def __post_init__(self):
         if self.arity.index != self.parameter.index:
             raise StructureError("arity and parameter over different indices")
-        check_family(self.parameter, self.rows, _in_context(self.arity),
+        check_family(self.parameter, self.rows, _fits_in(self.arity),
                      lambda m, t: act(self.signature, self.arity, m, t),
                      "parametrized term")
 
@@ -418,7 +412,7 @@ def enumerate_terms(
             for fam in families:
                 for sort in idx.sorts:
                     for c in sym.parameter.elements(sort):
-                        t = app(sig, sym.name, fam, sort, c, variables)
+                        t = _node(sig, sym, fam, sort, c)
                         if id(t) not in seen:
                             seen.add(id(t))
                             new[sort].append(t)

@@ -547,3 +547,21 @@ def test_satisfies_takes_quotient_equations(ic):
         assert set(verdicts) == {True, False}, q.name
         for A, holds in zip(base_models, verdicts):
             assert (satisfies(A, q, witness=True) is None) == holds
+
+
+def test_satisfies_needs_a_model_of_the_base_presentation(ic):
+    # the classes of a quotient equation have values only in models of its
+    # base presentation; in any other algebra satisfies names the base
+    G = graph_presheaf(2, [(0, 0), (1, 1), (0, 1)])
+    (assoc,) = [q for q in ic.extra if q.name == "comp-assoc"]
+    algebras = enumerate_algebras(ic.signature, 0, carrier=G)
+    assert len(algebras) == 729
+    verdicts = []
+    for A in algebras:
+        if all(satisfies(A, e) for e in ic.base.equations):
+            verdicts.append(satisfies(A, assoc))
+        else:
+            with pytest.raises(StructureError,
+                               match="comp-assoc: not a model of internalcat"):
+                satisfies(A, assoc, witness=True)
+    assert verdicts == [True]

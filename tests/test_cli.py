@@ -386,7 +386,7 @@ def test_models_listings_match_golden_files(capsys):
     # tests/golden/models-<theory>-<size>[-iso].txt holds the stdout of
     # `varietal models <theory>.var --size <size> [--iso] --list`
     golden = sorted((DATA.parents[2] / "tests" / "golden").glob("models-*.txt"))
-    assert len(golden) == 8
+    assert len(golden) == 10
     for path in golden:
         theory, size, *iso = path.stem.split("-")[1:]
         code = main(["models", str(DATA / f"{theory}.var"), "--size", size,

@@ -559,3 +559,83 @@ def test_seeded_closure_matches_reference_engine(monoid):
     options = dict(grow=False, seeds=seeds, max_nodes=200_000)
     _same_closure(FreeAlgebra(*args, **options),
                   ReferenceFreeAlgebra(*args, **options))
+
+
+# -- semantic soundness of the closure ---------------------------------------
+
+
+def unsound_nodes(Q, A, phi):
+    """The nodes of the free algebra Q whose value in the algebra A, under
+    the generator map phi, is not their class's value.
+
+    A variable node takes phi's value, and an application node A's table at
+    its children's class values, looked up by position in a ``hom_list``; a
+    class takes the value of its first node.  A node's children have lower
+    ids, so one pass in id order finds every child class valued.  Children
+    whose values are not a natural family make the node unsound.  Kept apart
+    from the engine's own evaluator (``_value``, ``compile_class``).
+    """
+    inputs = {s.name: hom_list(s.arity, A.carrier).position
+              for s in A.signature.symbols}
+    value, bad = {}, []
+    for nid, key in enumerate(Q._nodes):
+        if key[0] == "v":
+            x = phi(key[1], key[2])
+        else:
+            _, sym, sort, c, binding = key
+            rows = tuple(tuple(value[Q._find(r)] for r in row)
+                         for row in binding)
+            k = inputs[sym].get(rows)
+            x = None if k is None else A.values[sym][k](sort, c)
+        if value.setdefault(Q._find(nid), x) != x or x is None:
+            bad.append(nid)
+    return bad
+
+
+def unsound_in_small_models(Q, P, size=2):
+    """The unsound nodes of Q over every model of P of at most ``size``
+    elements per sort and every generator map into it."""
+    return {nid for A in enumerate_algebras(P, size)
+            for phi in hom_list(Q.generators, A.carrier)
+            for nid in unsound_nodes(Q, A, phi)}
+
+
+@pytest.mark.parametrize("theory", BUNDLED_THEORIES)
+def test_free_algebra_nodes_take_their_class_values(theory):
+    # each merge is forced by the equations, congruence or the index action,
+    # so every model agrees on a class, saturated or not
+    P = _bundled_presentation(theory)
+    idx = P.signature.index  # internalcat: one vertex with one loop
+    gens = terminal(idx) if theory == "internalcat" else finite_set(2, idx)
+    Q = free_algebra(P, gens, 3)
+    assert any(A.carrier.sizes != (0,) * len(A.carrier.sizes)
+               for A in enumerate_algebras(P, 2))
+    assert unsound_in_small_models(Q, P) == set()
+
+
+def test_lazy_closure_nodes_take_their_class_values(semilattice, monoid):
+    sig = semilattice.signature
+    x, y = (var(sig, "*", i) for i in range(2))
+    xy = app(sig, "join", ((x, y),), "*", 0, TWO)
+    t = single(sig, TWO, app(sig, "join", ((x, xy),), "*", 0, TWO))
+    verdict, lazy = quotient_map_equal(semilattice, t, single(sig, TWO, xy), 3)
+    assert verdict == EQUAL
+    assert unsound_in_small_models(lazy, semilattice) == set()
+    terms = enumerate_terms(monoid.signature, TWO, 3).terms("*")
+    rng = random.Random(2718)
+    seeds = [rng.choice(terms) for _ in range(4)]
+    lazy = FreeAlgebra(monoid, TWO, 2, grow=False, seeds=seeds)
+    assert unsound_in_small_models(lazy, monoid) == set()
+
+
+def test_soundness_oracle_reports_a_planted_merge(semilattice):
+    # the two generator classes united with no rebuild after it: the second
+    # generator's node is unsound exactly where phi separates the generators
+    Q = free_algebra(semilattice, TWO, 3)
+    (x0, x1), = Q._gen_rows
+    Q._union(x0, x1, None)
+    reports = [(phi("*", 0) != phi("*", 1), unsound_nodes(Q, A, phi))
+               for A in enumerate_algebras(semilattice, 2)
+               for phi in hom_list(TWO, A.carrier)]
+    assert sorted(bad for separated, bad in reports if separated) == [[x1]] * 4
+    assert all(bad == [] for separated, bad in reports if not separated)

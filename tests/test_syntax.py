@@ -14,6 +14,7 @@ from varietal.base import (
     terminal,
     trivial_index,
 )
+from varietal.catalog import graph_presheaf
 from varietal.syntax import (
     Assignment,
     FreeFormSignature,
@@ -216,6 +217,87 @@ def test_term_families_check_variables_below_the_top(sl_sig):
     with pytest.raises(StructureError, match="binding for join"):
         app(sl_sig, "join", ((x, z),), "*", 0, two)
     assert ParamTerm(sl_sig, three, terminal(I), ((t,),)).rows == ((t,),)
+
+
+def test_one_structure_is_one_term_over_every_context(sl_sig):
+    # join(x, y) built over two and over three variables is one object, and
+    # a member of both universes
+    I = trivial_index()
+    two, three = finite_set(2, I), finite_set(3, I)
+    x, y = var(sl_sig, "*", 0), var(sl_sig, "*", 1)
+    a = app(sl_sig, "join", ((x, y),), "*", 0, two)
+    assert app(sl_sig, "join", ((x, y),), "*", 0, three) is a
+    assert a in enumerate_terms(sl_sig, two, 1)
+    assert a in enumerate_terms(sl_sig, three, 1)
+
+
+def test_app_rejects_a_variable_out_of_range_below_its_children(sl_sig):
+    # the child join(x0, x2) fits three variables, so the whole term does
+    # not fit two
+    I = trivial_index()
+    two, three = finite_set(2, I), finite_set(3, I)
+    x0, x1, x2 = (var(sl_sig, "*", i) for i in range(3))
+    inner = app(sl_sig, "join", ((x0, x2),), "*", 0, three)
+    with pytest.raises(StructureError, match="binding for join"):
+        app(sl_sig, "join", ((inner, x1),), "*", 0, two)
+    assert app(sl_sig, "join", ((inner, x1),), "*", 0, three).fits(three)
+
+
+def test_universes_over_nested_contexts_share_their_terms(sl_sig):
+    I = trivial_index()
+    small = enumerate_terms(sl_sig, finite_set(2, I), 2)
+    large = enumerate_terms(sl_sig, finite_set(3, I), 2)
+    listed = {id(t) for t in large.terms("*")}
+    assert small.total == 38
+    assert all(id(t) in listed for t in small.terms("*"))
+
+
+def in_context_reference(J):
+    """The check on an entry of a term family over J by a walk of the whole
+    term: the entry's sort, and every variable at any depth in J."""
+    seen = set()
+
+    def within(t):
+        if t.is_var:
+            return t.var < J.size(t.sort)
+        if id(t) in seen:
+            return True
+        seen.add(id(t))
+        return all(within(u) for row in t.binding for u in row)
+
+    return lambda sort, t: t.sort == sort and within(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fits_agrees_with_the_whole_term_walk_on_the_trivial_index(
+        sl_sig, data):
+    I = trivial_index()
+    t = data.draw(terms_strategy(sl_sig, finite_set(4, I)))
+    J = finite_set(data.draw(st.integers(0, 4)), I)
+    assert t.fits(J) == in_context_reference(J)(t.sort, t)
+
+
+def graph_terms_and_contexts():
+    """Terms of depth at most 2 over a graph with a path and a loop, for a
+    symbol with one edge as arity and as parameter; and smaller graphs."""
+    B = parallel_pair_index()
+    e1 = Presheaf(B, (2, 1), ((0, 1), (0,), (0,), (1,)))
+    sig = FreeFormSignature("g", [OperationSymbol("nu", e1, e1)])
+    universe = enumerate_terms(sig, graph_presheaf(3, [(0, 1), (1, 2), (2, 2)]), 2)
+    contexts = [graph_presheaf(nv, edges) for nv, edges in (
+        (0, []), (1, [(0, 0)]), (2, [(0, 1)]), (2, [(0, 0), (1, 1), (0, 1)]),
+        (3, [(0, 1), (1, 2)]), (3, [(0, 1), (1, 2), (2, 2)]))]
+    return [t for sort in B.sorts for t in universe.terms(sort)], contexts
+
+
+GRAPH_TERMS, GRAPH_CONTEXTS = graph_terms_and_contexts()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GRAPH_TERMS), st.sampled_from(GRAPH_CONTEXTS))
+def test_fits_agrees_with_the_whole_term_walk_on_the_graph_index(t, J):
+    assert t.fits(J) == in_context_reference(J)(t.sort, t)
 
 
 def test_enumerate_terms_past_its_bound_is_a_resource_ceiling(monkeypatch):
