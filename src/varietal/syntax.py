@@ -5,9 +5,9 @@ some sort) or an operation symbol applied to a natural binding of its arity
 into terms, together with a parameter element at the term's sort.  Terms are
 interned per signature on their structure alone, so structural equality is
 identity and hashing is O(1); build them only through :func:`var` and
-:func:`app`.  Validity is relative to J: :meth:`Term.fits` tells whether all
-the variables of a term lie in J, and app, assignments and parametrized
-terms check their entries against their presheaf with it.
+:func:`app`.  Validity is relative to J: :meth:`Term.fits` tells whether a
+term's variables lie in J and its bindings are natural along J's maps; app,
+assignments and parametrized terms check entries against J with it.
 """
 
 from __future__ import annotations
@@ -103,14 +103,17 @@ class Term:
     depth: int = 0
     # (sort, one more than the largest variable there), at any depth
     bound: tuple[tuple[str, int], ...] = ()
+    # (m, x, y): the bindings at any depth need J.map(m)[x] to be y
+    maps: tuple[tuple[str, int, int | None], ...] = ()
 
     @property
     def is_var(self) -> bool:
         return self.var is not None
 
     def fits(self, J: Presheaf) -> bool:
-        """Is every variable of the term, at any depth, an element of J?"""
-        return all(n <= J.size(s) for s, n in self.bound)
+        """Are all variables in J and all bindings natural along J's maps?"""
+        return (all(n <= J.size(s) for s, n in self.bound)
+                and all(J.map(m)[x] == y for m, x, y in self.maps))
 
     def __repr__(self):
         if self.is_var:
@@ -171,8 +174,14 @@ def _node(sig: FreeFormSignature, sym: OperationSymbol,
         children = [u for row in binding for u in row]
         # sorted pairs: the last one of each sort holds its largest bound
         bound = tuple(dict(sorted(p for u in children for p in u.bound)).items())
+        # where a variable goes along m, naturality depends on the context
+        X = sym.arity
+        maps = {(m, u.var, binding[X.index.sort_index(tgt)][X.map(m)[x]].var)
+                for m, src, tgt in X.index.morphisms if m not in X.index.identities
+                for x, u in enumerate(binding[X.index.sort_index(src)]) if u.is_var}
         t = sig._intern[key] = Term(
             sort=sort, symbol=sym, binding=binding, param=param, bound=bound,
+            maps=tuple(maps.union(*(u.maps for u in children))),
             depth=1 + max((u.depth for u in children), default=0))
     return t
 
@@ -306,33 +315,26 @@ def standardize(
     Returns the traditional signature together with the coproduct insertion
     of each symbol's parameter into its arity's bundled parameter.
     """
-    arities: list[Presheaf] = []
-    groups: dict[int, list[OperationSymbol]] = {}
+    groups: list[list[OperationSymbol]] = []
     for s in sig.symbols:
-        for i, a in enumerate(arities):
-            if a == s.arity:
-                groups[i].append(s)
-                break
+        group = next((g for g in groups if g[0].arity == s.arity), None)
+        if group is None:
+            groups.append([s])
         else:
-            arities.append(s.arity)
-            groups[len(arities) - 1] = [s]
+            group.append(s)
     params: list[Presheaf] = []
     insertions: dict[str, PresheafMorphism] = {}
-    for i, a in enumerate(arities):
-        syms = groups[i]
+    for syms in groups:
         total = syms[0].parameter
-        ins = [None] * len(syms)
-        ins[0] = identity_morphism(total)
-        for k in range(1, len(syms)):
-            i1, i2 = injections(total, syms[k].parameter)
+        ins = [identity_morphism(total)]
+        for sym in syms[1:]:
+            i1, i2 = injections(total, sym.parameter)
             total = i1.target
-            for j in range(k):
-                ins[j] = ins[j].then(i1)
-            ins[k] = i2
+            ins = [m.then(i1) for m in ins] + [i2]
         params.append(total)
-        for s, m in zip(syms, ins):
-            insertions[s.name] = m
-    return TraditionalSignature(tuple(arities), tuple(params)), insertions
+        insertions.update((s.name, m) for s, m in zip(syms, ins))
+    arities = tuple(g[0].arity for g in groups)
+    return TraditionalSignature(arities, tuple(params)), insertions
 
 
 def from_traditional(

@@ -243,6 +243,29 @@ def test_app_rejects_a_variable_out_of_range_below_its_children(sl_sig):
     assert app(sl_sig, "join", ((inner, x1),), "*", 0, three).fits(three)
 
 
+def test_app_and_assignments_check_nested_bindings_along_the_context():
+    # inner is natural over the edge 0 -> 1, whose maps its binding follows;
+    # in a graph with the edge 1 -> 0 it is not a term, at any depth
+    B = parallel_pair_index()
+    e1 = Presheaf(B, (2, 1), ((0, 1), (0,), (0,), (1,)))
+    reversed_edge = graph_presheaf(2, [(1, 0)])
+    two_v = Presheaf(B, (2, 0), ((0, 1), (), (), ()))
+    sig = FreeFormSignature("g", [OperationSymbol("nu", e1, e1)])
+    v0, v1, e0 = var(sig, "v", 0), var(sig, "v", 1), var(sig, "e", 0)
+    inner = app(sig, "nu", ((v0, v1), (e0,)), "e", 0, e1)
+    rows = ((act(sig, e1, "s", inner), act(sig, e1, "t", inner)), (inner,))
+    with pytest.raises(StructureError, match="binding for nu"):
+        app(sig, "nu", rows, "e", 0, reversed_edge)
+    with pytest.raises(StructureError, match="assignment"):
+        Assignment(sig, e1, reversed_edge, rows)
+    # a family out of two vertices has no naturality of its own to check
+    with pytest.raises(StructureError, match="assignment"):
+        Assignment(sig, two_v, reversed_edge, (rows[0], ()))
+    assert app(sig, "nu", rows, "e", 0, e1).fits(e1)
+    assert not inner.fits(reversed_edge)
+    assert Assignment(sig, e1, e1, rows).rows == rows
+
+
 def test_universes_over_nested_contexts_share_their_terms(sl_sig):
     I = trivial_index()
     small = enumerate_terms(sl_sig, finite_set(2, I), 2)
@@ -252,10 +275,19 @@ def test_universes_over_nested_contexts_share_their_terms(sl_sig):
     assert all(id(t) in listed for t in small.terms("*"))
 
 
-def in_context_reference(J):
+def in_context_reference(sig, J):
     """The check on an entry of a term family over J by a walk of the whole
-    term: the entry's sort, and every variable at any depth in J."""
+    term: the entry's sort, every variable at any depth in J, and every
+    binding natural along J's maps."""
     seen = set()
+
+    def natural(t):
+        X = t.symbol.arity
+        idx = X.index
+        return all(
+            act(sig, J, m, u) is t.binding[idx.sort_index(tgt)][X.map(m)[x]]
+            for m, src, tgt in idx.morphisms if m not in idx.identities
+            for x, u in enumerate(t.binding[idx.sort_index(src)]))
 
     def within(t):
         if t.is_var:
@@ -263,7 +295,7 @@ def in_context_reference(J):
         if id(t) in seen:
             return True
         seen.add(id(t))
-        return all(within(u) for row in t.binding for u in row)
+        return all(within(u) for row in t.binding for u in row) and natural(t)
 
     return lambda sort, t: t.sort == sort and within(t)
 
@@ -275,7 +307,7 @@ def test_fits_agrees_with_the_whole_term_walk_on_the_trivial_index(
     I = trivial_index()
     t = data.draw(terms_strategy(sl_sig, finite_set(4, I)))
     J = finite_set(data.draw(st.integers(0, 4)), I)
-    assert t.fits(J) == in_context_reference(J)(t.sort, t)
+    assert t.fits(J) == in_context_reference(sl_sig, J)(t.sort, t)
 
 
 def graph_terms_and_contexts():
@@ -288,16 +320,26 @@ def graph_terms_and_contexts():
     contexts = [graph_presheaf(nv, edges) for nv, edges in (
         (0, []), (1, [(0, 0)]), (2, [(0, 1)]), (2, [(0, 0), (1, 1), (0, 1)]),
         (3, [(0, 1), (1, 2)]), (3, [(0, 1), (1, 2), (2, 2)]))]
-    return [t for sort in B.sorts for t in universe.terms(sort)], contexts
+    terms = [t for sort in B.sorts for t in universe.terms(sort)]
+    return sig, terms, contexts
 
 
-GRAPH_TERMS, GRAPH_CONTEXTS = graph_terms_and_contexts()
+GRAPH_SIG, GRAPH_TERMS, GRAPH_CONTEXTS = graph_terms_and_contexts()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(GRAPH_TERMS), st.sampled_from(GRAPH_CONTEXTS))
 def test_fits_agrees_with_the_whole_term_walk_on_the_graph_index(t, J):
-    assert t.fits(J) == in_context_reference(J)(t.sort, t)
+    assert t.fits(J) == in_context_reference(GRAPH_SIG, J)(t.sort, t)
+
+
+def test_fits_checks_every_binding_against_the_context_maps():
+    # GRAPH_TERMS holds terms over one graph that have all their variables
+    # in range over another but a binding that is natural there only
+    J = GRAPH_CONTEXTS[3]
+    assert any(t.fits(graph_presheaf(3, [(0, 1), (1, 2), (2, 2)]))
+               and all(n <= J.size(s) for s, n in t.bound) and not t.fits(J)
+               for t in GRAPH_TERMS)
 
 
 def test_enumerate_terms_past_its_bound_is_a_resource_ceiling(monkeypatch):
