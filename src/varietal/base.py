@@ -3,7 +3,8 @@
 Everything is finite and extensional: an index category is a composition
 table, a presheaf assigns a finite set ``{0, .., n-1}`` to each sort and a
 function table to each index morphism, and hom-sets are enumerated outright.
-All values are immutable after construction.
+All values are immutable after construction, and index categories and
+presheaves are interned on their structure, so equality is identity.
 
 Values are validated once, at the boundary: the parser and the public
 constructors check every invariant eagerly, and each natural family out of a
@@ -22,6 +23,8 @@ caller, so tables indexed by it agree without passing caches around.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -35,41 +38,58 @@ class ResourceCeiling(RuntimeError):
     """An enumeration went past its ceiling; the message names what it counted."""
 
 
-@dataclass(frozen=True, eq=False)
+# every IndexCategory and Presheaf alive, keyed by class and structure
+_STRUCTURES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_STORING = threading.Lock()  # two threads building one structure keep one
+
+
+def _interned(cls, key, **fields):
+    """The one ``cls`` value with this structure ``key``.
+
+    The first request builds it from ``fields`` and runs its ``_build``,
+    which derives its tables and checks every invariant.  Only a valid value
+    is stored, so an invalid structure raises on every attempt, and equal
+    structures are one object: equality and hashing are identity.
+    """
+    value = _STRUCTURES.get((cls, key))
+    if value is None:
+        value = object.__new__(cls)
+        value.__dict__.update(fields)
+        value._build()
+        with _STORING:
+            value = _STRUCTURES.setdefault((cls, key), value)
+    return value
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class IndexCategory:
     """A finite category given by a full composition table.
 
     ``morphisms`` lists triples ``(name, source sort, target sort)``;
     ``identities`` maps each sort to the name of its identity; ``composition``
     lists ``(f, g, h)`` entries meaning "f then g is h" for every composable
-    pair ``(f, g)``.
+    pair ``(f, g)``.  Interned on these four, with the composition as a set:
+    the first-built entry order is the one kept.  Names of index categories
+    belong to the files that declare them.
     """
 
-    name: str
     sorts: tuple[str, ...]
     morphisms: tuple[tuple[str, str, str], ...]
     identities: tuple[str, ...]
     composition: tuple[tuple[str, str, str], ...]
 
-    def _key(self):
-        return (self.name, self.sorts, self.morphisms, self.identities,
-                frozenset(self.composition))
+    def __new__(cls, sorts, morphisms, identities, composition):
+        return _interned(
+            cls, (sorts, morphisms, identities, frozenset(composition)),
+            sorts=sorts, morphisms=morphisms, identities=identities,
+            composition=composition)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, IndexCategory):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __post_init__(self):
+    def _build(self):
+        table = {}  # the composites, filled in as they are checked below
+        self.__dict__.update(
+            _ends={m: (s, t) for m, s, t in self.morphisms},
+            _position={m: i for i, (m, _, _) in enumerate(self.morphisms)},
+            _composite=table)
         if len(set(self.sorts)) != len(self.sorts):
             raise StructureError("duplicate sort names")
         names = [m[0] for m in self.morphisms]
@@ -86,7 +106,6 @@ class IndexCategory:
                 raise StructureError(f"identity {ident} is not a morphism")
             if self.src(ident) != sort or self.tgt(ident) != sort:
                 raise StructureError(f"identity {ident} is not an endo on {sort}")
-        table = {}
         for f, g, h in self.composition:
             if f not in known or g not in known or h not in known:
                 raise StructureError("composition entry uses unknown morphism")
@@ -122,38 +141,26 @@ class IndexCategory:
         return self.sorts.index(sort)
 
     def src(self, morphism: str) -> str:
-        return self._mor()[morphism][0]
+        return self._ends[morphism][0]
 
     def tgt(self, morphism: str) -> str:
-        return self._mor()[morphism][1]
-
-    def _mor(self) -> dict[str, tuple[str, str]]:
-        cached = self.__dict__.get("_mor_table")
-        if cached is None:
-            cached = {m: (s, t) for m, s, t in self.morphisms}
-            object.__setattr__(self, "_mor_table", cached)
-        return cached
+        return self._ends[morphism][1]
 
     def identity(self, sort: str) -> str:
         return self.identities[self.sort_index(sort)]
 
     def compose(self, f: str, g: str) -> str:
         """Composite "f then g"."""
-        cached = self.__dict__.get("_comp_table")
-        if cached is None:
-            cached = {(a, b): c for a, b, c in self.composition}
-            object.__setattr__(self, "_comp_table", cached)
-        return cached[(f, g)]
+        return self._composite[(f, g)]
 
     @property
     def is_trivial(self) -> bool:
         return len(self.sorts) == 1 and len(self.morphisms) == 1
 
 
-def trivial_index(name: str = "pt") -> IndexCategory:
+def trivial_index() -> IndexCategory:
     """The one-object index; presheaves over it are plain finite sets."""
     return IndexCategory(
-        name=name,
         sorts=("*",),
         morphisms=(("id", "*", "*"),),
         identities=("id",),
@@ -161,10 +168,9 @@ def trivial_index(name: str = "pt") -> IndexCategory:
     )
 
 
-def parallel_pair_index(name: str = "graph") -> IndexCategory:
+def parallel_pair_index() -> IndexCategory:
     """Two sorts e, v with s, t : e -> v; presheaves are directed graphs."""
     return IndexCategory(
-        name=name,
         sorts=("v", "e"),
         morphisms=(("idv", "v", "v"), ("ide", "e", "e"), ("s", "e", "v"), ("t", "e", "v")),
         identities=("idv", "ide"),
@@ -179,35 +185,25 @@ def parallel_pair_index(name: str = "graph") -> IndexCategory:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Presheaf:
     """A functor from the index category to finite sets.
 
     Elements of each sort are dense integers ``0..sizes[b]-1``; ``action``
     holds one image tuple per index morphism, aligned with the index
-    category's morphism order.
+    category's morphism order.  Interned on all three fields.
     """
 
     index: IndexCategory
     sizes: tuple[int, ...]
     action: tuple[tuple[int, ...], ...]
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Presheaf):
-            return NotImplemented
-        return (self.sizes == other.sizes and self.action == other.action
-                and self.index == other.index)
+    def __new__(cls, index, sizes, action):
+        return _interned(cls, (index, sizes, action),
+                         index=index, sizes=sizes, action=action)
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.sizes, self.action, self.index))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __post_init__(self):
+    def _build(self):
+        self.__dict__["_homs_from"] = {}  # hom_list's listings into self
         if len(self.sizes) != len(self.index.sorts):
             raise StructureError("one size per sort required")
         if any(n < 0 for n in self.sizes):
@@ -231,11 +227,7 @@ class Presheaf:
         return self.sizes[self.index.sort_index(sort)]
 
     def map(self, morphism: str) -> tuple[int, ...]:
-        names = self.__dict__.get("_mor_index")
-        if names is None:
-            names = {m: i for i, (m, _, _) in enumerate(self.index.morphisms)}
-            object.__setattr__(self, "_mor_index", names)
-        return self.action[names[morphism]]
+        return self.action[self.index._position[morphism]]
 
     def elements(self, sort: str) -> range:
         return range(self.size(sort))
@@ -245,7 +237,7 @@ class Presheaf:
         return sum(self.sizes)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Presheaf({self.index.name}, sizes={self.sizes})"
+        return f"Presheaf(sizes={self.sizes})"
 
 
 @dataclass(frozen=True)
@@ -326,7 +318,9 @@ def check_family(X: Presheaf, rows: Sequence[Sequence[object]],
     One row per sort, one value per element of X there, each passing
     ``valid(sort, y)``; and ``act(m, row_src[x]) == row_tgt[X.map(m)[x]]``
     for every non-identity m, with ``act`` as for ``iter_families``.
-    ``what`` names the family in the messages.
+    ``what`` names the family in the messages; an entry that fails ``valid``
+    is out of range if it is an integer and not a term over the context
+    otherwise.
     """
     idx = X.index
     if len(rows) != len(idx.sorts):
@@ -336,8 +330,9 @@ def check_family(X: Presheaf, rows: Sequence[Sequence[object]],
             raise StructureError(f"{what}: row at {sort} has wrong length")
         for x, y in enumerate(row):
             if not valid(sort, y):
-                raise StructureError(
-                    f"{what}: entry {x} at {sort} is out of range")
+                problem = ("out of range" if isinstance(y, int)
+                           else "not a term over the context")
+                raise StructureError(f"{what}: entry {x} at {sort} is {problem}")
     for m, src, tgt in idx.morphisms:
         if m in idx.identities:
             continue
@@ -435,12 +430,9 @@ class HomList(tuple):
 def hom_list(X: Presheaf, Y: Presheaf) -> HomList:
     """hom(X, Y), listed once per target presheaf and then shared."""
     # kept on Y itself, so every listing is freed together with its target
-    memo = Y.__dict__.get("_homs_from")
-    if memo is None:
-        memo = Y.__dict__.setdefault("_homs_from", {})
-    homs = memo.get(X)
+    homs = Y._homs_from.get(X)
     if homs is None:
-        homs = memo.setdefault(X, HomList(hom_set(X, Y)))
+        homs = Y._homs_from.setdefault(X, HomList(hom_set(X, Y)))
     return homs
 
 

@@ -147,7 +147,8 @@ def _two_presentations(args) -> tuple[Presentation, Presentation]:
                 _only(w2.presentations, "presentation", name2))
     ws = _load(args.files)
     if len(args.names) == 2:
-        return ws.presentations[args.names[0]], ws.presentations[args.names[1]]
+        return tuple(_only(ws.presentations, "presentation", name)
+                     for name in args.names)
     if len(ws.presentations) == 2:
         first, second = ws.presentations.values()
         return first, second
@@ -240,12 +241,9 @@ def cmd_pretheory(args) -> int:
 
 def cmd_birkhoff(args) -> int:
     ws = _load(args.files)
-    if args.signature is not None:
-        sig = ws.signatures[args.signature]
-    elif len(ws.signatures) == 1:
-        sig = next(iter(ws.signatures.values()))
-    else:
+    if args.signature is None and len(ws.signatures) != 1:
         raise ParseError("birkhoff needs --signature when several are declared")
+    sig = _only(ws.signatures, "signature", args.signature)
     n, d = (int(x) for x in args.scale.split(","))
     gens = tuple(_gen_objects(args.gens, sig.index)) or (terminal(sig.index),)
     window = BirkhoffWindow(sig, GaloisScale(n, d, gens), ceiling=_ceiling())

@@ -200,7 +200,7 @@ def _parse_index(items, filename, ws: Workspace, line):
         comp.append(tuple(str(_atom(x, filename))
                           for x in _exactly(node, filename, "compose entry", 3)))
     try:
-        idx = IndexCategory(name, sorts, tuple(arrows),
+        idx = IndexCategory(sorts, tuple(arrows),
                             tuple(idents[s] for s in sorts), tuple(comp))
     except (StructureError, KeyError) as exc:
         raise ParseError(f"{filename}:{line}: invalid index {name!r}: {exc}")
@@ -216,15 +216,26 @@ def _parse_object(items, filename, ws: Workspace, line):
     sizes = {}
     for node in _section(items, filename, "elems"):
         parts = _items(node, filename, "elems entry", 2)
-        sizes[str(_atom(parts[0], filename))] = _int(
-            parts[1], filename, "element count")
+        sort = str(_atom(parts[0], filename))
+        if sort not in idx.sorts:
+            raise _err(parts[0], filename, f"unknown sort {sort!r}")
+        if sort in sizes:
+            raise _err(parts[0], filename, f"repeated sort {sort!r}")
+        sizes[sort] = _int(parts[1], filename, "element count")
     maps = {}
     for node in items:
         if node.is_list and node.items and not node.items[0].is_list \
                 and node.items[0].value == "map":
             parts = _items(node, filename, "map entry", 2)
             m = str(_atom(parts[1], filename))
-            maps[m] = _ints(parts[2:], filename, "map value")
+            table = _ints(parts[2:], filename, "map value")
+            if m not in [n for n, _, _ in idx.morphisms]:
+                raise _err(parts[1], filename, f"unknown morphism {m!r}")
+            if m in idx.identities:
+                raise _err(parts[1], filename, f"identity {m!r} takes no map")
+            if m in maps:
+                raise _err(parts[1], filename, f"repeated map for {m!r}")
+            maps[m] = table
     action = []
     for (m, src, tgt) in idx.morphisms:
         if m in idx.identities:
@@ -555,31 +566,26 @@ def equation_node(eq: Equation, sig_name: str,
     return sexpr.Node(items=parts)
 
 
-def presentation_nodes(P: Presentation, *, index_name: str = "I",
-                       name: str | None = None) -> list[sexpr.Node]:
+def _preamble(idx: IndexCategory,
+              objects) -> tuple[list[sexpr.Node], dict[Presheaf, str]]:
+    """The declarations a printed list starts with: the index as ``I``, then
+    each distinct object as ``ob0``, ``ob1``, ... in order of first use."""
+    names: dict[Presheaf, str] = {}
+    for X in objects:
+        names.setdefault(X, f"ob{len(names)}")
+    return ([index_node("I", idx),
+             *(object_node(oname, X, "I") for X, oname in names.items())],
+            names)
+
+
+def presentation_nodes(P: Presentation) -> list[sexpr.Node]:
     """Self-contained declaration list for a presentation."""
-    name = name or P.name
+    name = P.name
     sig = P.signature
-    idx = sig.index
-    nodes = [index_node(index_name, idx)]
-    object_names: dict[Presheaf, str] = {}
-    counter = 0
-
-    def register(X: Presheaf):
-        nonlocal counter
-        if X not in object_names:
-            object_names[X] = f"ob{counter}"
-            counter += 1
-
-    for sym in sig.symbols:
-        register(sym.arity)
-        register(sym.parameter)
-    for eq in P.equations:
-        register(eq.arity)
-        register(eq.parameter)
-    for X, oname in object_names.items():
-        nodes.append(object_node(oname, X, index_name))
-    nodes.append(signature_node(f"{name}.sig", sig, index_name, object_names))
+    nodes, object_names = _preamble(sig.index, [
+        X for part in (*sig.symbols, *P.equations)
+        for X in (part.arity, part.parameter)])
+    nodes.append(signature_node(f"{name}.sig", sig, "I", object_names))
     for eq in P.equations:
         nodes.append(equation_node(eq, f"{name}.sig", object_names))
     nodes.append(sexpr.Node(items=[
@@ -589,13 +595,11 @@ def presentation_nodes(P: Presentation, *, index_name: str = "I",
     return nodes
 
 
-def algebra_nodes(name: str, A: Algebra, *, presentation: Presentation,
-                  carrier_name: str = "carrier",
-                  sig_name: str | None = None) -> list[sexpr.Node]:
-    sig_name = sig_name or f"{presentation.name}.sig"
-    nodes = [object_node(carrier_name, A.carrier, "I")]
-    parts = [sexpr.atom("algebra"), sexpr.atom(name), sexpr.atom(sig_name),
-             sexpr.atom(carrier_name)]
+def algebra_nodes(name: str, A: Algebra, *,
+                  presentation: Presentation) -> list[sexpr.Node]:
+    nodes = [object_node("carrier", A.carrier, "I")]
+    parts = [sexpr.atom("algebra"), sexpr.atom(name),
+             sexpr.atom(f"{presentation.name}.sig"), sexpr.atom("carrier")]
     for sym in A.signature.symbols:
         groups = [sexpr.atom("op"), sexpr.atom(sym.name)]
         for g in A.values[sym.name]:
@@ -606,19 +610,11 @@ def algebra_nodes(name: str, A: Algebra, *, presentation: Presentation,
     return nodes
 
 
-def relmonad_nodes(M: RelativeMonad, *, index_name: str = "I",
+def relmonad_nodes(M: RelativeMonad, *,
                    name: str | None = None) -> list[sexpr.Node]:
     name = name or M.name
     idx = M.objects[0].index
-    nodes = [index_node(index_name, idx)]
-    object_names: dict[Presheaf, str] = {}
-    counter = 0
-    for X in list(M.objects) + list(M.carriers):
-        if X not in object_names:
-            object_names[X] = f"ob{counter}"
-            counter += 1
-    for X, oname in object_names.items():
-        nodes.append(object_node(oname, X, index_name))
+    nodes, object_names = _preamble(idx, [*M.objects, *M.carriers])
     parts = [sexpr.atom("relmonad"), sexpr.atom(name),
              sexpr.Node(items=[sexpr.atom("objects"),
                                *(sexpr.atom(object_names[X]) for X in M.objects)]),
@@ -644,19 +640,10 @@ def relmonad_nodes(M: RelativeMonad, *, index_name: str = "I",
     return nodes
 
 
-def pretheory_nodes(T: Pretheory, *, index_name: str = "I",
+def pretheory_nodes(T: Pretheory, *,
                     name: str | None = None) -> list[sexpr.Node]:
     name = name or T.name
-    idx = T.objects[0].index
-    nodes = [index_node(index_name, idx)]
-    object_names: dict[Presheaf, str] = {}
-    counter = 0
-    for X in T.objects:
-        if X not in object_names:
-            object_names[X] = f"ob{counter}"
-            counter += 1
-    for X, oname in object_names.items():
-        nodes.append(object_node(oname, X, index_name))
+    nodes, object_names = _preamble(T.objects[0].index, T.objects)
     parts = [sexpr.atom("pretheory"), sexpr.atom(name),
              sexpr.Node(items=[sexpr.atom("objects"),
                                *(sexpr.atom(object_names[X]) for X in T.objects)])]

@@ -242,6 +242,19 @@ def test_models_on_matches_whole_table_product(nv, edges):
     assert [A.canonical_key() for A in IC.models_on(G)] == expected
 
 
+def test_graph_presheaves_carry_models_of_the_parsed_internalcat():
+    # the file's index I and the catalog's graph index are one category
+    parsed = fileformat.parse_file(str(DATA / "internalcat.var"))
+    P = parsed.presentations["internalcat"]
+    G = graph_presheaf(1, [(0, 0)])
+    models = enumerate_algebras(P, 0, carrier=G)
+    expected = enumerate_algebras(
+        internal_category_presentation().base, 0, carrier=G)
+    assert len(models) == len(expected) > 0
+    assert ([A.canonical_key() for A in models]
+            == [A.canonical_key() for A in expected])
+
+
 def test_semilattices_up_to_size_four_match_direct_count():
     # idempotent commutative tables are fixed by their off-diagonal cells,
     # 4^6 tables at size 4

@@ -1,12 +1,16 @@
+import gc
 import itertools
+import pathlib
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from varietal import base, fileformat
 from varietal.base import (
     Presheaf,
     PresheafMorphism,
@@ -316,10 +320,76 @@ def idempotent_index():
     """One sort with an idempotent endomorphism e: its fixed points and the
     elements it moves forward or back give every kind of constraint."""
     return IndexCategory(
-        name="idem", sorts=("*",),
+        sorts=("*",),
         morphisms=(("id", "*", "*"), ("e", "*", "*")), identities=("id",),
         composition=(("id", "id", "id"), ("id", "e", "e"), ("e", "id", "e"),
                      ("e", "e", "e")))
+
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
+
+
+def test_equal_structures_are_one_object():
+    assert finite_set(2) is finite_set(2)
+    assert trivial_index() is trivial_index()
+    # index names belong to the file: internalcat.var calls the graph index I
+    ws = fileformat.parse_file(str(DATA / "internalcat.var"))
+    B = parallel_pair_index()
+    assert ws.indexes["I"] is B
+    permuted = IndexCategory(B.sorts, B.morphisms, B.identities,
+                             tuple(reversed(B.composition)))
+    assert permuted is B and permuted.composition == B.composition
+
+
+def test_invalid_structures_raise_on_every_attempt():
+    for _ in range(2):
+        with pytest.raises(StructureError, match="functoriality fails"):
+            Presheaf(idempotent_index(), (2,), ((0, 1), (1, 0)))
+        with pytest.raises(StructureError, match="left unit law fails"):
+            IndexCategory(("*",), (("id", "*", "*"), ("e", "*", "*")), ("id",),
+                          (("id", "id", "id"), ("id", "e", "id"),
+                           ("e", "id", "e"), ("e", "e", "e")))
+
+
+def test_unreferenced_presheaves_leave_the_intern_table(I):
+    def interned(sizes):
+        return [X for X in base._STRUCTURES.values()
+                if getattr(X, "sizes", None) == sizes]
+
+    X = finite_set(41, I)
+    assert interned((41,)) == [X]
+    gone = weakref.ref(X)
+    del X
+    gc.collect()
+    assert gone() is None
+    assert interned((41,)) == []
+
+
+def test_racing_threads_intern_one_object(I):
+    # structures no other test builds, so the threads may all miss at first
+    sizes = range(3000, 3010)
+    got = {n: [] for n in sizes}
+    start = threading.Barrier(8, timeout=60)
+
+    def build():
+        start.wait()
+        for n in sizes:
+            got[n].append(finite_set(n, I))
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for built in got.values():
+        assert len(built) == len(threads)
+        assert all(X is built[0] for X in built)
 
 
 def hom_families(X, Y):

@@ -179,6 +179,11 @@ def test_malformed_pair_is_input_error(pair, tmp_path, capsys):
     assert "broken.var:6:" in out
 
 
+IDEMPOTENT_INDEX = ("(index J (sorts *) (arrows (id * *) (e * *)) "
+                    "(identities (* id)) "
+                    "(compose (id id id) (id e e) (e id e) (e e e)))")
+
+
 @pytest.mark.parametrize("decl,column", [
     ("(equation e)", 1),
     ("(object o)", 1),
@@ -194,10 +199,18 @@ def test_malformed_pair_is_input_error(pair, tmp_path, capsys):
     ("(index J (sorts *) (arrows (id * *)) (identities (* id)) "
      "(compose (id id)))", 67),
     ("(presentation p semilattice.sig ())", 33),
+    ("(object o I (elems (* 2) (q 5)) (map zz 1 2))", 27),
+    ("(object o I (elems (* 1) (* 2)))", 27),
+    ("(object o I (elems (* 1)) (map zz 0))", 32),
+    ("(object o I (elems (* 1)) (map id 0))", 32),
+    (f"{IDEMPOTENT_INDEX} (object o J (elems (* 1)) (map e 0) (map e 0))",
+     len(IDEMPOTENT_INDEX) + 43),
 ], ids=["short-equation", "short-object", "short-presentation",
         "short-signature", "empty-op", "empty-map", "non-integer-elems",
         "non-integer-map-value", "keyword-without-value", "short-arrow",
-        "short-index-composite", "empty-equations-list"])
+        "short-index-composite", "empty-equations-list", "unknown-elems-sort",
+        "repeated-elems-sort", "map-for-unknown-morphism",
+        "map-for-identity", "repeated-map"])
 def test_malformed_declaration_is_input_error(decl, column, tmp_path, capsys):
     text = (DATA / "semilattice.var").read_text()
     line = text.count("\n") + 1
@@ -453,7 +466,15 @@ def test_free_monoid_three_generators_depth_three_stays_small(capsys):
      "invalid int value"),
     (["bogus"], "invalid choice"),
     (["models"], "required"),
-], ids=["bad-int", "unknown-command", "missing-argument"])
+    (["birkhoff", str(DATA / "semilattice_gen.algs"), "--scale", "2,2",
+      "--signature", "nope"], "no signature named 'nope'"),
+    (["sum", str(DATA / "semilattice.var"), "--names", "a", "b", "-o",
+      "out.var"], "no presentation named 'a'"),
+    (["tensor", str(DATA / "semilattice.var"), "--names", "semilattice",
+      "b", "-o", "out.var"], "no presentation named 'b'"),
+], ids=["bad-int", "unknown-command", "missing-argument",
+        "unknown-birkhoff-signature", "unknown-sum-name",
+        "unknown-tensor-name"])
 def test_bad_arguments_are_input_errors(args, message, capsys):
     code = main(args)
     captured = capsys.readouterr()

@@ -254,9 +254,11 @@ def test_app_and_assignments_check_nested_bindings_along_the_context():
     v0, v1, e0 = var(sig, "v", 0), var(sig, "v", 1), var(sig, "e", 0)
     inner = app(sig, "nu", ((v0, v1), (e0,)), "e", 0, e1)
     rows = ((act(sig, e1, "s", inner), act(sig, e1, "t", inner)), (inner,))
-    with pytest.raises(StructureError, match="binding for nu"):
+    with pytest.raises(StructureError, match="binding for nu: entry 0 at v "
+                       "is not a term over the context"):
         app(sig, "nu", rows, "e", 0, reversed_edge)
-    with pytest.raises(StructureError, match="assignment"):
+    with pytest.raises(StructureError, match="assignment: entry 0 at v is "
+                       "not a term over the context"):
         Assignment(sig, e1, reversed_edge, rows)
     # a family out of two vertices has no naturality of its own to check
     with pytest.raises(StructureError, match="assignment"):
