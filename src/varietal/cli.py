@@ -56,14 +56,19 @@ def _load(paths) -> Workspace:
     return ws
 
 
-def _only(table: dict, kind: str, name: str | None):
+def _only(table: dict, kind: str, name: str | None, flag: str | None = None):
+    """The ``kind`` declared as ``name``, or the only one if ``name`` is
+    None; ``flag`` (``--kind`` if None) is the option that names it."""
     if name is not None:
         if name not in table:
             raise ParseError(f"no {kind} named {name!r}")
         return table[name]
+    if not table:
+        raise ParseError(f"no {kind} declared")
     if len(table) != 1:
         raise ParseError(
-            f"expected exactly one {kind}, found {sorted(table)}; use --name")
+            f"expected exactly one {kind}, found {sorted(table)}; "
+            f"use {flag or '--' + kind}")
     return next(iter(table.values()))
 
 
@@ -143,8 +148,8 @@ def _two_presentations(args) -> tuple[Presentation, Presentation]:
         w2 = _load(args.files[1:])
         name1 = args.names[0] if args.names else None
         name2 = args.names[1] if args.names else None
-        return (_only(w1.presentations, "presentation", name1),
-                _only(w2.presentations, "presentation", name2))
+        return (_only(w1.presentations, "presentation", name1, "--names"),
+                _only(w2.presentations, "presentation", name2, "--names"))
     ws = _load(args.files)
     if len(args.names) == 2:
         return tuple(_only(ws.presentations, "presentation", name)
@@ -176,21 +181,21 @@ def cmd_tensor(args) -> int:
 def cmd_clone(args) -> int:
     ws = _load(args.files)
     if args.check:
-        M = _only(ws.relmonads, "relmonad", args.name)
+        M = _only(ws.relmonads, "relmonad", args.name, "--name")
         bad = check_relative_monad(M)
         for v in bad:
             print(f"violation {v.law} witness={v.witness}")
         print(f"violations={len(bad)}")
         return _finish(OK if not bad else VIOLATION)
     if args.standardize:
-        M = _only(ws.relmonads, "relmonad", args.name)
+        M = _only(ws.relmonads, "relmonad", args.name, "--name")
         P = standardized_presentation(M)
         _write_presentation(P, args.output)
         print(f"written {args.output}: |S|={len(P.signature.symbols)} "
               f"|E|={len(P.equations)}")
         return _finish(OK)
     if args.of:
-        P = _only(ws.presentations, "presentation", args.name)
+        P = _only(ws.presentations, "presentation", args.name, "--name")
         objs = _arity_objects(args.objs, P.signature.index)
         M = clone_of_presentation(P, objs, args.depth)
         if M is None:
@@ -208,21 +213,21 @@ def cmd_clone(args) -> int:
 def cmd_pretheory(args) -> int:
     ws = _load(args.files)
     if args.check:
-        T = _only(ws.pretheories, "pretheory", args.name)
+        T = _only(ws.pretheories, "pretheory", args.name, "--name")
         bad = check_pretheory(T)
         for v in bad:
             print(f"violation {v.law} witness={v.witness}")
         print(f"violations={len(bad)}")
         return _finish(OK if not bad else VIOLATION)
     if args.compile:
-        T = _only(ws.pretheories, "pretheory", args.name)
+        T = _only(ws.pretheories, "pretheory", args.name, "--name")
         P = presentation_of_pretheory(T)
         _write_presentation(P, args.output)
         print(f"written {args.output}: |S|={len(P.signature.symbols)} "
               f"|E|={len(P.equations)}")
         return _finish(OK)
     if args.kleisli:
-        P = _only(ws.presentations, "presentation", args.name)
+        P = _only(ws.presentations, "presentation", args.name, "--name")
         objs = _arity_objects(args.objs, P.signature.index)
         T = kleisli_pretheory(P, objs, args.depth)
         if T is None:
@@ -241,8 +246,6 @@ def cmd_pretheory(args) -> int:
 
 def cmd_birkhoff(args) -> int:
     ws = _load(args.files)
-    if args.signature is None and len(ws.signatures) != 1:
-        raise ParseError("birkhoff needs --signature when several are declared")
     sig = _only(ws.signatures, "signature", args.signature)
     n, d = (int(x) for x in args.scale.split(","))
     gens = tuple(_gen_objects(args.gens, sig.index)) or (terminal(sig.index),)

@@ -82,12 +82,15 @@ def _named(items, filename, keyword):
 
 
 def _section(items, filename, keyword):
-    """The sublist whose head atom is the keyword; returns its tail."""
-    for node in items:
-        if node.is_list and node.items and not node.items[0].is_list \
-                and node.items[0].value == keyword:
-            return node.items[1:]
-    raise ParseError(f"{filename}: missing ({keyword} ...) section")
+    """The one sublist whose head atom is the keyword; returns its tail."""
+    found = [node for node in items
+             if node.is_list and node.items and not node.items[0].is_list
+             and node.items[0].value == keyword]
+    if not found:
+        raise ParseError(f"{filename}: missing ({keyword} ...) section")
+    if len(found) > 1:
+        raise _err(found[1], filename, f"repeated ({keyword} ...) section")
+    return found[0].items[1:]
 
 
 def _items(node, filename, what, n):

@@ -12,11 +12,14 @@ makes the truncation the genuine free algebra.
 Soundness is unconditional: each union is logged with the equation instance
 or the congruence/act step that forced it.
 
-Depth, best nodes and saturation each have one home in FreeAlgebra.
+Depth, best nodes and saturation each have one home in FreeAlgebra.  Its
+bookkeeping follows changes (parent lists, a depth worklist, skipped no-op
+rebuilds), but an equation pass, or a rebuild that runs, still scans all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -236,6 +239,8 @@ class FreeAlgebra:
     ``_grow_pass`` grows over the classes shallow enough to stay within the
     depth and ``_check_saturated`` walks lazily up to the first gap;
     ``_finalize`` finds every class's best node in one scan.
+    ``_union`` queues the deeper side's parents for ``_recompute_depths``,
+    whose fixpoint (each class's least term depth) no queue order changes.
     """
 
     def __init__(self, P: Presentation, generators: Presheaf, depth: int,
@@ -254,6 +259,10 @@ class FreeAlgebra:
         self._hash: dict[tuple, int] = {}
         self._node_sort: list[str] = []
         self._mindepth: list[int] = []
+        self._parents: list[list[int]] = []  # a class's parent nodes
+        self._lowered: list[list[int]] = []  # nodes whose depth may fall
+        self._unions = 0
+        self._clean: tuple | None = None  # counts at the last no-op rebuild
         self.audit: list[AuditEntry] = []
         self._gen_rows = tuple(  # the variable node of each generator
             tuple(self._add_node(("v", sort, x), sort)
@@ -280,7 +289,14 @@ class FreeAlgebra:
         if rb < ra:
             ra, rb = rb, ra
         self._parent[rb] = ra
-        self._mindepth[ra] = min(self._mindepth[ra], self._mindepth[rb])
+        self._unions += 1
+        mindepth, parents = self._mindepth, self._parents
+        da, db = mindepth[ra], mindepth[rb]
+        if da != db:  # the parents of the deeper side may get shallower
+            self._lowered.append(parents[ra if da > db else rb])
+            mindepth[ra] = min(da, db)
+        parents[ra] += parents[rb]
+        parents[rb] = []
         if entry is not None:
             self.audit.append(entry)
         return True
@@ -292,13 +308,18 @@ class FreeAlgebra:
             return node
         _, sym, sort, c, binding = node
         return ("a", sym, sort, c,
-                tuple(tuple(self._find(r) for r in row) for row in binding))
+                tuple([tuple([self._find(r) for r in row])
+                       for row in binding]))
 
     def _add_node(self, node: tuple, sort: str) -> int:
         key = self._canon_key(node)
         got = self._hash.get(key)
         if got is not None:
             return self._find(got)
+        return self._insert(key, sort)
+
+    def _insert(self, key: tuple, sort: str) -> int:
+        """Add a node under a canonical key that has none yet."""
         nid = len(self._nodes)
         if nid >= self.max_nodes:
             raise ResourceCeiling(
@@ -308,6 +329,10 @@ class FreeAlgebra:
         self._node_sort.append(sort)
         self._mindepth.append(self._depth(key))
         self._hash[key] = nid
+        self._parents.append([])
+        if key[0] == "a":
+            for r in {r for row in key[4] for r in row}:
+                self._parents[r].append(nid)
         return nid
 
     def _depth(self, key: tuple) -> int:
@@ -332,15 +357,17 @@ class FreeAlgebra:
     # -- closure -------------------------------------------------------------
 
     def _recompute_depths(self):
-        changed = True
-        while changed:
-            changed = False
-            for nid, key in enumerate(self._nodes):
-                root = self._find(nid)
-                d = self._depth(key)
-                if d < self._mindepth[root]:
-                    self._mindepth[root] = d
-                    changed = True
+        """Lower mindepths to their fixpoint (each class's least term depth)
+        from the nodes in ``_lowered``, then the parents of each class whose
+        mindepth falls."""
+        lowered, parents, nodes = self._lowered, self._parents, self._nodes
+        find, mindepth = self._find, self._mindepth
+        while lowered:
+            for nid in lowered.pop():
+                root, d = find(nid), self._depth(nodes[nid])
+                if d < mindepth[root]:
+                    mindepth[root] = d
+                    lowered.append(parents[root])
 
     def _act_image(self, m: str, nid: int) -> int:
         key = self._nodes[nid]
@@ -354,8 +381,17 @@ class FreeAlgebra:
         return self._find(
             self._add_node(("a", sym, tgt, param.map(m)[c], binding), tgt))
 
+    def _act_memo(self):
+        """``_act_image`` cached for one family search: nothing merges
+        during a listing, so a repeated call would give the same class."""
+        return functools.cache(self._act_image)
+
     def _rebuild(self) -> bool:
-        """Congruence and act closure to a local fixpoint; True if changed."""
+        """Congruence and act closure to a local fixpoint; True if changed.
+        Returns at once when nothing was added or merged since the last
+        rebuild that found nothing to do."""
+        if self._clean == (len(self._nodes), self._unions):
+            return False
         any_change = False
         while True:
             changed = False
@@ -369,6 +405,7 @@ class FreeAlgebra:
                 elif self._union(other, nid, AuditEntry("cong", other, nid)):
                     changed = True
             self._hash = fresh
+            size = len(self._nodes)
             classes: dict[int, list[int]] = {}
             for nid in range(len(self._nodes)):
                 classes.setdefault(self._find(nid), []).append(nid)
@@ -386,17 +423,17 @@ class FreeAlgebra:
                                                   morphism=m)):
                             changed = True
             if not changed:
+                if len(self._nodes) == size:
+                    self._clean = (size, self._unions)
                 return any_change
             any_change = True
 
     def _class_lists(self) -> dict[str, list[int]]:
+        """Each sort's roots in id order (a root is its class's least id)."""
         roots: dict[str, list[int]] = {s: [] for s in self.index.sorts}
-        seen = set()
-        for nid in range(len(self._nodes)):
-            r = self._find(nid)
-            if r not in seen:
-                seen.add(r)
-                roots[self._node_sort[r]].append(r)
+        for nid, p in enumerate(self._parent):
+            if p == nid:
+                roots[self._node_sort[nid]].append(nid)
         return roots
 
     def _class_pools(self, limit: float, budgets: dict):
@@ -434,27 +471,31 @@ class FreeAlgebra:
         """Insert compiled terms with variables at the classes in
         ``phi_rows``; the class of each step.  Nothing merges during a run,
         so a step's children are roots and its key is canonical as built."""
-        find, lookup = self._find, self._hash.get
+        find, lookup, parent = self._find, self._hash.get, self._parent
         vals: list[int] = []
         for sym, sort, c, rows in steps:
             if sym is None:  # a variable; ``sort`` is its sort's position
-                vals.append(find(phi_rows[sort][c]))
-                continue
-            key = ("a", sym, sort, c,
-                   tuple([tuple([vals[j] for j in row]) for row in rows]))
-            got = lookup(key)
-            vals.append(self._add_node(key, sort) if got is None else find(got))
+                got = phi_rows[sort][c]
+            else:
+                key = ("a", sym, sort, c,
+                       tuple([tuple([vals[j] for j in row]) for row in rows]))
+                got = lookup(key)
+                if got is None:
+                    vals.append(self._insert(key, sort))
+                    continue
+            vals.append(got if parent[got] == got else find(got))
         return vals
 
     def _equation_pass(self) -> bool:
         changed = False
         for name, arity, budgets, steps, left, right in self._instances:
             pools = self._class_pools(self.depth, budgets)
-            for fam in enumerate_families(arity, pools, self._act_image):
+            for fam in enumerate_families(arity, pools, self._act_memo()):
                 vals = self._run(steps, fam)
                 a, b = vals[left], vals[right]
-                if self._union(a, b, AuditEntry(
-                        "eq", a, b, equation=name, phi=fam)):
+                if a != b:  # roots, as nothing merged during the run
+                    self._union(a, b, AuditEntry(
+                        "eq", a, b, equation=name, phi=fam))
                     changed = True
         return changed
 
@@ -468,7 +509,7 @@ class FreeAlgebra:
             params = [(sort, c) for sort in self.index.sorts
                       for c in sym.parameter.elements(sort)]
             pools = self._class_pools(limit, {})
-            for fam in listing(sym.arity, pools, self._act_image):
+            for fam in listing(sym.arity, pools, self._act_memo()):
                 yield [("a", sym.name, sort, c, fam) for sort, c in params]
 
     def _grow_pass(self) -> bool:

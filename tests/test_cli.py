@@ -205,12 +205,23 @@ IDEMPOTENT_INDEX = ("(index J (sorts *) (arrows (id * *) (e * *)) "
     ("(object o I (elems (* 1)) (map id 0))", 32),
     (f"{IDEMPOTENT_INDEX} (object o J (elems (* 1)) (map e 0) (map e 0))",
      len(IDEMPOTENT_INDEX) + 43),
+    ("(object o2 I (elems (* 1)) (elems (* 5)))", 28),
+    ("(index J (sorts *) (sorts *) (arrows (id * *)) (identities (* id)) "
+     "(compose (id id id)))", 20),
+    ("(index J (sorts *) (arrows (id * *)) (arrows (id * *)) "
+     "(identities (* id)) (compose (id id id)))", 38),
+    ("(index J (sorts *) (arrows (id * *)) (identities (* id)) "
+     "(identities (* id)) (compose (id id id)))", 58),
+    ("(index J (sorts *) (arrows (id * *)) (identities (* id)) "
+     "(compose (id id id)) (compose (id id id)))", 79),
 ], ids=["short-equation", "short-object", "short-presentation",
         "short-signature", "empty-op", "empty-map", "non-integer-elems",
         "non-integer-map-value", "keyword-without-value", "short-arrow",
         "short-index-composite", "empty-equations-list", "unknown-elems-sort",
         "repeated-elems-sort", "map-for-unknown-morphism",
-        "map-for-identity", "repeated-map"])
+        "map-for-identity", "repeated-map", "repeated-elems",
+        "repeated-sorts", "repeated-arrows", "repeated-identities",
+        "repeated-compose"])
 def test_malformed_declaration_is_input_error(decl, column, tmp_path, capsys):
     text = (DATA / "semilattice.var").read_text()
     line = text.count("\n") + 1
@@ -254,12 +265,22 @@ ALGEBRA_CHECK = (["check", str(DATA / "semilattice.var")], "chain2.alg")
     (ALGEBRA_CHECK, "(op join (0) (1) (1) (1))",
      "(op join (0) (1) (1) (1)) (op join (0) (0) (0) (1))",
      "join (0) (0) (0) (1))"),
+    (RELMONAD_CHECK, "(objects ob0 ob1)", "(objects ob0 ob1) (objects ob1)",
+     "(objects ob1)"),
+    (RELMONAD_CHECK, "(carriers ob0 ob1)", "(carriers ob0 ob1) (carriers ob1)",
+     "(carriers ob1)"),
+    (PRETHEORY_CHECK, "(objects ob0 ob1)", "(objects ob0 ob1) (objects ob0)",
+     "(objects ob0)"),
+    (PRETHEORY_CHECK, "(identities 0 1)", "(identities 0 1) (identities 1)",
+     "(identities 1)"),
 ], ids=["unknown-object", "unknown-carrier", "unit-index-out-of-range",
         "non-integer-unit-index", "non-integer-unit-value",
         "m-index-out-of-range", "short-m-entry", "missing-unit-entry",
         "pretheory-unknown-object", "non-integer-identity", "short-homs",
         "short-compose", "short-composite", "non-integer-tau",
-        "non-integer-table-value", "unknown-op", "repeated-op"])
+        "non-integer-table-value", "unknown-op", "repeated-op",
+        "repeated-relmonad-objects", "repeated-carriers",
+        "repeated-pretheory-objects", "repeated-pretheory-identities"])
 def test_malformed_structure_file_is_input_error(command, old, new, marker,
                                                  tmp_path, capsys):
     args, name = command
@@ -483,6 +504,64 @@ def test_bad_arguments_are_input_errors(args, message, capsys):
     assert lines[0].startswith("error: ") and message in lines[0]
     assert lines[-1] == "status=input-error"
     assert captured.err == ""
+
+
+SEMILATTICE = (DATA / "semilattice.var").read_text()
+INDEX_ONLY = SEMILATTICE.splitlines()[0] + "\n"
+DECLARATION_FILES = {
+    "two-presentations.var": SEMILATTICE
+    + "(presentation sl2 semilattice.sig (equations idem comm))\n",
+    "two-signatures.var": SEMILATTICE
+    + "(signature other.sig I (op join :arity ob0 :param ob1))\n",
+    "two-algebras.alg": (DATA / "chain2.alg").read_text()
+    + "(algebra chain2b semilattice.sig carrier (op join (0) (0) (0) (1)))\n",
+    "index-only.var": INDEX_ONLY,
+}
+
+
+# each case: the command, with its files named as in DECLARATION_FILES
+# (or bundled), and the message, which names the flag the command has
+@pytest.mark.parametrize("args,message", [
+    (["free", "two-presentations.var", "--gens", "1", "--depth", "1"],
+     "found ['semilattice', 'sl2']; use --presentation"),
+    (["models", "two-presentations.var", "--size", "1"],
+     "use --presentation"),
+    (["check", "two-presentations.var", "chain2.alg"], "use --presentation"),
+    (["check", "semilattice.var", "two-algebras.alg"],
+     "found ['chain2', 'chain2b']; use --algebra"),
+    (["clone", "--of", "two-presentations.var", "--objs", "1"],
+     "use --name"),
+    (["sum", "two-presentations.var", "semilattice.var", "-o", "out.var"],
+     "use --names"),
+    (["birkhoff", "two-signatures.var", "--scale", "1,1"],
+     "found ['other.sig', 'semilattice.sig']; use --signature"),
+    (["free", "index-only.var", "--gens", "1", "--depth", "1"],
+     "no presentation declared"),
+    (["birkhoff", "index-only.var", "--scale", "1,1"],
+     "no signature declared"),
+], ids=["free", "models", "check-presentation", "check-algebra", "clone-of",
+        "sum", "birkhoff-several", "free-none", "birkhoff-none"])
+def test_unnamed_declaration_error_names_the_commands_flag(
+        args, message, tmp_path, capsys):
+    for name, text in DECLARATION_FILES.items():
+        (tmp_path / name).write_text(text)
+    paths = {p.name: str(p) for p in DATA.iterdir()}
+    paths.update((name, str(tmp_path / name))
+                 for name in (*DECLARATION_FILES, "out.var"))
+    code = main([paths.get(a, a) for a in args])
+    error, status = capsys.readouterr().out.splitlines()
+    assert code == 3, error
+    assert error.startswith("error: ") and error.endswith(message), error
+    assert status == "status=input-error"
+
+
+def test_named_flag_picks_among_several(tmp_path, capsys):
+    two = tmp_path / "two-presentations.var"
+    two.write_text(DECLARATION_FILES["two-presentations.var"])
+    code = main(["free", str(two), "--presentation", "sl2", "--gens", "1",
+                 "--depth", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "status=ok"
 
 
 def test_help_still_exits_zero(capsys):

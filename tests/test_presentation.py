@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from varietal import fileformat
+from varietal import catalog, fileformat
 from varietal.base import (
     PresheafMorphism,
     enumerate_families,
@@ -425,6 +425,7 @@ class ReferenceFreeAlgebra(FreeAlgebra):
         self.max_nodes = max_nodes
         self._nodes, self._parent, self._node_sort, self._mindepth = [], [], [], []
         self._hash = {}
+        self._parents, self._lowered, self._unions, self._clean = [], [], 0, None
         self.audit = []
         self._gen_rows = tuple(
             tuple(self._add_node(("v", sort, x), sort)
@@ -535,30 +536,187 @@ def _same_closure(engine, reference):
 BUNDLED_THEORIES = sorted(path.stem for path in DATA.glob("*.var"))
 
 
-@pytest.mark.parametrize("theory,k,d", [
+ENGINE_CASES = [
     *((theory, k, d) for theory in BUNDLED_THEORIES
       for k, d in ((1, 2), (2, 2), (1, 3))),
     ("semilattice", 4, 4), ("globalstate", 2, 3), ("readbits", 2, 3),
-])
+]
+
+
+@pytest.mark.parametrize("theory,k,d", ENGINE_CASES)
 def test_free_algebra_matches_reference_engine(theory, k, d):
     P = _bundled_presentation(theory)
     gens = finite_set(k, P.signature.index)
     _same_closure(FreeAlgebra(P, gens, d), ReferenceFreeAlgebra(P, gens, d))
 
 
-def test_seeded_closure_matches_reference_engine(monoid):
-    # the seeded, non-growing closure that quotient_map_equal builds, on
-    # random terms deeper than its depth; the universe shares subterms
+def _seeded_closure_case(monoid):
+    """The seeded, non-growing closure that quotient_map_equal builds, on
+    random terms deeper than its depth; the universe shares subterms."""
     sig = monoid.signature
     terms = enumerate_terms(sig, TWO, 3).terms("*")
     rng = random.Random(2718)
     t, u = (single(sig, TWO, rng.choice(terms)) for _ in range(2))
     seeds = [s for pt in (t, u) for row in pt.rows for s in row]
     assert max(s.depth for s in seeds) > 2
-    args = (monoid, TWO, 2)
-    options = dict(grow=False, seeds=seeds, max_nodes=200_000)
+    return (monoid, TWO, 2), dict(grow=False, seeds=seeds, max_nodes=200_000)
+
+
+def test_seeded_closure_matches_reference_engine(monoid):
+    args, options = _seeded_closure_case(monoid)
     _same_closure(FreeAlgebra(*args, **options),
                   ReferenceFreeAlgebra(*args, **options))
+
+
+# -- the bookkeeping before parent lists ---------------------------------------
+
+
+class OldBookkeepingFreeAlgebra(FreeAlgebra):
+    """The engine with its earlier bookkeeping: depths swept over every node
+    to a fixpoint, every rebuild scanning the whole graph, classes listed by
+    a find per node, and act images recomputed at every call of a family
+    search.  The engine's parent lists, depth worklist, skipped rebuilds and
+    memoized act images must give the same closure node for node."""
+
+    def _recompute_depths(self):
+        changed = True
+        while changed:
+            changed = False
+            for nid, key in enumerate(self._nodes):
+                root = self._find(nid)
+                d = self._depth(key)
+                if d < self._mindepth[root]:
+                    self._mindepth[root] = d
+                    changed = True
+
+    def _act_memo(self):
+        return self._act_image
+
+    def _rebuild(self):
+        any_change = False
+        while True:
+            changed = False
+            self._recompute_depths()
+            fresh = {}
+            for nid in range(len(self._nodes)):
+                key = self._canon_key(self._nodes[nid])
+                other = fresh.get(key)
+                if other is None:
+                    fresh[key] = nid
+                elif self._union(other, nid, AuditEntry("cong", other, nid)):
+                    changed = True
+            self._hash = fresh
+            classes = {}
+            for nid in range(len(self._nodes)):
+                classes.setdefault(self._find(nid), []).append(nid)
+            for m, msrc, _ in self.index.morphisms:
+                if m in self.index.identities:
+                    continue
+                for root, members in list(classes.items()):
+                    if self._node_sort[root] != msrc:
+                        continue
+                    images = [self._act_image(m, nid) for nid in members
+                              if self._node_sort[nid] == msrc]
+                    for other in images[1:]:
+                        if self._union(images[0], other,
+                                       AuditEntry("act", images[0], other,
+                                                  morphism=m)):
+                            changed = True
+            if not changed:
+                return any_change
+            any_change = True
+
+    def _class_lists(self):
+        roots = {s: [] for s in self.index.sorts}
+        seen = set()
+        for nid in range(len(self._nodes)):
+            r = self._find(nid)
+            if r not in seen:
+                seen.add(r)
+                roots[self._node_sort[r]].append(r)
+        return roots
+
+
+def _same_bookkeeping(engine, old):
+    # path compression may leave different raw parents; classes must agree
+    assert engine._nodes == old._nodes
+    assert ([engine._find(i) for i in range(len(engine._nodes))]
+            == [old._find(i) for i in range(len(old._nodes))])
+    assert engine._mindepth == old._mindepth
+    assert ([(e.kind, e.left, e.right, e.equation, e.phi, e.morphism)
+             for e in engine.audit]
+            == [(e.kind, e.left, e.right, e.equation, e.phi, e.morphism)
+                for e in old.audit])
+    assert engine._hash == old._hash
+    assert engine.saturated == old.saturated
+    assert engine.saturation_witness == old.saturation_witness
+
+
+@pytest.mark.parametrize("theory,k,d", ENGINE_CASES)
+def test_free_algebra_matches_old_bookkeeping(theory, k, d):
+    P = _bundled_presentation(theory)
+    gens = finite_set(k, P.signature.index)
+    _same_bookkeeping(FreeAlgebra(P, gens, d),
+                      OldBookkeepingFreeAlgebra(P, gens, d))
+
+
+@pytest.mark.parametrize("vertices,edges,d", [
+    (1, [(0, 0)], 3), (2, [(0, 1)], 3), (2, [(0, 1), (1, 0)], 2),
+])
+def test_graph_closure_matches_old_bookkeeping(vertices, edges, d):
+    # internalcat over generators with edges, so the act step has work
+    P = _bundled_presentation("internalcat")
+    gens = catalog.graph_presheaf(vertices, edges)
+    _same_bookkeeping(FreeAlgebra(P, gens, d),
+                      OldBookkeepingFreeAlgebra(P, gens, d))
+
+
+def test_seeded_closure_matches_old_bookkeeping(monoid):
+    args, options = _seeded_closure_case(monoid)
+    _same_bookkeeping(FreeAlgebra(*args, **options),
+                      OldBookkeepingFreeAlgebra(*args, **options))
+
+
+def test_internal_category_closures_match_old_bookkeeping(monkeypatch):
+    built = []
+
+    def checked_free_algebra(P, generators, depth):
+        engine = free_algebra(P, generators, depth)
+        _same_bookkeeping(engine,
+                          OldBookkeepingFreeAlgebra(P, generators, depth))
+        built.append(engine)
+        return engine
+
+    monkeypatch.setattr(catalog, "free_algebra", checked_free_algebra)
+    catalog.internal_category_presentation()
+    assert len(built) == 2
+
+
+def _count_calls(monkeypatch, name):
+    """A list that gains an entry at each call of FreeAlgebra.<name>."""
+    calls, method = [], getattr(FreeAlgebra, name)
+
+    def counted(self, *args):
+        calls.append(name)
+        return method(self, *args)
+
+    monkeypatch.setattr(FreeAlgebra, name, counted)
+    return calls
+
+
+def test_internal_category_act_images_once_per_family_search(monkeypatch):
+    # 392,677 calls without the memo
+    calls = _count_calls(monkeypatch, "_act_image")
+    catalog.internal_category_presentation()
+    assert len(calls) == 1903
+
+
+def test_semilattice_closure_canonical_key_count(semilattice, monkeypatch):
+    # 7,324 calls when the insertion walk went through _add_node and every
+    # rebuild rescanned the whole graph
+    calls = _count_calls(monkeypatch, "_canon_key")
+    free_algebra(semilattice, finite_set(4, I), 4)
+    assert len(calls) == 3381
 
 
 # -- semantic soundness of the closure ---------------------------------------
