@@ -50,6 +50,8 @@ COMMANDS = [
     "tensor data/monoid.var data/monoid.var -o tensor.var",
     "models tensor.var --size 2",
     "clone data/z2aff.rm --check",
+    "clone data/z2mat.rm --check",
+    "clone data/state_clone.rm --check",
     "clone data/state_clone.rm --standardize -o std.var",
     "models std.var --size 1",
     "clone data/semilattice.var --of --objs 1,2 --depth 3 -o sl.rm",

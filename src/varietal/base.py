@@ -27,6 +27,8 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 
@@ -425,6 +427,55 @@ class HomList(tuple):
     @cached_property
     def position(self) -> dict[tuple[tuple[int, ...], ...], int]:
         return {h.components: i for i, h in enumerate(self)}
+
+    @cached_property
+    def flat_position(self) -> dict[tuple[int, ...], int]:
+        """Each hom's ``flat_table`` mapped to its position."""
+        return {t: i for i, t in enumerate(map(flat_table, self))}
+
+    @cached_property
+    def then_flat(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """Takes a flat table f to every hom's ``flat_table`` followed by f,
+        concatenated in listing order."""
+        # distinct homs have distinct tables, so the keys are the listing
+        return gather(tuple(chain.from_iterable(self.flat_position)))
+
+
+def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map from a table t to ``tuple(t[i] for i in indices)``, in C."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda table: tuple(map(table.__getitem__, indices))
+
+
+def flat_table(f: PresheafMorphism) -> tuple[int, ...]:
+    """f as one table, with source and target elements numbered across sorts.
+
+    Sort s of a presheaf starts at the sum of the sizes of the sorts before
+    it; over one sort the table is f's only component.
+    """
+    comps = f.components
+    if len(comps) == 1:
+        return comps[0]
+    offsets = accumulate(f.target.sizes[:-1], initial=0)
+    return tuple([o + y for o, c in zip(offsets, comps) for y in c])
+
+
+def composite_positions(homs: HomList, f: Sequence[int],
+                        into: HomList) -> Iterator[int]:
+    """The position in ``into`` of "g then f", for each g of ``homs`` in order.
+
+    ``f`` is a ``flat_table``.  One C-level pass (``homs.then_flat``)
+    composes f with every g at once; the images are cut into rows of g's
+    width and each row is looked up in ``into.flat_position``, so no tuple
+    is built in Python per g.
+    """
+    if not homs:
+        return iter(())
+    width = homs[0].source.total_size
+    images = iter(homs.then_flat(f))
+    rows = zip(*[images] * width) if width else repeat((), len(homs))
+    return map(into.flat_position.__getitem__, rows)
 
 
 def hom_list(X: Presheaf, Y: Presheaf) -> HomList:

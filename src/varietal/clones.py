@@ -6,14 +6,19 @@ per arity object J, a unit J -> HJ, and a substitution map taking each
 family J -> HK to a family HJ -> HK.  All three laws are checked by
 exhaustion and every violation carries a concrete witness.
 
-The law checks run on integer tables: a value is its ``components`` tuple,
-a hom is its position in the shared ``hom_list``, and a composite is a tuple
-map plus one position lookup, so no ``PresheafMorphism`` is built per pair.
+The law checks run on flat integer tables (``base.flat_table``): a hom is
+its position in the shared ``hom_list``, and the substitution laws are
+checked one family f at a time over every g at once.  ``composite_positions``
+finds "g then f" for all g in one C-level pass over the hom list's
+concatenated tables; the two sides of a law are then two flat tuples, compared
+once, and only a mismatch is cut into rows to name its witnesses.  No
+``PresheafMorphism`` is built per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .base import (
@@ -22,7 +27,10 @@ from .base import (
     PresheafMorphism,
     StructureError,
     compose_components,
+    composite_positions,
     copower,
+    flat_table,
+    gather,
     hom_index,
     hom_list,
     identity_morphism,
@@ -110,36 +118,56 @@ def check_relative_monad(M: RelativeMonad,
     out: list[Violation] = []
     n = len(M.objects)
     unit = [e.components for e in M.unit]
-    # each g in hom(J_i, H J_j) with its substitution value m(g)
-    pairs = {key: [(g.components, mg.components)
-                   for g, mg in zip(M.homs_into(*key), values)]
-             for key, values in M.mult.items()}
-    mult = {key: [mg for _, mg in values] for key, values in pairs.items()}
     for j in range(n):
-        mj = mult[(j, j)][M.homs_into(j, j).position[unit[j]]]
+        mj = M.mult[(j, j)][M.homs_into(j, j).position[unit[j]]].components
         if mj != tuple(tuple(range(k)) for k in M.carriers[j].sizes):
             out.append(Violation("left-unit", (j,)))
             if first_only:
                 return out
     for i in range(n):
         for j in range(n):
-            for gi, (g, mg) in enumerate(pairs[(i, j)]):
-                if compose_components(unit[i], mg) != g:
+            for gi, (g, mg) in enumerate(zip(M.homs_into(i, j), M.mult[(i, j)])):
+                if compose_components(unit[i], mg.components) != g.components:
                     out.append(Violation("right-unit", (i, j, gi)))
                     if first_only:
                         return out
+    flat = {key: [flat_table(mg) for mg in values]
+            for key, values in M.mult.items()}
     for i in range(n):
+        width = M.carriers[i].total_size
         for j in range(n):
+            homs = M.homs_into(i, j)
+            substituted = gather(tuple(chain.from_iterable(flat[(i, j)])))
             for k in range(n):
-                position, mik = M.homs_into(i, k).position, mult[(i, k)]
-                for gi, (g, mg) in enumerate(pairs[(i, j)]):
-                    for hi, mh in enumerate(mult[(j, k)]):
-                        lhs = mik[position[compose_components(g, mh)]]
-                        if lhs != compose_components(mg, mh):
-                            out.append(Violation("associativity", (i, j, k, gi, hi)))
-                            if first_only:
-                                return out
+                into, mik = M.homs_into(i, k), flat[(i, k)]
+                # m(g then m(h)) against m(g) then m(h), every g per h;
+                # sorted, the pairs are in the order g, then h
+                bad = sorted(
+                    (gi, hi) for hi, mh in enumerate(flat[(j, k)])
+                    for gi in _substitution_failures(
+                        homs, substituted, mh, into, mik, width))
+                for gi, hi in bad:
+                    out.append(Violation("associativity", (i, j, k, gi, hi)))
+                    if first_only:
+                        return out
     return out
+
+
+def _substitution_failures(homs, substituted, f, into, values, width) -> list[int]:
+    """The positions of the g in ``homs`` where "g then f" has the wrong value.
+
+    ``values`` lists the flat tables of the values at ``into``, and
+    ``substituted`` gathers the concatenated flat tables of the m(g), each
+    ``width`` long; the law asks that the value at "g then f" be "m(g) then
+    f".  Both sides are built for all g at once and compared once.
+    """
+    lhs = tuple(chain.from_iterable(
+        map(values.__getitem__, composite_positions(homs, f, into))))
+    rhs = substituted(f)
+    if lhs == rhs:
+        return []
+    return [gi for gi, start in enumerate(range(0, len(lhs), width))
+            if lhs[start:start + width] != rhs[start:start + width]]
 
 
 class HAlgebraStructure:
@@ -172,22 +200,22 @@ def check_h_algebra(M: RelativeMonad, struct: HAlgebraStructure) -> list[Violati
     out: list[Violation] = []
     n = len(M.objects)
     unit = [e.components for e in M.unit]
-    alpha = [[f.components for f in values] for values in struct.alpha]
     homs = [struct.homs(i) for i in range(n)]
     for i in range(n):
         for pi, phi in enumerate(homs[i]):
-            if compose_components(unit[i], alpha[i][pi]) != phi.components:
+            aphi = struct.alpha[i][pi].components
+            if compose_components(unit[i], aphi) != phi.components:
                 out.append(Violation("alg-unit", (i, pi)))
+    alpha = [[flat_table(f) for f in values] for values in struct.alpha]
     for i in range(n):
-        position, alpha_i = homs[i].position, alpha[i]
+        width = M.carriers[i].total_size
         for j in range(n):
-            pairs = [(g.components, mg.components)
-                     for g, mg in zip(M.homs_into(i, j), M.mult[(i, j)])]
+            substituted = gather(tuple(chain.from_iterable(
+                map(flat_table, M.mult[(i, j)]))))
             for pj, aphi in enumerate(alpha[j]):
-                for gi, (g, mg) in enumerate(pairs):
-                    lhs = alpha_i[position[compose_components(g, aphi)]]
-                    if lhs != compose_components(mg, aphi):
-                        out.append(Violation("alg-subst", (i, j, pj, gi)))
+                for gi in _substitution_failures(M.homs_into(i, j), substituted,
+                                                 aphi, homs[i], alpha[i], width):
+                    out.append(Violation("alg-subst", (i, j, pj, gi)))
     return out
 
 

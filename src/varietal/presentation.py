@@ -406,12 +406,13 @@ class FreeAlgebra:
                     changed = True
             self._hash = fresh
             size = len(self._nodes)
+            arrows = [(m, msrc) for m, msrc, _ in self.index.morphisms
+                      if m not in self.index.identities]
             classes: dict[int, list[int]] = {}
-            for nid in range(len(self._nodes)):
-                classes.setdefault(self._find(nid), []).append(nid)
-            for m, msrc, _ in self.index.morphisms:
-                if m in self.index.identities:
-                    continue
+            if arrows:  # only the act step reads the classes
+                for nid in range(size):
+                    classes.setdefault(self._find(nid), []).append(nid)
+            for m, msrc in arrows:
                 for root, members in list(classes.items()):
                     if self._node_sort[root] != msrc:
                         continue

@@ -22,7 +22,9 @@ from .base import (
     PresheafMorphism,
     StructureError,
     compose_components,
+    composite_positions,
     copower,
+    flat_table,
     hom_list,
 )
 from .syntax import (
@@ -266,13 +268,14 @@ def pretheory_of_clone(M: RelativeMonad, name: str) -> Pretheory:
             tau[(i, j)] = tuple(
                 kleisli_homs.position[compose_components(x.components, units[i])]
                 for x in hom_list(M.objects[j], M.objects[i]))
-            mult = [mf.components for mf in M.mult[(j, i)]]
+            mult = [flat_table(mf) for mf in M.mult[(j, i)]]
             for k in range(n):
-                position = M.homs_into(k, i).position
+                gs, into = M.homs_into(k, j), M.homs_into(k, i)
                 compose[(i, j, k)] = {
-                    (fi, gi): position[compose_components(g.components, mf)]
+                    (fi, gi): position
                     for fi, mf in enumerate(mult)
-                    for gi, g in enumerate(M.homs_into(k, j))}
+                    for gi, position in enumerate(
+                        composite_positions(gs, mf, into))}
     identities = [M.homs_into(i, i).position[units[i]] for i in range(n)]
     return Pretheory(name, M.objects, homs, compose, identities, tau)
 

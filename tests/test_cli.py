@@ -448,6 +448,20 @@ def test_kleisli_outputs_match_golden_files(tmp_path, capsys):
         assert written.read_bytes() == path.with_suffix(".pt").read_bytes(), path.name
 
 
+def test_clone_check_lists_violations_as_golden_file(tmp_path, capsys):
+    # tests/golden/clone-check-state_clone-mutant.txt holds the stdout of
+    # `varietal clone <file> --check` on state_clone.rm with one entry of a
+    # substitution value in m 0 0 changed: one right-unit and 76
+    # associativity violations, in the checker's order
+    text = (DATA / "state_clone.rm").read_text()
+    assert text.count("(1 (* 3 2 1 0))") == 1
+    mutant = tmp_path / "mutant.rm"
+    mutant.write_text(text.replace("(1 (* 3 2 1 0))", "(1 (* 3 2 0 0))"))
+    assert main(["clone", str(mutant), "--check"]) == 1
+    golden = DATA.parents[2] / "tests" / "golden" / "clone-check-state_clone-mutant.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_free_outputs_match_golden_files(capsys):
     # tests/golden/free-<theory>-<k>-<d>[-<flag>...].txt holds the stdout of
     # `varietal free <theory>.var --gens <k> --depth <d>` with the listed

@@ -5,13 +5,14 @@ import pytest
 
 from varietal.base import (
     PresheafMorphism,
+    compose_components,
     finite_set,
     hom_index,
     hom_list,
     identity_morphism,
     trivial_index,
 )
-from varietal import base
+from varietal import base, clones
 from varietal.algebra import enumerate_algebras
 from varietal.presentation import palg_satisfies
 from varietal.clones import (
@@ -26,6 +27,7 @@ from varietal.clones import (
     standardized_presentation,
 )
 from varietal.catalog import (
+    graph_presheaf,
     matrix_clone,
     semilattice_presentation,
     state_clone,
@@ -33,6 +35,7 @@ from varietal.catalog import (
     global_state_presentation,
     state_transformer_algebra,
 )
+from varietal.pretheory import pretheory_of_clone
 
 I = trivial_index()
 
@@ -209,6 +212,24 @@ def test_valid_relative_monad_check_builds_no_morphisms(monkeypatch):
     monkeypatch.setattr(PresheafMorphism, "__post_init__", counting_post_init)
     assert check_relative_monad(M) == []
     assert built == []
+
+
+def test_valid_relative_monad_check_composes_only_for_the_right_unit(monkeypatch):
+    # 149,653 compose_components calls when every (g, h) pair of the
+    # associativity law was composed on its own; now only the right-unit
+    # law composes, once per hom
+    M = state_clone([0, 1, 2], 2)
+    calls = []
+    real = clones.compose_components
+
+    def counting(f, g):
+        calls.append(None)
+        return real(f, g)
+
+    monkeypatch.setattr(clones, "compose_components", counting)
+    assert check_relative_monad(M) == []
+    assert len(calls) == 295
+    assert len(calls) == sum(len(M.homs_into(i, j)) for i, j in M.mult)
 
 
 def test_identity_clone_valid():
@@ -448,3 +469,82 @@ def test_clone_of_global_state_matches_state_clone():
                 lhs = M.m(i, j, g).then(iso[j])
                 rhs = iso[i].then(direct.m(i, j, g.then(iso[j])))
                 assert lhs.components == rhs.components
+
+
+# -- several sorts: the identity clone over graphs -----------------------------
+
+# the empty graph is an arity with no elements, so hom(J, HK) out of it
+# has one member, the empty family; the two vertices without edges give
+# the graphs with edges some room for natural mutants
+GRAPHS = [graph_presheaf(0, []), graph_presheaf(1, [(0, 0)]),
+          graph_presheaf(2, [(0, 1)]), graph_presheaf(2, [(0, 1), (1, 0)]),
+          graph_presheaf(2, [])]
+
+
+def natural_mult_mutants(M: RelativeMonad):
+    """Every clone that differs from M in one substitution value, replaced by
+    another member of hom(H J_i, H J_j); a single changed entry would break
+    naturality and be rejected when built."""
+    for key in sorted(M.mult):
+        i, j = key
+        for gi, g in enumerate(M.mult[key]):
+            for other in hom_list(M.carriers[i], M.carriers[j]):
+                if other.components != g.components:
+                    mult = {k: list(v) for k, v in M.mult.items()}
+                    mult[key][gi] = other
+                    yield RelativeMonad(M.name + "/mut", M.objects,
+                                        M.carriers, M.unit, mult)
+
+
+def test_graph_relative_monad_check_matches_reference():
+    M = identity_clone(GRAPHS)
+    mutants = list(natural_mult_mutants(M))
+    assert len(mutants) > 10
+    kinds = set()
+    for bad in [M, *mutants]:
+        want = reference_check_relative_monad(bad)
+        assert laws(check_relative_monad(bad)) == want
+        assert (laws(check_relative_monad(bad, first_only=True))
+                == reference_check_relative_monad(bad, first_only=True))
+        kinds.update(law for law, _ in want)
+    assert kinds == {"left-unit", "right-unit", "associativity"}
+
+
+def test_graph_h_algebra_check_matches_reference():
+    M = identity_clone(GRAPHS)
+    A = graph_presheaf(2, [(0, 1), (1, 0), (1, 1)])
+    struct = HAlgebraStructure(M, A, [list(hom_list(J, A)) for J in M.objects])
+    assert check_h_algebra(M, struct) == []
+    kinds = set()
+    for i, J in enumerate(M.objects):
+        for pi, phi in enumerate(struct.alpha[i]):
+            for other in hom_list(M.carriers[i], A):
+                if other.components == phi.components:
+                    continue
+                alpha = [list(values) for values in struct.alpha]
+                alpha[i][pi] = other
+                bad = HAlgebraStructure(M, A, alpha)
+                want = reference_check_h_algebra(M, bad)
+                assert laws(check_h_algebra(M, bad)) == want
+                kinds.update(law for law, _ in want)
+    assert kinds == {"alg-unit", "alg-subst"}
+
+
+def test_graph_pretheory_of_clone_matches_composites():
+    # "f then g" in the Kleisli pretheory is g followed by m(f), located in
+    # hom(J_k, H J_i); on mutants too, which are not monads
+    M = identity_clone(GRAPHS)
+    n = len(M.objects)
+    for bad in [M, *natural_mult_mutants(M)]:
+        T = pretheory_of_clone(bad, "graphs")
+        want = {}
+        for i, j, k in itertools.product(range(n), repeat=3):
+            position = bad.homs_into(k, i).position
+            want[(i, j, k)] = {
+                (fi, gi): position[compose_components(g.components,
+                                                      mf.components)]
+                for fi, mf in enumerate(bad.mult[(j, i)])
+                for gi, g in enumerate(bad.homs_into(k, j))}
+        assert list(T.compose) == list(want)
+        for key, table in want.items():
+            assert list(T.compose[key].items()) == list(table.items())
