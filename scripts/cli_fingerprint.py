@@ -44,6 +44,7 @@ COMMANDS = [
     "models data/semilattice.var --size 3 --list",
     "models data/monoid.var --size 4 --iso",
     "models data/internalcat.var --size 2 --list",
+    "models data/internalcat.var --size 2 --iso",
     "models data/semilattice.var --size -1",
     "sum data/semilattice.var data/monoid.var -o sum.var",
     "models sum.var --size 2",

@@ -9,7 +9,9 @@ every listing and count here is deterministic.
 
 Every table lives in one cell layout: a cell is one symbol at one input
 family and holds an index into that symbol's choices, the parameter homs in
-the model search and the algebra's own table in an :class:`Algebra`.  Terms
+the model search and the algebra's own table in an :class:`Algebra`.  Homs
+are flat tables (``base.flat_table``), and so are the values the evaluator
+computes: an element is numbered across the carrier's sorts.  Terms
 are compiled once against a layout into integer tuples (``_compile``) and
 evaluated over a flat list of cell values (``_value``), and so are free-
 algebra classes (``FreeAlgebra.compile_class``): ``evaluate``,
@@ -32,6 +34,9 @@ from .base import (
     ResourceCeiling,
     StructureError,
     HomList,
+    composite_positions,
+    flat_table,
+    gather,
     hom_list,
     product,
     projections,
@@ -55,7 +60,7 @@ def _cell_layout(sig: FreeFormSignature, X: Presheaf,
     """The table cells of ``sig`` over the carrier ``X``, where a cell of
     the symbol ``s`` holds an index into ``choices(s)``.
 
-    Gives each symbol ``(input position, first cell, choice components)``,
+    Gives each symbol ``(input positions, first cell, choice flat tables)``,
     symbols with fewer cells first (so constants come first), and each cell
     the number of values it can take.
     """
@@ -64,7 +69,7 @@ def _cell_layout(sig: FreeFormSignature, X: Presheaf,
     for s in sorted(sig.symbols, key=lambda s: len(hom_list(s.arity, X))):
         inputs, values = hom_list(s.arity, X), choices(s)
         cells[s.name] = (inputs.position, len(nvals),
-                         [g.components for g in values])
+                         [flat_table(g) for g in values])
         nvals += [len(values)] * len(inputs)
     return cells, nvals
 
@@ -103,15 +108,15 @@ class Algebra:
         cells, nvals = _cell_layout(self.signature, self.carrier,
                                     lambda s: self.values[s.name])
         table = [0] * len(nvals)
-        for _, first, comps in cells.values():
-            table[first:first + len(comps)] = range(len(comps))
+        for _, first, values in cells.values():
+            table[first:first + len(values)] = range(len(values))
         return cells, table
 
     def homs_from(self, J: Presheaf) -> HomList:
         return hom_list(J, self.carrier)
 
     def op_value(self, name: str, h: PresheafMorphism) -> PresheafMorphism:
-        return self.values[name][self._cells[0][name][0][h.components]]
+        return self.values[name][self._cells[0][name][0][flat_table(h)]]
 
     def canonical_key(self) -> tuple:
         # carrier and tables never change after construction
@@ -130,61 +135,62 @@ class Algebra:
         return f"Algebra(carrier sizes={self.carrier.sizes})"
 
 
-def _compile(t: Term, index, cells: dict) -> tuple:
-    """A term over one carrier as nested tuples: a variable becomes
-    ``(sort index, element)``, an application ``(input position, first cell,
-    value components, sort index, parameter element, compiled binding)``."""
-    si = index.sort_index(t.sort)
+def _compile(t: Term, J: Presheaf, cells: dict):
+    """A term over the context ``J`` as a flat node: a variable becomes its
+    index into an input family's ``flat_table``, an application ``(input
+    positions, first cell, value flat tables, flat parameter element,
+    children)``, the children of all binding rows in one tuple."""
     if t.is_var:
-        return (si, t.var)
+        return J.offset(t.sort) + t.var
     try:
-        position, first, comps = cells[t.symbol.name]
+        position, first, values = cells[t.symbol.name]
     except KeyError:
         raise StructureError(
             f"unknown operation symbol {t.symbol.name!r}") from None
-    return (position, first, comps, si, t.param, tuple(
-        tuple(_compile(u, index, cells) for u in row) for row in t.binding))
+    return (position, first, values, t.symbol.parameter.offset(t.sort) + t.param,
+            tuple(_compile(u, J, cells) for row in t.binding for u in row))
 
 
-def _value(node: tuple, phi: tuple, table: list) -> int:
-    """The element a compiled term denotes under the input family with
-    components ``phi`` and the cell values ``table``, or ``~cell`` for the
-    first unassigned (``None``) cell its evaluation needs."""
-    if len(node) == 2:
-        return phi[node[0]][node[1]]
-    position, first, comps, si, c, rows = node
+def _value(node, phi: tuple, table: list) -> int:
+    """The flat element a compiled term denotes under the input family with
+    ``flat_table`` ``phi`` and the cell values ``table``, or ``~cell`` for
+    the first unassigned (``None``) cell its evaluation needs."""
+    if type(node) is int:
+        return phi[node]
+    position, first, values, c, children = node
     key = []
-    for row in rows:
-        vs = []
-        for u in row:
-            x = phi[u[0]][u[1]] if len(u) == 2 else _value(u, phi, table)
-            if x < 0:
-                return x
-            vs.append(x)
-        key.append(tuple(vs))
+    for u in children:
+        x = phi[u] if type(u) is int else _value(u, phi, table)
+        if x < 0:
+            return x
+        key.append(x)
     cell = first + position[tuple(key)]
     v = table[cell]
-    return ~cell if v is None else comps[v][si][c]
+    return ~cell if v is None else values[v][c]
 
 
 def evaluate(A: Algebra, t: Term, phi: PresheafMorphism) -> int:
     """Interpret a term: variables via phi, applications via the tables."""
+    if not t.fits(phi.source):
+        raise StructureError("evaluate: the term is not over phi's source")
     cells, table = A._cells
-    return _value(_compile(t, A.carrier.index, cells), phi.components, table)
+    return (_value(_compile(t, phi.source, cells), flat_table(phi), table)
+            - A.carrier.offset(t.sort))
 
 
-def _compiled_sides(eq: Equation | QuotientEquation, index,
+def _compiled_sides(eq: Equation | QuotientEquation,
                     cells: dict) -> list[tuple]:
     """``(sort, c, lhs, rhs)`` per parameter element, both sides compiled
     against ``cells``: terms, or classes of a ``QuotientEquation``'s base."""
     if isinstance(eq, Equation):
         def compile_side(sort, t):
-            return _compile(t, index, cells)
+            return _compile(t, eq.arity, cells)
     else:
         compile_side = partial(eq.base.compile_class, cells=cells, memo={})
     return [(sort, c, compile_side(sort, eq.lhs(sort, c)),
              compile_side(sort, eq.rhs(sort, c)))
-            for sort in index.sorts for c in eq.parameter.elements(sort)]
+            for sort in eq.parameter.index.sorts
+            for c in eq.parameter.elements(sort)]
 
 
 def satisfies(A: Algebra, eq: Equation | QuotientEquation,
@@ -201,44 +207,55 @@ def satisfies(A: Algebra, eq: Equation | QuotientEquation,
         if not all(satisfies(A, e) for e in base.equations):
             raise StructureError(f"{eq.name}: not a model of {base.name}")
     cells, table = A._cells
-    sides = _compiled_sides(eq, A.carrier.index, cells)
-    for phi in A.homs_from(eq.arity):
-        comps = phi.components
+    sides = _compiled_sides(eq, cells)
+    homs = A.homs_from(eq.arity)
+    for pi, phi in enumerate(homs.position):
         for sort, c, lhs, rhs in sides:
-            if _value(lhs, comps, table) != _value(rhs, comps, table):
-                return (phi, sort, c) if witness else False
+            if _value(lhs, phi, table) != _value(rhs, phi, table):
+                return (homs[pi], sort, c) if witness else False
     return None if witness else True
 
 
-def is_homomorphism(f: PresheafMorphism, A: Algebra, B: Algebra) -> bool:
-    """Does f commute with every operation of the shared signature?"""
+def _preserves(A: Algebra, B: Algebra):
+    """The test of a flat carrier table f for being a homomorphism A -> B:
+    at each input family h, A's value then f is B's value at "h then f"."""
     if A.signature is not B.signature and (
             [s.name for s in A.signature.symbols]
             != [s.name for s in B.signature.symbols]):
         raise StructureError("homomorphism check requires a common signature")
+    a_cells, b_cells = A._cells[0], B._cells[0]
+    ops = [(hom_list(sym.arity, A.carrier), hom_list(sym.arity, B.carrier),
+            [gather(g) for g in a_cells[sym.name][2]], b_cells[sym.name][2])
+           for sym in A.signature.symbols]
+
+    def preserves(f: tuple[int, ...]) -> bool:
+        return all(g_then(f) == values[k]
+                   for homs, into, g_thens, values in ops
+                   for g_then, k in zip(g_thens, composite_positions(homs, f, into)))
+    return preserves
+
+
+def is_homomorphism(f: PresheafMorphism, A: Algebra, B: Algebra) -> bool:
+    """Does f commute with every operation of the shared signature?"""
+    preserves = _preserves(A, B)
     if f.source != A.carrier or f.target != B.carrier:
         raise StructureError("candidate does not map the carriers")
-    for sym in A.signature.symbols:
-        for h in hom_list(sym.arity, A.carrier):
-            lhs = A.op_value(sym.name, h).then(f)
-            rhs = B.op_value(sym.name, h.then(f))
-            if lhs.components != rhs.components:
-                return False
-    return True
+    return preserves(flat_table(f))
 
 
 def homomorphisms(A: Algebra, B: Algebra) -> list[PresheafMorphism]:
-    return [f for f in hom_list(A.carrier, B.carrier)
-            if is_homomorphism(f, A, B)]
+    preserves = _preserves(A, B)
+    homs = hom_list(A.carrier, B.carrier)
+    return [f for f, ft in zip(homs, homs.position) if preserves(ft)]
 
 
 def are_isomorphic(A: Algebra, B: Algebra) -> bool:
     if A.carrier.sizes != B.carrier.sizes:
         return False
-    for f in hom_list(A.carrier, B.carrier):
-        if f.is_injective() and f.is_surjective() and is_homomorphism(f, A, B):
-            return True
-    return False
+    preserves = _preserves(A, B)
+    # with equal sizes, a map injective across the sorts is a bijection
+    return any(len(set(ft)) == len(ft) and preserves(ft)
+               for ft in hom_list(A.carrier, B.carrier).position)
 
 
 def enumerate_carriers(
@@ -324,9 +341,9 @@ def enumerate_algebras(
         cells, nvals = _cell_layout(sig, X, lambda s: hom_list(s.parameter, X))
         insts = []
         for eq in equations:
-            sides = _compiled_sides(eq, index, cells)
-            insts += [(lhs, rhs, phi.components)
-                      for phi in hom_list(eq.arity, X)
+            sides = _compiled_sides(eq, cells)
+            insts += [(lhs, rhs, phi)
+                      for phi in hom_list(eq.arity, X).position
                       for _, _, lhs, rhs in sides]
         n = len(nvals)
         table: list[int | None] = [None] * n
@@ -382,13 +399,14 @@ def interpretation_table(
     an equation with terminal parameter.
     """
     cells, table = A._cells
-    homs = [phi.components for phi in A.homs_from(J)]
+    homs = list(A.homs_from(J).position)
     universe = enumerate_terms(A.signature, J, depth)
     out: dict[Term, tuple[int, ...]] = {}
     for sort in J.index.sorts:
+        offset = A.carrier.offset(sort)
         for t in universe.terms(sort):
-            node = _compile(t, A.carrier.index, cells)
-            out[t] = tuple(_value(node, phi, table) for phi in homs)
+            node = _compile(t, J, cells)
+            out[t] = tuple(_value(node, phi, table) - offset for phi in homs)
     return out
 
 
@@ -397,19 +415,19 @@ def product_algebra(A: Algebra, B: Algebra) -> Algebra:
     if A.signature is not B.signature:
         raise StructureError("product of algebras over different signatures")
     P = product(A.carrier, B.carrier)
-    p1, p2 = projections(A.carrier, B.carrier)
+    p1, p2 = map(flat_table, projections(A.carrier, B.carrier))
     values: dict[str, list[PresheafMorphism]] = {}
     for sym in A.signature.symbols:
         vals = []
-        for h in hom_list(sym.arity, P):
-            ga = A.op_value(sym.name, h.then(p1))
-            gb = B.op_value(sym.name, h.then(p2))
+        homs = hom_list(sym.arity, P)
+        for ka, kb in zip(
+                composite_positions(homs, p1, hom_list(sym.arity, A.carrier)),
+                composite_positions(homs, p2, hom_list(sym.arity, B.carrier))):
+            ga = A.values[sym.name][ka].components
+            gb = B.values[sym.name][kb].components
             comps = tuple(
-                tuple(
-                    ga.components[si][c] * B.carrier.sizes[si]
-                    + gb.components[si][c]
-                    for c in range(len(ga.components[si])))
-                for si in range(len(P.index.sorts)))
+                tuple(a * nb + b for a, b in zip(ra, rb))
+                for ra, rb, nb in zip(ga, gb, B.carrier.sizes))
             vals.append(PresheafMorphism(sym.parameter, P, comps))
         values[sym.name] = vals
     return Algebra(A.signature, P, values)

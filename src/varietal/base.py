@@ -19,6 +19,11 @@ enumeration in this module is deterministic and stable across runs.
 ``hom_set`` enumerates afresh on each call; ``hom_list`` lists hom(X, Y) once
 per target presheaf Y and then shares that immutable listing with every
 caller, so tables indexed by it agree without passing caches around.
+
+Inside the library a hom is its ``flat_table``, elements numbered across
+sorts (``Presheaf.offset``); each listing keys its positions on flat tables
+once (``HomList.position``), and composites are C-level gathers over them.
+``PresheafMorphism`` is the type of the public API and the parser.
 """
 
 from __future__ import annotations
@@ -238,6 +243,10 @@ class Presheaf:
     def total_size(self) -> int:
         return sum(self.sizes)
 
+    def offset(self, sort: str) -> int:
+        """The flat number of the first element of ``sort`` (``flat_table``)."""
+        return sum(self.sizes[:self.index.sort_index(sort)])
+
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Presheaf(sizes={self.sizes})"
 
@@ -265,7 +274,8 @@ class PresheafMorphism:
             raise StructureError("composition of non-composable presheaf morphisms")
         return PresheafMorphism._trusted(
             self.source, other.target,
-            compose_components(self.components, other.components))
+            tuple(tuple(c[y] for y in s)
+                  for s, c in zip(self.components, other.components)))
 
     @classmethod
     def _trusted(cls, source, target, components) -> "PresheafMorphism":
@@ -276,17 +286,6 @@ class PresheafMorphism:
 
     def is_injective(self) -> bool:
         return all(len(set(c)) == len(c) for c in self.components)
-
-    def is_surjective(self) -> bool:
-        return all(
-            set(c) == set(range(self.target.size(sort)))
-            for sort, c in zip(self.source.index.sorts, self.components)
-        )
-
-
-def compose_components(f, g):
-    """The components of "f then g", both given as component tuples."""
-    return tuple(tuple(c[y] for y in s) for s, c in zip(f, g))
 
 
 def identity_morphism(X: Presheaf) -> PresheafMorphism:
@@ -418,27 +417,22 @@ def hom_set(X: Presheaf, Y: Presheaf) -> list[PresheafMorphism]:
 
 def hom_index(homs: HomList, f: PresheafMorphism) -> int:
     """Position of f in a canonical hom_list listing."""
-    return homs.position[f.components]
+    return homs.position[flat_table(f)]
 
 
 class HomList(tuple):
     """A canonical hom_set listing, shared by everything that reads it."""
 
     @cached_property
-    def position(self) -> dict[tuple[tuple[int, ...], ...], int]:
-        return {h.components: i for i, h in enumerate(self)}
-
-    @cached_property
-    def flat_position(self) -> dict[tuple[int, ...], int]:
-        """Each hom's ``flat_table`` mapped to its position."""
+    def position(self) -> dict[tuple[int, ...], int]:
+        """Each hom's ``flat_table`` mapped to its position, in listing order."""
         return {t: i for i, t in enumerate(map(flat_table, self))}
 
     @cached_property
     def then_flat(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
         """Takes a flat table f to every hom's ``flat_table`` followed by f,
         concatenated in listing order."""
-        # distinct homs have distinct tables, so the keys are the listing
-        return gather(tuple(chain.from_iterable(self.flat_position)))
+        return gather(tuple(chain.from_iterable(self.position)))
 
 
 def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -449,11 +443,9 @@ def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 
 def flat_table(f: PresheafMorphism) -> tuple[int, ...]:
-    """f as one table, with source and target elements numbered across sorts.
-
-    Sort s of a presheaf starts at the sum of the sizes of the sorts before
-    it; over one sort the table is f's only component.
-    """
+    """f as one table, with source and target elements numbered across sorts:
+    sort s starts at the sum of the sizes of the sorts before it.  Over one
+    sort the table is f's only component."""
     comps = f.components
     if len(comps) == 1:
         return comps[0]
@@ -467,20 +459,24 @@ def composite_positions(homs: HomList, f: Sequence[int],
 
     ``f`` is a ``flat_table``.  One C-level pass (``homs.then_flat``)
     composes f with every g at once; the images are cut into rows of g's
-    width and each row is looked up in ``into.flat_position``, so no tuple
-    is built in Python per g.
+    width and each row is looked up in ``into.position``, so no tuple is
+    built in Python per g.
     """
     if not homs:
         return iter(())
     width = homs[0].source.total_size
     images = iter(homs.then_flat(f))
     rows = zip(*[images] * width) if width else repeat((), len(homs))
-    return map(into.flat_position.__getitem__, rows)
+    return map(into.position.__getitem__, rows)
 
 
 def hom_list(X: Presheaf, Y: Presheaf) -> HomList:
-    """hom(X, Y), listed once per target presheaf and then shared."""
-    # kept on Y itself, so every listing is freed together with its target
+    """hom(X, Y), listed once per target presheaf and then shared.
+
+    Kept on Y itself, so it is freed with its target: a reference cycle (Y's
+    ``_homs_from``, the listing, each morphism's ``target``) that only the
+    cyclic collector frees, so when a listing is rebuilt follows its timing.
+    """
     homs = Y._homs_from.get(X)
     if homs is None:
         homs = Y._homs_from.setdefault(X, HomList(hom_set(X, Y)))

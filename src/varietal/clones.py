@@ -7,12 +7,12 @@ family J -> HK to a family HJ -> HK.  All three laws are checked by
 exhaustion and every violation carries a concrete witness.
 
 The law checks run on flat integer tables (``base.flat_table``): a hom is
-its position in the shared ``hom_list``, and the substitution laws are
-checked one family f at a time over every g at once.  ``composite_positions``
-finds "g then f" for all g in one C-level pass over the hom list's
-concatenated tables; the two sides of a law are then two flat tuples, compared
-once, and only a mismatch is cut into rows to name its witnesses.  No
-``PresheafMorphism`` is built per pair.
+its flat table or its position in the shared ``hom_list``, and the
+substitution laws are checked one family f at a time over every g at once.
+``composite_positions`` finds "g then f" for all g in one C-level pass over
+the hom list's concatenated tables; the two sides of a law are then two flat
+tuples, compared once, and only a mismatch is cut into rows to name its
+witnesses.  No ``PresheafMorphism`` is built or composed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .base import (
     Presheaf,
     PresheafMorphism,
     StructureError,
-    compose_components,
     composite_positions,
     copower,
     flat_table,
@@ -117,22 +116,24 @@ def check_relative_monad(M: RelativeMonad,
     """
     out: list[Violation] = []
     n = len(M.objects)
-    unit = [e.components for e in M.unit]
+    unit = [flat_table(e) for e in M.unit]
+    flat = {key: [flat_table(mg) for mg in values]
+            for key, values in M.mult.items()}
     for j in range(n):
-        mj = M.mult[(j, j)][M.homs_into(j, j).position[unit[j]]].components
-        if mj != tuple(tuple(range(k)) for k in M.carriers[j].sizes):
+        mj = flat[(j, j)][M.homs_into(j, j).position[unit[j]]]
+        if mj != tuple(range(M.carriers[j].total_size)):
             out.append(Violation("left-unit", (j,)))
             if first_only:
                 return out
     for i in range(n):
+        after_unit = gather(unit[i])
         for j in range(n):
-            for gi, (g, mg) in enumerate(zip(M.homs_into(i, j), M.mult[(i, j)])):
-                if compose_components(unit[i], mg.components) != g.components:
+            for gi, (g, mg) in enumerate(zip(M.homs_into(i, j).position,
+                                             flat[(i, j)])):
+                if after_unit(mg) != g:
                     out.append(Violation("right-unit", (i, j, gi)))
                     if first_only:
                         return out
-    flat = {key: [flat_table(mg) for mg in values]
-            for key, values in M.mult.items()}
     for i in range(n):
         width = M.carriers[i].total_size
         for j in range(n):
@@ -199,14 +200,13 @@ def check_h_algebra(M: RelativeMonad, struct: HAlgebraStructure) -> list[Violati
     """Failures of the unit and substitution laws for an algebra structure."""
     out: list[Violation] = []
     n = len(M.objects)
-    unit = [e.components for e in M.unit]
     homs = [struct.homs(i) for i in range(n)]
-    for i in range(n):
-        for pi, phi in enumerate(homs[i]):
-            aphi = struct.alpha[i][pi].components
-            if compose_components(unit[i], aphi) != phi.components:
-                out.append(Violation("alg-unit", (i, pi)))
     alpha = [[flat_table(f) for f in values] for values in struct.alpha]
+    for i in range(n):
+        after_unit = gather(flat_table(M.unit[i]))
+        for pi, (phi, aphi) in enumerate(zip(homs[i].position, alpha[i])):
+            if after_unit(aphi) != phi:
+                out.append(Violation("alg-unit", (i, pi)))
     for i in range(n):
         width = M.carriers[i].total_size
         for j in range(n):
@@ -286,10 +286,8 @@ def h_algebra_as_algebra(P: Presentation, struct: HAlgebraStructure):
 
 def algebra_as_h_structure(M: RelativeMonad, A) -> HAlgebraStructure:
     """Read an algebra of the standardized presentation as (A, alpha)."""
-    alpha = []
-    for i in range(len(M.objects)):
-        homs = hom_list(M.objects[i], A.carrier)
-        alpha.append(tuple(A.op_value(f"alpha{i}", h) for h in homs))
+    # an algebra lists its values in the order of its input families
+    alpha = [A.values[f"alpha{i}"] for i in range(len(M.objects))]
     return HAlgebraStructure(M, A.carrier, alpha)
 
 

@@ -32,6 +32,7 @@ from .base import (
     check_family,
     coproduct_of,
     enumerate_families,
+    flat_table,
     hom_list,
     iter_families,
     product,
@@ -643,21 +644,21 @@ class FreeAlgebra:
             values[sym.name] = vals
         return Algebra(self.signature, self.classes, values)
 
-    def compile_class(self, sort: str, i: int, cells: dict, memo: dict) -> tuple:
-        """Class ``i`` of ``sort``, read off the best nodes, as the nested
-        tuples ``algebra._value`` runs over the cell layout ``cells``
-        (see ``algebra._compile``); ``memo`` serves one layout only."""
-        def walk(root: int) -> tuple:
+    def compile_class(self, sort: str, i: int, cells: dict, memo: dict):
+        """Class ``i`` of ``sort``, read off the best nodes, as the flat
+        node ``algebra._value`` runs over the cell layout ``cells`` (see
+        ``algebra._compile``); ``memo`` serves one layout only."""
+        def walk(root: int):
             got = memo.get(root)
             if got is None:
                 key = self._nodes[self._best[root]]
                 if key[0] == "v":
-                    got = (self.index.sort_index(key[1]), key[2])
+                    got = self.generators.offset(key[1]) + key[2]
                 else:
                     _, sym, s, c, binding = key
-                    got = (*cells[sym], self.index.sort_index(s), c, tuple(
-                        tuple(walk(self._find(r)) for r in row)
-                        for row in binding))
+                    C = self.signature.symbol(sym).parameter
+                    got = (*cells[sym], C.offset(s) + c, tuple(
+                        walk(self._find(r)) for row in binding for r in row))
                 memo[root] = got
             return got
 
@@ -674,8 +675,8 @@ class FreeAlgebra:
         if memo is None:
             memo = {}
         cells, table = A._cells
-        return _value(self.compile_class(sort, i, cells, memo),
-                      phi.components, table)
+        return (_value(self.compile_class(sort, i, cells, memo),
+                       flat_table(phi), table) - A.carrier.offset(sort))
 
     def audit_lines(self) -> list[str]:
         lines, show = [], self._node_text

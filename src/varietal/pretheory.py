@@ -9,7 +9,8 @@ contravariant, so a presheaf morphism x : K -> J yields a token in T(J, K).
 
 Every relative monad has a Kleisli pretheory, read off its tables by
 ``pretheory_of_clone``; the free and Kleisli pretheories are built through
-it.  Law checks locate base composites by their ``hom_list`` position.
+it.  Law checks locate base composites by their ``hom_list`` position,
+found by gathers over flat tables (``base.composite_positions``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .base import (
     Presheaf,
     PresheafMorphism,
     StructureError,
-    compose_components,
     composite_positions,
     copower,
     flat_table,
+    gather,
     hom_list,
 )
 from .syntax import (
@@ -157,21 +158,19 @@ def check_pretheory(T: Pretheory) -> list[Violation]:
                                             (i, j, k, l, f, g, h)))
     for i in range(n):
         ident_c = T.c_homs(i, i).position[
-            tuple(tuple(range(size)) for size in T.objects[i].sizes)]
+            tuple(range(T.objects[i].total_size))]
         if T.tau[(i, i)][ident_c] != T.identities[i]:
             out.append(Violation("tau-identity", (i,)))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                homs_ji = [x.components for x in T.c_homs(j, i)]
-                homs_kj = [y.components for y in T.c_homs(k, j)]
-                position = T.c_homs(k, i).position
-                for xi, x in enumerate(homs_ji):
-                    for yi, y in enumerate(homs_kj):
-                        xy = position[compose_components(y, x)]
-                        lhs = T.tau[(i, k)][xy]
-                        rhs = T.comp(i, j, k, T.tau[(i, j)][xi], T.tau[(j, k)][yi])
-                        if lhs != rhs:
+                homs_kj, into = T.c_homs(k, j), T.c_homs(k, i)
+                tau_ik, tau_kj = T.tau[(i, k)], T.tau[(j, k)]
+                for xi, x in enumerate(T.c_homs(j, i).position):
+                    tau_x = T.tau[(i, j)][xi]
+                    # the position of "y then x", for every y at once
+                    for yi, xy in enumerate(composite_positions(homs_kj, x, into)):
+                        if tau_ik[xy] != T.comp(i, j, k, tau_x, tau_kj[yi]):
                             out.append(Violation(
                                 "tau-composition", (i, j, k, xi, yi)))
     return out
@@ -223,14 +222,13 @@ def check_concrete_model(M: ConcreteModel,
             if first_only:
                 return out
     for i in range(n):
-        homs_i = [phi.components for phi in M.homs(i)]
+        homs_i = M.homs(i).position
         for j in range(n):
             position = M.homs(j).position
-            for xi, x in enumerate(T.c_homs(j, i)):
+            for xi, x in enumerate(T.c_homs(j, i).position):
                 table = M.action[(i, j)][T.tau[(i, j)][xi]]
-                expected = tuple(
-                    position[compose_components(x.components, phi)]
-                    for phi in homs_i)
+                then_phi = gather(x)  # a flat table phi to "x then phi"
+                expected = tuple(position[then_phi(phi)] for phi in homs_i)
                 if table != expected:
                     out.append(Violation("model-nerve", (i, j, xi)))
                     if first_only:
@@ -239,11 +237,10 @@ def check_concrete_model(M: ConcreteModel,
         for j in range(n):
             for k in range(n):
                 for f in range(T.hom_count(i, j)):
-                    tf = M.action[(i, j)][f]
+                    after_f = gather(M.action[(i, j)][f])
                     for g in range(T.hom_count(j, k)):
-                        tg = M.action[(j, k)][g]
                         fg = M.action[(i, k)][T.comp(i, j, k, f, g)]
-                        if tuple(tg[v] for v in tf) != fg:
+                        if after_f(M.action[(j, k)][g]) != fg:
                             out.append(Violation(
                                 "model-composition", (i, j, k, f, g)))
                             if first_only:
@@ -259,15 +256,14 @@ def pretheory_of_clone(M: RelativeMonad, name: str) -> Pretheory:
     unit e_i, and tau(x) is x followed by e_i.  Every token is ``k{t}``.
     """
     n = len(M.objects)
-    units = [e.components for e in M.unit]
+    units = [flat_table(e) for e in M.unit]
     homs, compose, tau = {}, {}, {}
     for i in range(n):
         for j in range(n):
             kleisli_homs = M.homs_into(j, i)
             homs[(i, j)] = tuple(f"k{t}" for t in range(len(kleisli_homs)))
-            tau[(i, j)] = tuple(
-                kleisli_homs.position[compose_components(x.components, units[i])]
-                for x in hom_list(M.objects[j], M.objects[i]))
+            tau[(i, j)] = tuple(composite_positions(
+                hom_list(M.objects[j], M.objects[i]), units[i], kleisli_homs))
             mult = [flat_table(mf) for mf in M.mult[(j, i)]]
             for k in range(n):
                 gs, into = M.homs_into(k, j), M.homs_into(k, i)
@@ -371,26 +367,21 @@ def presentation_of_pretheory(T: Pretheory, name: str | None = None) -> Presenta
 
 
 def model_as_algebra(P: Presentation, M: ConcreteModel) -> Algebra:
-    """Read a concrete model as an algebra of the compiled presentation."""
+    """Read a concrete model as an algebra of the compiled presentation: the
+    value of ``m{i}_{j}`` at the h-th family is, on the summand of the token
+    t, the family that t's action takes h to."""
     T = M.pretheory
     n = len(T.objects)
     values = {}
     for i in range(n):
         for j in range(n):
             sym = P.signature.symbol(f"m{i}_{j}")
-            vals = []
-            for hi, h in enumerate(M.homs(i)):
-                comps = []
-                for si, sort in enumerate(M.carrier.index.sorts):
-                    row = []
-                    for c in sym.parameter.elements(sort):
-                        t, y = divmod(c, T.objects[j].size(sort))
-                        psi = M.homs(j)[M.action[(i, j)][t][hi]]
-                        row.append(psi(sort, y))
-                    comps.append(tuple(row))
-                vals.append(PresheafMorphism(sym.parameter, M.carrier,
-                                             tuple(comps)))
-            values[f"m{i}_{j}"] = vals
+            homs_j, tables = M.homs(j), M.action[(i, j)]
+            values[sym.name] = [PresheafMorphism(sym.parameter, M.carrier, tuple(
+                tuple(homs_j[table[hi]].components[si][y]
+                      for table in tables for y in range(k))
+                for si, k in enumerate(T.objects[j].sizes)))
+                for hi in range(len(M.homs(i)))]
     return Algebra(P.signature, M.carrier, values)
 
 
@@ -399,23 +390,18 @@ def algebra_as_model(T: Pretheory, A: Algebra) -> ConcreteModel:
     n = len(T.objects)
     action = {}
     for i in range(n):
-        homs_i = A.homs_from(T.objects[i])
         for j in range(n):
-            homs_j = A.homs_from(T.objects[j])
+            name, K = f"m{i}_{j}", T.objects[j]
+            position = A.homs_from(K).position
+            values = [flat_table(g) for g in A.values[name]]
+            C = A.signature.symbol(name).parameter
             tables = []
             for t in range(T.hom_count(i, j)):
-                table = []
-                for h in homs_i:
-                    g = A.op_value(f"m{i}_{j}", h)
-                    K = T.objects[j]
-                    # a natural map restricted to a summand is natural
-                    comps = tuple(
-                        tuple(
-                            g(sort, t * K.size(sort) + y)
-                            for y in K.elements(sort))
-                        for sort in A.carrier.index.sorts)
-                    table.append(homs_j.position[comps])
-                tables.append(tuple(table))
+                # a natural map restricted to the summand t is natural
+                summand = gather(tuple(
+                    C.offset(s) + t * K.size(s) + y
+                    for s in K.index.sorts for y in K.elements(s)))
+                tables.append(tuple(position[summand(g)] for g in values))
             action[(i, j)] = tables
     return ConcreteModel(T, A.carrier, action)
 

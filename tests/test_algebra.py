@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 
 from varietal import fileformat
 from varietal.base import (
+    PresheafMorphism,
     StructureError,
     element_family,
     finite_set,
@@ -33,6 +34,7 @@ from varietal.syntax import (
 from varietal.algebra import (
     Algebra,
     ResourceCeiling,
+    are_isomorphic,
     enumerate_algebras,
     enumerate_carriers,
     evaluate,
@@ -91,6 +93,15 @@ def test_evaluate_variable(sl, chain2):
     phi = hom_list(TWO, chain2.carrier)[1]  # x -> 0, y -> 1
     assert evaluate(chain2, var(sl.signature, "*", 0), phi) == 0
     assert evaluate(chain2, var(sl.signature, "*", 1), phi) == 1
+
+
+def test_evaluate_rejects_a_term_over_another_context(ic):
+    # over two sorts, a vertex past the context's would read an edge entry
+    A = ic.models_on(graph_presheaf(1, [(0, 0), (0, 0)]))[0]
+    phi = hom_list(graph_presheaf(1, [(0, 0)]), A.carrier)[0]
+    assert evaluate(A, var(A.signature, "e", 0), phi) == phi("e", 0)
+    with pytest.raises(StructureError, match="not over phi's source"):
+        evaluate(A, var(A.signature, "v", 1), phi)
 
 
 def test_evaluate_idempotent_join(sl, chain2):
@@ -512,6 +523,51 @@ def test_evaluate_class_matches_reference_on_internal_categories(ic):
         (path_graph(1).sizes, 3), (path_graph(3).sizes, 3)]
     for Q in bases:
         check_classes_against_reference(Q, models)
+
+
+def then(f: PresheafMorphism, g: PresheafMorphism) -> PresheafMorphism:
+    """"f then g" through the public, validating constructor."""
+    assert f.target == g.source
+    comps = tuple(tuple(gc[y] for y in fc)
+                  for fc, gc in zip(f.components, g.components))
+    return PresheafMorphism(f.source, g.target, comps)
+
+
+def reference_homomorphisms(A, B):
+    """The carrier maps f with "g then f" equal to B's value at "h then f"
+    for every input family h of A and its value g; composites are built by
+    ``then`` and located by their components."""
+    def commutes(f, sym):
+        position = {k.components: i
+                    for i, k in enumerate(hom_list(sym.arity, B.carrier))}
+        return all(
+            then(g, f).components
+            == B.values[sym.name][position[then(h, f).components]].components
+            for h, g in zip(hom_list(sym.arity, A.carrier), A.values[sym.name]))
+
+    return [f for f in hom_set(A.carrier, B.carrier)
+            if all(commutes(f, sym) for sym in A.signature.symbols)]
+
+
+def test_homomorphisms_match_reference_over_two_sorts(ic):
+    # internal categories have two sorts, so the flat tables' sort offsets
+    # matter; every pair of models of at most 2 objects and arrows, and of
+    # the models on one graph
+    parsed = fileformat.parse_file(str(DATA / "internalcat.var"))
+    graph = graph_presheaf(2, [(0, 0), (0, 0), (1, 1)])
+    for models in (enumerate_algebras(parsed.presentations["internalcat"], 2),
+                   ic.models_on(graph)):
+        verdicts = set()
+        for A, B in itertools.product(models, repeat=2):
+            want = reference_homomorphisms(A, B)
+            got = homomorphisms(A, B)
+            assert [f.components for f in got] == [f.components for f in want]
+            iso = any(all(sorted(c) == list(range(n))
+                          for c, n in zip(f.components, B.carrier.sizes))
+                      for f in want)
+            assert are_isomorphic(A, B) == iso
+            verdicts.add(iso)
+        assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("nv,edges", [

@@ -5,15 +5,19 @@ import pytest
 
 from varietal.base import (
     PresheafMorphism,
-    compose_components,
     finite_set,
     hom_index,
     hom_list,
     identity_morphism,
     trivial_index,
 )
-from varietal import base, clones
-from varietal.algebra import enumerate_algebras
+from varietal import base
+from varietal.algebra import (
+    are_isomorphic,
+    enumerate_algebras,
+    homomorphisms,
+    is_homomorphism,
+)
 from varietal.presentation import palg_satisfies
 from varietal.clones import (
     HAlgebraStructure,
@@ -33,9 +37,16 @@ from varietal.catalog import (
     state_clone,
     z2_rig,
     global_state_presentation,
+    monoid_presentation,
     state_transformer_algebra,
 )
-from varietal.pretheory import pretheory_of_clone
+from varietal.pretheory import (
+    algebra_as_model,
+    check_concrete_model,
+    check_pretheory,
+    pretheory_of_clone,
+    presentation_of_pretheory,
+)
 
 I = trivial_index()
 
@@ -214,22 +225,48 @@ def test_valid_relative_monad_check_builds_no_morphisms(monkeypatch):
     assert built == []
 
 
-def test_valid_relative_monad_check_composes_only_for_the_right_unit(monkeypatch):
-    # 149,653 compose_components calls when every (g, h) pair of the
-    # associativity law was composed on its own; now only the right-unit
-    # law composes, once per hom
+def test_law_checks_compose_and_validate_no_morphisms(monkeypatch):
+    # the law checks and the homomorphism tests run on flat tables and
+    # positions: no morphism is composed with ``then`` or validated
     M = state_clone([0, 1, 2], 2)
-    calls = []
-    real = clones.compose_components
+    struct = state_h_structure(M, 2)
+    T = pretheory_of_clone(M, "state")
+    free = pretheory_of_clone(
+        identity_clone([finite_set(1, I), finite_set(2, I)]), "free")
+    (A,) = enumerate_algebras(presentation_of_pretheory(free), 0,
+                              carrier=finite_set(2, I))
+    monoids = [B for B in enumerate_algebras(monoid_presentation(), 3)
+               if B.carrier.sizes == (3,)]
+    maps = hom_list(monoids[0].carrier, monoids[0].carrier)
+    expected_homs = sum(len(homomorphisms(monoids[0], B)) for B in monoids)
+    composed, built = [], []
+    real_then = PresheafMorphism.then
+    real_post_init = PresheafMorphism.__post_init__
 
-    def counting(f, g):
-        calls.append(None)
-        return real(f, g)
+    def counting_then(self, other):
+        composed.append(None)
+        return real_then(self, other)
 
-    monkeypatch.setattr(clones, "compose_components", counting)
+    def counting_post_init(self):
+        built.append(None)
+        real_post_init(self)
+
+    monkeypatch.setattr(PresheafMorphism, "then", counting_then)
+    monkeypatch.setattr(PresheafMorphism, "__post_init__", counting_post_init)
     assert check_relative_monad(M) == []
-    assert len(calls) == 295
-    assert len(calls) == sum(len(M.homs_into(i, j)) for i, j in M.mult)
+    assert check_h_algebra(M, struct) == []
+    assert check_pretheory(T) == []
+    assert check_concrete_model(algebra_as_model(free, A)) == []
+    hits = sum(is_homomorphism(f, monoids[0], B)
+               for B in monoids for f in maps)
+    assert hits == expected_homs > 0
+    classes = []
+    for B in monoids:
+        if not any(are_isomorphic(B, C) for C in classes):
+            classes.append(B)
+    assert len(classes) == 7  # monoids of order 3 (OEIS A058129)
+    assert composed == []
+    assert built == []
 
 
 def test_identity_clone_valid():
@@ -539,10 +576,10 @@ def test_graph_pretheory_of_clone_matches_composites():
         T = pretheory_of_clone(bad, "graphs")
         want = {}
         for i, j, k in itertools.product(range(n), repeat=3):
-            position = bad.homs_into(k, i).position
+            position = {h.components: t
+                        for t, h in enumerate(bad.homs_into(k, i))}
             want[(i, j, k)] = {
-                (fi, gi): position[compose_components(g.components,
-                                                      mf.components)]
+                (fi, gi): position[then(g, mf).components]
                 for fi, mf in enumerate(bad.mult[(j, i)])
                 for gi, g in enumerate(bad.homs_into(k, j))}
         assert list(T.compose) == list(want)

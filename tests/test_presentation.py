@@ -742,7 +742,8 @@ def unsound_nodes(Q, A, phi):
     whose values are not a natural family make the node unsound.  Kept apart
     from the engine's own evaluator (``_value``, ``compile_class``).
     """
-    inputs = {s.name: hom_list(s.arity, A.carrier).position
+    inputs = {s.name: {h.components: i
+                       for i, h in enumerate(hom_list(s.arity, A.carrier))}
               for s in A.signature.symbols}
     value, bad = {}, []
     for nid, key in enumerate(Q._nodes):
