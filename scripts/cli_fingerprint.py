@@ -58,10 +58,12 @@ COMMANDS = [
     "clone data/semilattice.var --of --objs 1,2 --depth 3 -o sl.rm",
     "clone sl.rm --check",
     "clone data/monoid.var --of --objs 1 --depth 2",
+    "clone data/semilattice.var --of --objs 1,2,3 --depth 3",
     "pretheory data/kleisli_semilattice.pt --check",
     "pretheory data/kleisli_semilattice.pt --compile -o compiled.var",
     "pretheory data/semilattice.var --kleisli --objs 1,2 --depth 3 -o k.pt",
     "pretheory k.pt --check",
+    "pretheory data/semilattice.var --kleisli --objs 1,2,3 --depth 3",
     "birkhoff data/semilattice_gen.algs --scale 2,2 --gens 1",
 ]
 

@@ -75,6 +75,7 @@ from .pretheory import (
     Pretheory,
     check_concrete_model,
     check_pretheory,
+    kleisli_models,
     kleisli_pretheory,
     presentation_of_pretheory,
 )

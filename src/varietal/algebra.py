@@ -87,6 +87,8 @@ class Algebra:
         self.carrier = carrier
         self.values = {k: tuple(v) for k, v in values.items()}
         self._canonical_key: tuple | None = None
+        for name in self.values:
+            signature.symbol(name)  # raises for a symbol the signature lacks
         for sym in signature.symbols:
             if sym.name not in self.values:
                 raise StructureError(f"missing operation table for {sym.name}")

@@ -136,9 +136,18 @@ def cmd_free(args) -> int:
     return _finish(OK if Q.saturated else UNKNOWN)
 
 
-def _write_presentation(P: Presentation, path: str):
+def _write_presentation(P: Presentation, path: str) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(fileformat.render(fileformat.presentation_nodes(P)))
+    print(f"written {path}: |S|={len(P.signature.symbols)} |E|={len(P.equations)}")
+    return _finish(OK)
+
+
+def _report(violations) -> int:
+    for v in violations:
+        print(f"violation {v.law} witness={v.witness}")
+    print(f"violations={len(violations)}")
+    return _finish(OK if not violations else VIOLATION)
 
 
 def _two_presentations(args) -> tuple[Presentation, Presentation]:
@@ -162,38 +171,22 @@ def _two_presentations(args) -> tuple[Presentation, Presentation]:
 
 def cmd_sum(args) -> int:
     P1, P2 = _two_presentations(args)
-    S = sum_presentations(P1, P2)
-    _write_presentation(S, args.output)
-    print(f"written {args.output}: |S|={len(S.signature.symbols)} "
-          f"|E|={len(S.equations)}")
-    return _finish(OK)
+    return _write_presentation(sum_presentations(P1, P2), args.output)
 
 
 def cmd_tensor(args) -> int:
     P1, P2 = _two_presentations(args)
-    T = tensor(P1, P2)
-    _write_presentation(T, args.output)
-    print(f"written {args.output}: |S|={len(T.signature.symbols)} "
-          f"|E|={len(T.equations)}")
-    return _finish(OK)
+    return _write_presentation(tensor(P1, P2), args.output)
 
 
 def cmd_clone(args) -> int:
     ws = _load(args.files)
     if args.check:
         M = _only(ws.relmonads, "relmonad", args.name, "--name")
-        bad = check_relative_monad(M)
-        for v in bad:
-            print(f"violation {v.law} witness={v.witness}")
-        print(f"violations={len(bad)}")
-        return _finish(OK if not bad else VIOLATION)
+        return _report(check_relative_monad(M))
     if args.standardize:
         M = _only(ws.relmonads, "relmonad", args.name, "--name")
-        P = standardized_presentation(M)
-        _write_presentation(P, args.output)
-        print(f"written {args.output}: |S|={len(P.signature.symbols)} "
-              f"|E|={len(P.equations)}")
-        return _finish(OK)
+        return _write_presentation(standardized_presentation(M), args.output)
     if args.of:
         P = _only(ws.presentations, "presentation", args.name, "--name")
         objs = _arity_objects(args.objs, P.signature.index)
@@ -214,18 +207,10 @@ def cmd_pretheory(args) -> int:
     ws = _load(args.files)
     if args.check:
         T = _only(ws.pretheories, "pretheory", args.name, "--name")
-        bad = check_pretheory(T)
-        for v in bad:
-            print(f"violation {v.law} witness={v.witness}")
-        print(f"violations={len(bad)}")
-        return _finish(OK if not bad else VIOLATION)
+        return _report(check_pretheory(T))
     if args.compile:
         T = _only(ws.pretheories, "pretheory", args.name, "--name")
-        P = presentation_of_pretheory(T)
-        _write_presentation(P, args.output)
-        print(f"written {args.output}: |S|={len(P.signature.symbols)} "
-              f"|E|={len(P.equations)}")
-        return _finish(OK)
+        return _write_presentation(presentation_of_pretheory(T), args.output)
     if args.kleisli:
         P = _only(ws.presentations, "presentation", args.name, "--name")
         objs = _arity_objects(args.objs, P.signature.index)

@@ -18,7 +18,7 @@ witnesses.  No ``PresheafMorphism`` is built or composed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Sequence
 
 from .base import (
@@ -78,22 +78,20 @@ class RelativeMonad:
             if e.source != J or e.target != HJ:
                 raise StructureError("unit component has wrong endpoints")
         self.mult = {}
-        for i in range(len(self.objects)):
-            for j in range(len(self.objects)):
-                homs = self.homs_into(i, j)
-                try:
-                    values = tuple(mult[(i, j)])
-                except KeyError:
-                    raise StructureError(f"missing substitution table for {(i, j)}")
-                if len(values) != len(homs):
+        for i, j in product(range(len(self.objects)), repeat=2):
+            homs = self.homs_into(i, j)
+            try:
+                values = tuple(mult[(i, j)])
+            except KeyError:
+                raise StructureError(f"missing substitution table for {(i, j)}")
+            if len(values) != len(homs):
+                raise StructureError(
+                    f"substitution table {(i, j)} must cover hom({i}, H{j})")
+            for g in values:
+                if g.source != self.carriers[i] or g.target != self.carriers[j]:
                     raise StructureError(
-                        f"substitution table {(i, j)} must cover hom({i}, H{j})")
-                for g in values:
-                    if (g.source != self.carriers[i]
-                            or g.target != self.carriers[j]):
-                        raise StructureError(
-                            f"substitution value in {(i, j)} has wrong endpoints")
-                self.mult[(i, j)] = values
+                        f"substitution value in {(i, j)} has wrong endpoints")
+            self.mult[(i, j)] = values
 
     def homs_into(self, i: int, j: int) -> HomList:
         """hom(J_i, H J_j) in canonical order."""
@@ -244,34 +242,33 @@ def standardized_presentation(M: RelativeMonad, name: str | None = None) -> Pres
             param_term_from_map(sig, J, J,
                                 lambda sort, j: var(sig, sort, j)),
         ))
-    for i in range(len(M.objects)):
-        for j in range(len(M.objects)):
-            homs = M.homs_into(i, j)
-            HJ = M.carriers[i]
-            parameter = copower(len(homs), HJ)
-            vj = var_assignment(sig, M.objects[j])
+    for i, j in product(range(len(M.objects)), repeat=2):
+        homs = M.homs_into(i, j)
+        HJ = M.carriers[i]
+        parameter = copower(len(homs), HJ)
+        vj = var_assignment(sig, M.objects[j])
 
-            def lhs(sort: str, z: int, i=i, j=j, homs=homs, HJ=HJ, vj=vj):
-                gi, w = z // HJ.size(sort), z % HJ.size(sort)
-                return app(sig, f"alpha{j}", vj.rows, sort,
-                           M.mult[(i, j)][gi](sort, w), M.objects[j])
+        def lhs(sort: str, z: int, i=i, j=j, homs=homs, HJ=HJ, vj=vj):
+            gi, w = z // HJ.size(sort), z % HJ.size(sort)
+            return app(sig, f"alpha{j}", vj.rows, sort,
+                       M.mult[(i, j)][gi](sort, w), M.objects[j])
 
-            def rhs(sort: str, z: int, i=i, j=j, homs=homs, HJ=HJ, vj=vj):
-                gi, w = z // HJ.size(sort), z % HJ.size(sort)
-                g = homs[gi]
-                rows = tuple(
-                    tuple(
-                        app(sig, f"alpha{j}", vj.rows, bsort, g(bsort, y),
-                            M.objects[j])
-                        for y in M.objects[i].elements(bsort))
-                    for bsort in idx.sorts)
-                return app(sig, f"alpha{i}", rows, sort, w, M.objects[j])
+        def rhs(sort: str, z: int, i=i, j=j, homs=homs, HJ=HJ, vj=vj):
+            gi, w = z // HJ.size(sort), z % HJ.size(sort)
+            g = homs[gi]
+            rows = tuple(
+                tuple(
+                    app(sig, f"alpha{j}", vj.rows, bsort, g(bsort, y),
+                        M.objects[j])
+                    for y in M.objects[i].elements(bsort))
+                for bsort in idx.sorts)
+            return app(sig, f"alpha{i}", rows, sort, w, M.objects[j])
 
-            equations.append(Equation(
-                f"subst{i}_{j}",
-                param_term_from_map(sig, M.objects[j], parameter, lhs),
-                param_term_from_map(sig, M.objects[j], parameter, rhs),
-            ))
+        equations.append(Equation(
+            f"subst{i}_{j}",
+            param_term_from_map(sig, M.objects[j], parameter, lhs),
+            param_term_from_map(sig, M.objects[j], parameter, rhs),
+        ))
     return Presentation(name or f"std[{M.name}]", sig, equations)
 
 
@@ -296,6 +293,14 @@ def clone_of_presentation(
 ) -> RelativeMonad | None:
     """The relative monad of saturated free algebras, or None if any
     generator fails to saturate at this depth."""
+    got = _clone_and_free_algebras(P, objects, depth)
+    return None if got is None else got[0]
+
+
+def _clone_and_free_algebras(
+    P: Presentation, objects: Sequence[Presheaf], depth: int,
+) -> tuple[RelativeMonad, list[FreeAlgebra]] | None:
+    """``clone_of_presentation`` with the free algebra on each arity."""
     quotients: list[FreeAlgebra] = []
     for J in objects:
         Q = free_algebra(P, J, depth)
@@ -323,7 +328,7 @@ def clone_of_presentation(
     bad = check_relative_monad(M, first_only=True)
     if bad:
         raise StructureError(f"extracted clone violates monad laws: {bad[0]}")
-    return M
+    return M, quotients
 
 
 def identity_clone(objects: Sequence[Presheaf], name: str = "identity") -> RelativeMonad:

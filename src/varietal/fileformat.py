@@ -10,6 +10,7 @@ workspace exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import sexpr
 from .base import (
@@ -629,16 +630,15 @@ def relmonad_nodes(M: RelativeMonad, *,
             groups.append(sexpr.Node(items=[sexpr.atom(sort),
                                             *(sexpr.atom(v) for v in comp)]))
         parts.append(sexpr.Node(items=groups))
-    for i in range(len(M.objects)):
-        for j in range(len(M.objects)):
-            groups = [sexpr.atom("m"), sexpr.atom(i), sexpr.atom(j)]
-            for gi, g in enumerate(M.mult[(i, j)]):
-                comps = [sexpr.atom(gi)]
-                for sort, comp in zip(idx.sorts, g.components):
-                    comps.append(sexpr.Node(items=[
-                        sexpr.atom(sort), *(sexpr.atom(v) for v in comp)]))
-                groups.append(sexpr.Node(items=comps))
-            parts.append(sexpr.Node(items=groups))
+    for i, j in product(range(len(M.objects)), repeat=2):
+        groups = [sexpr.atom("m"), sexpr.atom(i), sexpr.atom(j)]
+        for gi, g in enumerate(M.mult[(i, j)]):
+            comps = [sexpr.atom(gi)]
+            for sort, comp in zip(idx.sorts, g.components):
+                comps.append(sexpr.Node(items=[
+                    sexpr.atom(sort), *(sexpr.atom(v) for v in comp)]))
+            groups.append(sexpr.Node(items=comps))
+        parts.append(sexpr.Node(items=groups))
     nodes.append(sexpr.Node(items=parts))
     return nodes
 
@@ -651,28 +651,24 @@ def pretheory_nodes(T: Pretheory, *,
              sexpr.Node(items=[sexpr.atom("objects"),
                                *(sexpr.atom(object_names[X]) for X in T.objects)])]
     n = len(T.objects)
-    for i in range(n):
-        for j in range(n):
-            parts.append(sexpr.Node(items=[
-                sexpr.atom("homs"), sexpr.atom(i), sexpr.atom(j),
-                *(sexpr.atom(t) for t in T.homs[(i, j)])]))
+    for i, j in product(range(n), repeat=2):
+        parts.append(sexpr.Node(items=[
+            sexpr.atom("homs"), sexpr.atom(i), sexpr.atom(j),
+            *(sexpr.atom(t) for t in T.homs[(i, j)])]))
     parts.append(sexpr.Node(items=[sexpr.atom("identities"),
                                    *(sexpr.atom(t) for t in T.identities)]))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                entries = [sexpr.atom("compose"), sexpr.atom(i), sexpr.atom(j),
-                           sexpr.atom(k)]
-                table = T.compose[(i, j, k)]
-                for f in range(T.hom_count(i, j)):
-                    for g in range(T.hom_count(j, k)):
-                        entries.append(sexpr.lst(f, g, table[(f, g)]))
-                parts.append(sexpr.Node(items=entries))
-    for i in range(n):
-        for j in range(n):
-            parts.append(sexpr.Node(items=[
-                sexpr.atom("tau"), sexpr.atom(i), sexpr.atom(j),
-                *(sexpr.atom(t) for t in T.tau[(i, j)])]))
+    for i, j, k in product(range(n), repeat=3):
+        entries = [sexpr.atom("compose"), sexpr.atom(i), sexpr.atom(j),
+                   sexpr.atom(k)]
+        table = T.compose[(i, j, k)]
+        for f in range(T.hom_count(i, j)):
+            for g in range(T.hom_count(j, k)):
+                entries.append(sexpr.lst(f, g, table[(f, g)]))
+        parts.append(sexpr.Node(items=entries))
+    for i, j in product(range(n), repeat=2):
+        parts.append(sexpr.Node(items=[
+            sexpr.atom("tau"), sexpr.atom(i), sexpr.atom(j),
+            *(sexpr.atom(t) for t in T.tau[(i, j)])]))
     nodes.append(sexpr.Node(items=parts))
     return nodes
 

@@ -648,21 +648,22 @@ class FreeAlgebra:
         """Class ``i`` of ``sort``, read off the best nodes, as the flat
         node ``algebra._value`` runs over the cell layout ``cells`` (see
         ``algebra._compile``); ``memo`` serves one layout only."""
-        def walk(root: int):
-            got = memo.get(root)
-            if got is None:
-                key = self._nodes[self._best[root]]
-                if key[0] == "v":
-                    got = self.generators.offset(key[1]) + key[2]
-                else:
-                    _, sym, s, c, binding = key
-                    C = self.signature.symbol(sym).parameter
-                    got = (*cells[sym], C.offset(s) + c, tuple(
-                        walk(self._find(r)) for row in binding for r in row))
-                memo[root] = got
-            return got
+        return self._compile_root(self._roots_by_sort[sort][i], cells, memo)
 
-        return walk(self._roots_by_sort[sort][i])
+    def _compile_root(self, root: int, cells: dict, memo: dict):
+        got = memo.get(root)
+        if got is None:
+            key = self._nodes[self._best[root]]
+            if key[0] == "v":
+                got = self.generators.offset(key[1]) + key[2]
+            else:
+                _, sym, s, c, binding = key
+                C = self.signature.symbol(sym).parameter
+                got = (*cells[sym], C.offset(s) + c, tuple(
+                    self._compile_root(self._find(r), cells, memo)
+                    for row in binding for r in row))
+            memo[root] = got
+        return got
 
     def evaluate_class(self, A: Algebra, phi: PresheafMorphism, sort: str,
                        i: int, memo: dict | None = None) -> int:
@@ -707,20 +708,22 @@ def _compile_terms(index, terms) -> tuple[list[tuple], list[int]]:
     variable, None)`` or ``(symbol, sort, parameter, child slot rows)``."""
     steps: list[tuple] = []
     memo: dict[int, int] = {}
+    return steps, [_compile_step(index, t, steps, memo) for t in terms]
 
-    def walk(t: Term) -> int:
-        got = memo.get(id(t))
-        if got is None:
-            if t.is_var:
-                step = (None, index.sort_index(t.sort), t.var, None)
-            else:
-                step = (t.symbol.name, t.sort, t.param,
-                        tuple(tuple(walk(u) for u in row) for row in t.binding))
-            got = memo[id(t)] = len(steps)
-            steps.append(step)
-        return got
 
-    return steps, [walk(t) for t in terms]
+def _compile_step(index, t: Term, steps: list[tuple],
+                  memo: dict[int, int]) -> int:
+    got = memo.get(id(t))
+    if got is None:
+        if t.is_var:
+            step = (None, index.sort_index(t.sort), t.var, None)
+        else:
+            step = (t.symbol.name, t.sort, t.param, tuple(
+                tuple(_compile_step(index, u, steps, memo) for u in row)
+                for row in t.binding))
+        got = memo[id(t)] = len(steps)
+        steps.append(step)
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ contravariant, so a presheaf morphism x : K -> J yields a token in T(J, K).
 Every relative monad has a Kleisli pretheory, read off its tables by
 ``pretheory_of_clone``; the free and Kleisli pretheories are built through
 it.  Law checks locate base composites by their ``hom_list`` position,
-found by gathers over flat tables (``base.composite_positions``).
+found by gathers over flat tables (``base.composite_positions``), and so
+does ``kleisli_models`` when it forces a candidate algebra's action.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 from .base import (
@@ -37,9 +39,10 @@ from .syntax import (
     var,
     var_assignment,
 )
-from .algebra import Algebra
+from .algebra import Algebra, _value, enumerate_algebras
 from .presentation import Presentation
-from .clones import RelativeMonad, Violation, clone_of_presentation, identity_clone
+from .clones import (RelativeMonad, Violation, _clone_and_free_algebras,
+                     clone_of_presentation, identity_clone)
 
 
 class Pretheory:
@@ -58,32 +61,27 @@ class Pretheory:
         self.objects = tuple(objects)
         n = len(self.objects)
         self.homs = {}
-        for i in range(n):
-            for j in range(n):
-                try:
-                    tokens = tuple(homs[(i, j)])
-                except KeyError:
-                    raise StructureError(f"missing hom tokens for {(i, j)}")
-                if len(set(tokens)) != len(tokens):
-                    raise StructureError(f"duplicate hom tokens in {(i, j)}")
-                self.homs[(i, j)] = tokens
+        for i, j in product(range(n), repeat=2):
+            try:
+                tokens = tuple(homs[(i, j)])
+            except KeyError:
+                raise StructureError(f"missing hom tokens for {(i, j)}")
+            if len(set(tokens)) != len(tokens):
+                raise StructureError(f"duplicate hom tokens in {(i, j)}")
+            self.homs[(i, j)] = tokens
         self.compose = {}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    try:
-                        table = dict(compose[(i, j, k)])
-                    except KeyError:
-                        raise StructureError(
-                            f"missing composition table for {(i, j, k)}")
-                    for f in range(len(self.homs[(i, j)])):
-                        for g in range(len(self.homs[(j, k)])):
-                            if (f, g) not in table:
-                                raise StructureError(
-                                    f"missing composite for {(i, j, k)}[{f},{g}]")
-                            if not (0 <= table[(f, g)] < len(self.homs[(i, k)])):
-                                raise StructureError("composite out of range")
-                    self.compose[(i, j, k)] = table
+        for i, j, k in product(range(n), repeat=3):
+            try:
+                table = dict(compose[(i, j, k)])
+            except KeyError:
+                raise StructureError(f"missing composition table for {(i, j, k)}")
+            for f, g in product(range(len(self.homs[(i, j)])),
+                                range(len(self.homs[(j, k)]))):
+                if (f, g) not in table:
+                    raise StructureError(f"missing composite for {(i, j, k)}[{f},{g}]")
+                if not (0 <= table[(f, g)] < len(self.homs[(i, k)])):
+                    raise StructureError("composite out of range")
+            self.compose[(i, j, k)] = table
         self.identities = tuple(identities)
         if len(self.identities) != n:
             raise StructureError("one identity token per object required")
@@ -91,20 +89,18 @@ class Pretheory:
             if not (0 <= t < len(self.homs[(i, i)])):
                 raise StructureError(f"identity token at {i} out of range")
         self.tau = {}
-        for i in range(n):
-            for j in range(n):
-                homs_c = self.c_homs(j, i)
-                try:
-                    table = tuple(tau[(i, j)])
-                except KeyError:
-                    raise StructureError(f"missing tau table for {(i, j)}")
-                if len(table) != len(homs_c):
-                    raise StructureError(
-                        f"tau table {(i, j)} must cover hom(K_{j}, K_{i})")
-                for t in table:
-                    if not (0 <= t < len(self.homs[(i, j)])):
-                        raise StructureError("tau image out of range")
-                self.tau[(i, j)] = table
+        for i, j in product(range(n), repeat=2):
+            homs_c = self.c_homs(j, i)
+            try:
+                table = tuple(tau[(i, j)])
+            except KeyError:
+                raise StructureError(f"missing tau table for {(i, j)}")
+            if len(table) != len(homs_c):
+                raise StructureError(f"tau table {(i, j)} must cover hom(K_{j}, K_{i})")
+            for t in table:
+                if not (0 <= t < len(self.homs[(i, j)])):
+                    raise StructureError("tau image out of range")
+            self.tau[(i, j)] = table
 
     def c_homs(self, j: int, i: int) -> HomList:
         """hom of the base category from objects[j] to objects[i]."""
@@ -121,58 +117,44 @@ def check_pretheory(T: Pretheory) -> list[Violation]:
     """Category laws plus contravariant functoriality of the tau tables."""
     out: list[Violation] = []
     n = len(T.objects)
-    for i in range(n):
-        for j in range(n):
-            for f in range(T.hom_count(i, j)):
-                if T.comp(i, i, j, T.identities[i], f) != f:
-                    out.append(Violation("left-identity", (i, j, f)))
-                if T.comp(i, j, j, f, T.identities[j]) != f:
-                    out.append(Violation("right-identity", (i, j, f)))
+    for i, j in product(range(n), repeat=2):
+        for f in range(T.hom_count(i, j)):
+            if T.comp(i, i, j, T.identities[i], f) != f:
+                out.append(Violation("left-identity", (i, j, f)))
+            if T.comp(i, j, j, f, T.identities[j]) != f:
+                out.append(Violation("right-identity", (i, j, f)))
     tables: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                table = T.compose[(i, j, k)]
-                tables[(i, j, k)] = [
-                    tuple(table[(f, g)] for g in range(T.hom_count(j, k)))
-                    for f in range(T.hom_count(i, j))]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    c_ijk = tables[(i, j, k)]
-                    c_ikl = tables[(i, k, l)]
-                    c_jkl = tables[(j, k, l)]
-                    c_ijl = tables[(i, j, l)]
-                    for f in range(T.hom_count(i, j)):
-                        row_f = c_ijk[f]
-                        via_f = c_ijl[f]
-                        for g in range(T.hom_count(j, k)):
-                            lhs_row = c_ikl[row_f[g]]
-                            gh_row = c_jkl[g]
-                            if lhs_row != tuple(via_f[x] for x in gh_row):
-                                for h in range(T.hom_count(k, l)):
-                                    if lhs_row[h] != via_f[gh_row[h]]:
-                                        out.append(Violation(
-                                            "associativity",
-                                            (i, j, k, l, f, g, h)))
+    for i, j, k in product(range(n), repeat=3):
+        table = T.compose[(i, j, k)]
+        tables[(i, j, k)] = [
+            tuple(table[(f, g)] for g in range(T.hom_count(j, k)))
+            for f in range(T.hom_count(i, j))]
+    for i, j, k, l in product(range(n), repeat=4):
+        c_ijk, c_ikl = tables[(i, j, k)], tables[(i, k, l)]
+        c_jkl, c_ijl = tables[(j, k, l)], tables[(i, j, l)]
+        for f in range(T.hom_count(i, j)):
+            row_f, via_f = c_ijk[f], c_ijl[f]
+            for g in range(T.hom_count(j, k)):
+                lhs_row, gh_row = c_ikl[row_f[g]], c_jkl[g]
+                if lhs_row != tuple(via_f[x] for x in gh_row):
+                    for h in range(T.hom_count(k, l)):
+                        if lhs_row[h] != via_f[gh_row[h]]:
+                            out.append(Violation(
+                                "associativity", (i, j, k, l, f, g, h)))
     for i in range(n):
         ident_c = T.c_homs(i, i).position[
             tuple(range(T.objects[i].total_size))]
         if T.tau[(i, i)][ident_c] != T.identities[i]:
             out.append(Violation("tau-identity", (i,)))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                homs_kj, into = T.c_homs(k, j), T.c_homs(k, i)
-                tau_ik, tau_kj = T.tau[(i, k)], T.tau[(j, k)]
-                for xi, x in enumerate(T.c_homs(j, i).position):
-                    tau_x = T.tau[(i, j)][xi]
-                    # the position of "y then x", for every y at once
-                    for yi, xy in enumerate(composite_positions(homs_kj, x, into)):
-                        if tau_ik[xy] != T.comp(i, j, k, tau_x, tau_kj[yi]):
-                            out.append(Violation(
-                                "tau-composition", (i, j, k, xi, yi)))
+    for i, j, k in product(range(n), repeat=3):
+        homs_kj, into = T.c_homs(k, j), T.c_homs(k, i)
+        tau_ik, tau_kj = T.tau[(i, k)], T.tau[(j, k)]
+        for xi, x in enumerate(T.c_homs(j, i).position):
+            tau_x = T.tau[(i, j)][xi]
+            # the position of "y then x", for every y at once
+            for yi, xy in enumerate(composite_positions(homs_kj, x, into)):
+                if tau_ik[xy] != T.comp(i, j, k, tau_x, tau_kj[yi]):
+                    out.append(Violation("tau-composition", (i, j, k, xi, yi)))
     return out
 
 
@@ -189,21 +171,18 @@ class ConcreteModel:
         self.carrier = carrier
         self.action = {}
         n = len(T.objects)
-        for i in range(n):
-            for j in range(n):
-                try:
-                    tables = tuple(tuple(t) for t in action[(i, j)])
-                except KeyError:
-                    raise StructureError(f"missing action tables for {(i, j)}")
-                if len(tables) != T.hom_count(i, j):
-                    raise StructureError(
-                        f"one table per token required at {(i, j)}")
-                ni, nj = len(self.homs(i)), len(self.homs(j))
-                for t in tables:
-                    if len(t) != ni or any(not (0 <= v < nj) for v in t):
-                        raise StructureError(
-                            f"action table at {(i, j)} malformed")
-                self.action[(i, j)] = tables
+        for i, j in product(range(n), repeat=2):
+            try:
+                tables = tuple(tuple(t) for t in action[(i, j)])
+            except KeyError:
+                raise StructureError(f"missing action tables for {(i, j)}")
+            if len(tables) != T.hom_count(i, j):
+                raise StructureError(f"one table per token required at {(i, j)}")
+            ni, nj = len(self.homs(i)), len(self.homs(j))
+            for t in tables:
+                if len(t) != ni or t and (min(t) < 0 or max(t) >= nj):
+                    raise StructureError(f"action table at {(i, j)} malformed")
+            self.action[(i, j)] = tables
 
     def homs(self, i: int) -> HomList:
         return hom_list(self.pretheory.objects[i], self.carrier)
@@ -233,18 +212,15 @@ def check_concrete_model(M: ConcreteModel,
                     out.append(Violation("model-nerve", (i, j, xi)))
                     if first_only:
                         return out
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for f in range(T.hom_count(i, j)):
-                    after_f = gather(M.action[(i, j)][f])
-                    for g in range(T.hom_count(j, k)):
-                        fg = M.action[(i, k)][T.comp(i, j, k, f, g)]
-                        if after_f(M.action[(j, k)][g]) != fg:
-                            out.append(Violation(
-                                "model-composition", (i, j, k, f, g)))
-                            if first_only:
-                                return out
+    for i, j, k in product(range(n), repeat=3):
+        comp, composites = T.compose[(i, j, k)], M.action[(i, k)]
+        for f, table_f in enumerate(M.action[(i, j)]):
+            after_f = gather(table_f)
+            for g, table_g in enumerate(M.action[(j, k)]):
+                if after_f(table_g) != composites[comp[(f, g)]]:
+                    out.append(Violation("model-composition", (i, j, k, f, g)))
+                    if first_only:
+                        return out
     return out
 
 
@@ -258,20 +234,19 @@ def pretheory_of_clone(M: RelativeMonad, name: str) -> Pretheory:
     n = len(M.objects)
     units = [flat_table(e) for e in M.unit]
     homs, compose, tau = {}, {}, {}
-    for i in range(n):
-        for j in range(n):
-            kleisli_homs = M.homs_into(j, i)
-            homs[(i, j)] = tuple(f"k{t}" for t in range(len(kleisli_homs)))
-            tau[(i, j)] = tuple(composite_positions(
-                hom_list(M.objects[j], M.objects[i]), units[i], kleisli_homs))
-            mult = [flat_table(mf) for mf in M.mult[(j, i)]]
-            for k in range(n):
-                gs, into = M.homs_into(k, j), M.homs_into(k, i)
-                compose[(i, j, k)] = {
-                    (fi, gi): position
-                    for fi, mf in enumerate(mult)
-                    for gi, position in enumerate(
-                        composite_positions(gs, mf, into))}
+    for i, j in product(range(n), repeat=2):
+        kleisli_homs = M.homs_into(j, i)
+        homs[(i, j)] = tuple(f"k{t}" for t in range(len(kleisli_homs)))
+        tau[(i, j)] = tuple(composite_positions(
+            hom_list(M.objects[j], M.objects[i]), units[i], kleisli_homs))
+        mult = [flat_table(mf) for mf in M.mult[(j, i)]]
+        for k in range(n):
+            gs, into = M.homs_into(k, j), M.homs_into(k, i)
+            compose[(i, j, k)] = {
+                (fi, gi): position
+                for fi, mf in enumerate(mult)
+                for gi, position in enumerate(
+                    composite_positions(gs, mf, into))}
     identities = [M.homs_into(i, i).position[units[i]] for i in range(n)]
     return Pretheory(name, M.objects, homs, compose, identities, tau)
 
@@ -290,11 +265,10 @@ def presentation_of_pretheory(T: Pretheory, name: str | None = None) -> Presenta
     """
     n = len(T.objects)
     symbols = []
-    for i in range(n):
-        for j in range(n):
-            symbols.append(OperationSymbol(
-                f"m{i}_{j}", T.objects[i],
-                copower(T.hom_count(i, j), T.objects[j])))
+    for i, j in product(range(n), repeat=2):
+        symbols.append(OperationSymbol(
+            f"m{i}_{j}", T.objects[i],
+            copower(T.hom_count(i, j), T.objects[j])))
     sig = FreeFormSignature(name or f"preth[{T.name}]", symbols)
     idx = sig.index
     equations = []
@@ -311,58 +285,55 @@ def presentation_of_pretheory(T: Pretheory, name: str | None = None) -> Presenta
             param_term_from_map(sig, K, K, lhs),
             param_term_from_map(sig, K, K, lambda sort, x: var(sig, sort, x)),
         ))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                J, K, L = T.objects[i], T.objects[j], T.objects[k]
-                npairs = T.hom_count(i, j) * T.hom_count(j, k)
-                parameter = copower(npairs, L)
-                vi = var_assignment(sig, J)
+    for i, j, k in product(range(n), repeat=3):
+        J, K, L = T.objects[i], T.objects[j], T.objects[k]
+        npairs = T.hom_count(i, j) * T.hom_count(j, k)
+        parameter = copower(npairs, L)
+        vi = var_assignment(sig, J)
 
-                def lhs(sort, z, i=i, j=j, k=k, L=L):
-                    pair, x = divmod(z, L.size(sort))
-                    f, g = divmod(pair, T.hom_count(j, k))
-                    c = T.comp(i, j, k, f, g) * L.size(sort) + x
-                    return app(sig, f"m{i}_{k}", vi.rows, sort, c, J)
+        def lhs(sort, z, i=i, j=j, k=k, L=L):
+            pair, x = divmod(z, L.size(sort))
+            f, g = divmod(pair, T.hom_count(j, k))
+            c = T.comp(i, j, k, f, g) * L.size(sort) + x
+            return app(sig, f"m{i}_{k}", vi.rows, sort, c, J)
 
-                def rhs(sort, z, i=i, j=j, k=k, K=K, L=L):
-                    pair, x = divmod(z, L.size(sort))
-                    f, g = divmod(pair, T.hom_count(j, k))
-                    rows = tuple(
-                        tuple(
-                            app(sig, f"m{i}_{j}", vi.rows, bsort,
-                                f * K.size(bsort) + y, J)
-                            for y in K.elements(bsort))
-                        for bsort in idx.sorts)
-                    c = g * L.size(sort) + x
-                    return app(sig, f"m{j}_{k}", rows, sort, c, J)
+        def rhs(sort, z, i=i, j=j, k=k, K=K, L=L):
+            pair, x = divmod(z, L.size(sort))
+            f, g = divmod(pair, T.hom_count(j, k))
+            rows = tuple(
+                tuple(
+                    app(sig, f"m{i}_{j}", vi.rows, bsort,
+                        f * K.size(bsort) + y, J)
+                    for y in K.elements(bsort))
+                for bsort in idx.sorts)
+            c = g * L.size(sort) + x
+            return app(sig, f"m{j}_{k}", rows, sort, c, J)
 
-                equations.append(Equation(
-                    f"comp{i}_{j}_{k}",
-                    param_term_from_map(sig, J, parameter, lhs),
-                    param_term_from_map(sig, J, parameter, rhs),
-                ))
-    for i in range(n):
-        for j in range(n):
-            J, K = T.objects[i], T.objects[j]
-            homs_ji = T.c_homs(j, i)
-            parameter = copower(len(homs_ji), K)
+        equations.append(Equation(
+            f"comp{i}_{j}_{k}",
+            param_term_from_map(sig, J, parameter, lhs),
+            param_term_from_map(sig, J, parameter, rhs),
+        ))
+    for i, j in product(range(n), repeat=2):
+        J, K = T.objects[i], T.objects[j]
+        homs_ji = T.c_homs(j, i)
+        parameter = copower(len(homs_ji), K)
 
-            def lhs(sort, z, i=i, j=j, K=K, homs_ji=homs_ji):
-                xi, y = divmod(z, K.size(sort))
-                vi = var_assignment(sig, J)
-                c = T.tau[(i, j)][xi] * K.size(sort) + y
-                return app(sig, f"m{i}_{j}", vi.rows, sort, c, J)
+        def lhs(sort, z, i=i, j=j, K=K, homs_ji=homs_ji):
+            xi, y = divmod(z, K.size(sort))
+            vi = var_assignment(sig, J)
+            c = T.tau[(i, j)][xi] * K.size(sort) + y
+            return app(sig, f"m{i}_{j}", vi.rows, sort, c, J)
 
-            def rhs(sort, z, j=j, K=K, homs_ji=homs_ji):
-                xi, y = divmod(z, K.size(sort))
-                return var(sig, sort, homs_ji[xi](sort, y))
+        def rhs(sort, z, j=j, K=K, homs_ji=homs_ji):
+            xi, y = divmod(z, K.size(sort))
+            return var(sig, sort, homs_ji[xi](sort, y))
 
-            equations.append(Equation(
-                f"nerve{i}_{j}",
-                param_term_from_map(sig, J, parameter, lhs),
-                param_term_from_map(sig, J, parameter, rhs),
-            ))
+        equations.append(Equation(
+            f"nerve{i}_{j}",
+            param_term_from_map(sig, J, parameter, lhs),
+            param_term_from_map(sig, J, parameter, rhs),
+        ))
     return Presentation(name or f"preth[{T.name}]", sig, equations)
 
 
@@ -373,15 +344,14 @@ def model_as_algebra(P: Presentation, M: ConcreteModel) -> Algebra:
     T = M.pretheory
     n = len(T.objects)
     values = {}
-    for i in range(n):
-        for j in range(n):
-            sym = P.signature.symbol(f"m{i}_{j}")
-            homs_j, tables = M.homs(j), M.action[(i, j)]
-            values[sym.name] = [PresheafMorphism(sym.parameter, M.carrier, tuple(
-                tuple(homs_j[table[hi]].components[si][y]
-                      for table in tables for y in range(k))
-                for si, k in enumerate(T.objects[j].sizes)))
-                for hi in range(len(M.homs(i)))]
+    for i, j in product(range(n), repeat=2):
+        sym = P.signature.symbol(f"m{i}_{j}")
+        homs_j, tables = M.homs(j), M.action[(i, j)]
+        values[sym.name] = [PresheafMorphism(sym.parameter, M.carrier, tuple(
+            tuple(homs_j[table[hi]].components[si][y]
+                  for table in tables for y in range(k))
+            for si, k in enumerate(T.objects[j].sizes)))
+            for hi in range(len(M.homs(i)))]
     return Algebra(P.signature, M.carrier, values)
 
 
@@ -389,20 +359,19 @@ def algebra_as_model(T: Pretheory, A: Algebra) -> ConcreteModel:
     """Read an algebra of the compiled presentation as a concrete model."""
     n = len(T.objects)
     action = {}
-    for i in range(n):
-        for j in range(n):
-            name, K = f"m{i}_{j}", T.objects[j]
-            position = A.homs_from(K).position
-            values = [flat_table(g) for g in A.values[name]]
-            C = A.signature.symbol(name).parameter
-            tables = []
-            for t in range(T.hom_count(i, j)):
-                # a natural map restricted to the summand t is natural
-                summand = gather(tuple(
-                    C.offset(s) + t * K.size(s) + y
-                    for s in K.index.sorts for y in K.elements(s)))
-                tables.append(tuple(position[summand(g)] for g in values))
-            action[(i, j)] = tables
+    for i, j in product(range(n), repeat=2):
+        name, K = f"m{i}_{j}", T.objects[j]
+        position = A.homs_from(K).position
+        values = [flat_table(g) for g in A.values[name]]
+        C = A.signature.symbol(name).parameter
+        tables = []
+        for t in range(T.hom_count(i, j)):
+            # a natural map restricted to the summand t is natural
+            summand = gather(tuple(
+                C.offset(s) + t * K.size(s) + y
+                for s in K.index.sorts for y in K.elements(s)))
+            tables.append(tuple(position[summand(g)] for g in values))
+        action[(i, j)] = tables
     return ConcreteModel(T, A.carrier, action)
 
 
@@ -419,3 +388,60 @@ def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf],
     """
     M = clone_of_presentation(P, objects, depth)
     return None if M is None else pretheory_of_clone(M, f"kleisli[{P.name}]")
+
+
+def kleisli_models(P: Presentation, objects: Sequence[Presheaf], depth: int,
+                   max_size: int) -> list[tuple[Algebra, ConcreteModel]] | None:
+    """The concrete models of ``kleisli_pretheory(P, objects, depth)`` with
+    at most ``max_size`` elements per sort, with their signature algebras,
+    in ``enumerate_algebras(P.signature, max_size)`` order; None if a free
+    algebra fails to saturate.
+
+    A model's action is forced by its tables: the token g in hom(J_j, H J_i)
+    sends phi to "g then alpha_i(phi)", where alpha_i(phi) : H J_i -> A
+    interprets each free class under phi (in a model, a homomorphism, so
+    natural).  Each candidate's forced action is kept if it is a model,
+    checked first on the two smallest arities (a model restricts to one).
+    """
+    got = _clone_and_free_algebras(P, objects, depth)
+    if got is None:
+        return None
+    M, quotients = got
+    n, name = len(M.objects), f"kleisli[{P.name}]"
+    small = sorted(sorted(range(n), key=lambda i: M.objects[i].total_size)[:2])
+    fragment = RelativeMonad(M.name, *(
+        [seq[i] for i in small] for seq in (M.objects, M.carriers, M.unit)),
+        {(a, b): M.mult[(i, j)]
+         for a, i in enumerate(small) for b, j in enumerate(small)})
+    stages = [(pretheory_of_clone(fragment, name), small),
+              (pretheory_of_clone(M, name), range(n))]
+
+    def forced(T, arities, A, alphas):  # alphas: i -> alpha_i(phi) per phi
+        (cells, table), action = A._cells, {}
+        for a, i in enumerate(arities):
+            if i not in alphas:
+                Q, memo = quotients[i], {}
+                nodes = [Q.compile_class(s, c, cells, memo)
+                         for s in Q.classes.index.sorts for c in Q.classes.elements(s)]
+                alphas[i] = [tuple([_value(v, phi, table) for v in nodes])
+                             for phi in hom_list(M.objects[i], A.carrier).position]
+            for b, j in enumerate(arities):
+                tokens, into = M.homs_into(j, i), hom_list(M.objects[j], A.carrier)
+                try:
+                    rows = [tuple(composite_positions(tokens, alpha, into))
+                            for alpha in alphas[i]]
+                except KeyError:  # some alpha_i(phi) is not natural
+                    return None
+                action[(a, b)] = list(zip(*rows)) if rows else [()] * len(tokens)
+        return ConcreteModel(T, A.carrier, action)
+
+    out = []
+    for A in enumerate_algebras(P.signature, max_size):
+        alphas: dict = {}
+        for T, arities in stages:
+            model = forced(T, arities, A, alphas)
+            if model is None or check_concrete_model(model, first_only=True):
+                break
+        else:
+            out.append((A, model))
+    return out

@@ -232,21 +232,22 @@ def var_assignment(sig: FreeFormSignature, J: Presheaf) -> Assignment:
 
 def substitute(sig: FreeFormSignature, t: Term, phi: Assignment) -> Term:
     """Kleisli extension: replace variables by phi, keeping App structure."""
-    memo: dict[int, Term] = {}
+    return _substitute(sig, t, phi, {})
 
-    def go(s: Term) -> Term:
-        got = memo.get(id(s))
-        if got is not None:
-            return got
-        if s.is_var:
-            out = phi(s.sort, s.var)
-        else:
-            rows = tuple(tuple(go(u) for u in row) for row in s.binding)
-            out = app(sig, s.symbol.name, rows, s.sort, s.param, phi.context)
-        memo[id(s)] = out
-        return out
 
-    return go(t)
+def _substitute(sig: FreeFormSignature, s: Term, phi: Assignment,
+                memo: dict[int, Term]) -> Term:
+    got = memo.get(id(s))
+    if got is not None:
+        return got
+    if s.is_var:
+        out = phi(s.sort, s.var)
+    else:
+        rows = tuple(tuple(_substitute(sig, u, phi, memo) for u in row)
+                     for row in s.binding)
+        out = app(sig, s.symbol.name, rows, s.sort, s.param, phi.context)
+    memo[id(s)] = out
+    return out
 
 
 def compose_assignments(
@@ -469,16 +470,16 @@ def term_leaf_depths(t: Term) -> dict[tuple[str, int], int]:
     at total budget d is d - out[(sort, x)].
     """
     out: dict[tuple[str, int], int] = {}
-
-    def walk(s: Term, path: int):
-        if s.is_var:
-            key = (s.sort, s.var)
-            if path > out.get(key, -1):
-                out[key] = path
-        else:
-            for row in s.binding:
-                for u in row:
-                    walk(u, path + 1)
-
-    walk(t, 0)
+    _leaf_depths(t, 0, out)
     return out
+
+
+def _leaf_depths(s: Term, path: int, out: dict) -> None:
+    if s.is_var:
+        key = (s.sort, s.var)
+        if path > out.get(key, -1):
+            out[key] = path
+    else:
+        for row in s.binding:
+            for u in row:
+                _leaf_depths(u, path + 1, out)

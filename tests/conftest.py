@@ -1,6 +1,6 @@
 import pytest
 
-from varietal.base import finite_set, parallel_pair_index, terminal, trivial_index
+from varietal.base import PresheafMorphism, parallel_pair_index, trivial_index
 from varietal.catalog import (
     global_state_presentation,
     monoid_presentation,
@@ -33,5 +33,16 @@ def global_state():
     return global_state_presentation(2, 1)
 
 
-def sizes(n, I):
-    return finite_set(n, I)
+@pytest.fixture
+def count_morphism_calls(monkeypatch):
+    """Call it to start counting ``PresheafMorphism.then`` and
+    ``__post_init__`` calls; the counts it returns stay live."""
+    def start():
+        calls = {"then": 0, "__post_init__": 0}
+        for name in calls:
+            def counted(*args, real=getattr(PresheafMorphism, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(PresheafMorphism, name, counted)
+        return calls
+    return start

@@ -11,19 +11,15 @@ import subprocess
 import sys
 from contextlib import contextmanager
 
-import pytest
-
 from varietal.base import (
     PresheafMorphism,
     element_family,
     finite_set,
-    hom_index,
     hom_list,
     terminal,
     trivial_index,
 )
 from varietal.syntax import (
-    Equation,
     FreeFormSignature,
     OperationSymbol,
     ParamTerm,
@@ -33,7 +29,6 @@ from varietal.syntax import (
 )
 from varietal.algebra import Algebra, enumerate_algebras, satisfies
 from varietal.presentation import (
-    EQUAL,
     FreeAlgebra,
     Presentation,
     free_algebra,
@@ -47,7 +42,7 @@ from varietal.clones import (
     check_relative_monad,
     standardized_presentation,
 )
-from varietal.pretheory import kleisli_pretheory
+from varietal.pretheory import check_concrete_model, kleisli_models
 from varietal.birkhoff import BirkhoffWindow, GaloisScale
 from varietal.catalog import (
     count_category_structures,
@@ -258,25 +253,14 @@ def test_criterion_08_kleisli_models_vs_semilattices():
     # so the bijection below is run over sizes 1..3.
     with criterion(8, "Kleisli pretheory of the semilattice on arities 1,2,3: "
                       "concrete models on carriers <= 3 = semilattices"):
-        from tests.test_pretheory import (
-            enumerate_kleisli_models,
-            semilattice_tables,
-        )
+        from tests.test_pretheory import expected_join_tables, join_tables
         SL = semilattice_presentation()
+        objects = [finite_set(k, I) for k in (1, 2, 3)]
+        models = kleisli_models(SL, objects, 3, 3)
         for n in range(1, 4):
-            carrier = finite_set(n, I)
-            models = enumerate_kleisli_models(SL, (1, 2, 3), 3, carrier)
-            tables = semilattice_tables(n)
-            assert len(models) == len(tables), n
-            homs2 = hom_list(TWO, carrier)
-            found = {
-                tuple(A.values["join"][i]("*", 0)
-                      for i in range(len(homs2)))
-                for A, _ in models}
-            expected = {
-                tuple(tab[h.components[0]] for h in homs2)
-                for tab in tables}
-            assert found == expected, n
+            assert join_tables(models, n) == expected_join_tables(n), n
+        for _, M in models:
+            assert check_concrete_model(M) == []
 
 
 def test_criterion_09_internal_categories():

@@ -23,7 +23,6 @@ from varietal.syntax import (
     Assignment,
     Equation,
     FreeFormSignature,
-    OperationSymbol,
     ParamTerm,
     app,
     enumerate_terms,
@@ -102,6 +101,12 @@ def test_evaluate_rejects_a_term_over_another_context(ic):
     assert evaluate(A, var(A.signature, "e", 0), phi) == phi("e", 0)
     with pytest.raises(StructureError, match="not over phi's source"):
         evaluate(A, var(A.signature, "v", 1), phi)
+
+
+def test_algebra_rejects_a_table_for_a_symbol_outside_its_signature(sl, chain2):
+    values = {**chain2.values, "bogus": chain2.values["join"]}
+    with pytest.raises(StructureError, match="'bogus'"):
+        Algebra(sl.signature, chain2.carrier, values)
 
 
 def test_evaluate_idempotent_join(sl, chain2):

@@ -211,21 +211,14 @@ def test_h_algebra_check_matches_reference():
     assert kinds == {"alg-unit", "alg-subst"}
 
 
-def test_valid_relative_monad_check_builds_no_morphisms(monkeypatch):
+def test_valid_relative_monad_check_builds_no_morphisms(count_morphism_calls):
     M = state_clone([0, 1], 2)
-    built = []
-    real_post_init = PresheafMorphism.__post_init__
-
-    def counting_post_init(self):
-        built.append(self)
-        real_post_init(self)
-
-    monkeypatch.setattr(PresheafMorphism, "__post_init__", counting_post_init)
+    calls = count_morphism_calls()
     assert check_relative_monad(M) == []
-    assert built == []
+    assert calls["__post_init__"] == 0
 
 
-def test_law_checks_compose_and_validate_no_morphisms(monkeypatch):
+def test_law_checks_compose_and_validate_no_morphisms(count_morphism_calls):
     # the law checks and the homomorphism tests run on flat tables and
     # positions: no morphism is composed with ``then`` or validated
     M = state_clone([0, 1, 2], 2)
@@ -239,20 +232,7 @@ def test_law_checks_compose_and_validate_no_morphisms(monkeypatch):
                if B.carrier.sizes == (3,)]
     maps = hom_list(monoids[0].carrier, monoids[0].carrier)
     expected_homs = sum(len(homomorphisms(monoids[0], B)) for B in monoids)
-    composed, built = [], []
-    real_then = PresheafMorphism.then
-    real_post_init = PresheafMorphism.__post_init__
-
-    def counting_then(self, other):
-        composed.append(None)
-        return real_then(self, other)
-
-    def counting_post_init(self):
-        built.append(None)
-        real_post_init(self)
-
-    monkeypatch.setattr(PresheafMorphism, "then", counting_then)
-    monkeypatch.setattr(PresheafMorphism, "__post_init__", counting_post_init)
+    calls = count_morphism_calls()
     assert check_relative_monad(M) == []
     assert check_h_algebra(M, struct) == []
     assert check_pretheory(T) == []
@@ -265,8 +245,7 @@ def test_law_checks_compose_and_validate_no_morphisms(monkeypatch):
         if not any(are_isomorphic(B, C) for C in classes):
             classes.append(B)
     assert len(classes) == 7  # monoids of order 3 (OEIS A058129)
-    assert composed == []
-    assert built == []
+    assert calls == {"then": 0, "__post_init__": 0}
 
 
 def test_identity_clone_valid():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pathlib
 import random
@@ -23,8 +24,10 @@ from varietal.syntax import (
     enumerate_terms,
     from_traditional,
     standardize,
+    substitute,
     term_leaf_depths,
     var,
+    var_assignment,
 )
 from varietal.algebra import Algebra, enumerate_algebras, satisfies
 from varietal.presentation import (
@@ -35,6 +38,7 @@ from varietal.presentation import (
     AuditEntry,
     FreeAlgebra,
     Presentation,
+    _compile_terms,
     bundle_equations,
     free_algebra,
     kronecker_equation,
@@ -43,13 +47,7 @@ from varietal.presentation import (
     sum_presentations,
     tensor,
 )
-from varietal.catalog import (
-    global_state_presentation,
-    max_semilattice_algebra,
-    monoid_presentation,
-    semilattice_presentation,
-    state_transformer_algebra,
-)
+from varietal.catalog import max_semilattice_algebra, state_transformer_algebra
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
@@ -807,3 +805,24 @@ def test_soundness_oracle_reports_a_planted_merge(semilattice):
                for phi in hom_list(TWO, A.carrier)]
     assert sorted(bad for separated, bad in reports if separated) == [[x1]] * 4
     assert all(bad == [] for separated, bad in reports if not separated)
+
+
+def test_recursive_walks_leave_no_reference_cycles(semilattice):
+    # reference counting alone frees what each call leaves behind
+    Q = free_algebra(semilattice, TWO, 3)
+    cells = Q.as_algebra()._cells[0]
+    t = enumerate_terms(semilattice.signature, TWO, 2).terms("*")[-1]
+    phi = var_assignment(semilattice.signature, TWO)
+    calls = [lambda: term_leaf_depths(t), lambda: _compile_terms(I, [t]),
+             lambda: Q.compile_class("*", Q.class_count() - 1, cells, {}),
+             lambda: substitute(semilattice.signature, t, phi)]
+    for call in calls:
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

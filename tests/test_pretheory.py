@@ -12,8 +12,8 @@ from varietal.base import (
     hom_list,
     trivial_index,
 )
-from varietal.algebra import enumerate_algebras, satisfies
-from varietal.presentation import FreeAlgebra, free_algebra, palg_satisfies
+from varietal.algebra import enumerate_algebras
+from varietal.presentation import FreeAlgebra, Presentation, free_algebra, palg_satisfies
 from varietal.pretheory import (
     ConcreteModel,
     Pretheory,
@@ -21,11 +21,20 @@ from varietal.pretheory import (
     check_concrete_model,
     check_pretheory,
     free_pretheory,
+    kleisli_models,
     kleisli_pretheory,
     model_as_algebra,
     presentation_of_pretheory,
 )
-from varietal.catalog import semilattice_presentation
+from varietal.catalog import path_graph, semilattice_presentation
+from varietal.syntax import (
+    Equation,
+    FreeFormSignature,
+    OperationSymbol,
+    app,
+    param_term_from_map,
+    var,
+)
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
 
@@ -356,7 +365,9 @@ def test_kleisli_global_state_size():
 
 def test_kleisli_unsaturated_returns_none():
     from varietal.catalog import monoid_presentation
-    assert kleisli_pretheory(monoid_presentation(), [finite_set(1, I)], 3) is None
+    M = monoid_presentation()
+    assert kleisli_pretheory(M, [finite_set(1, I)], 3) is None
+    assert kleisli_models(M, [finite_set(1, I), finite_set(2, I)], 2, 1) is None
 
 
 def test_corrupt_composition_reports_associativity(free2):
@@ -421,98 +432,63 @@ def semilattice_tables(n):
     return out
 
 
-def enumerate_kleisli_models(P, object_sizes, depth, carrier):
-    """All concrete models of the Kleisli pretheory on a carrier.
+def join_tables(models, n):
+    """The join table of each model on n elements, as one value per family."""
+    homs2 = hom_list(finite_set(2, I), finite_set(n, I))
+    return sorted(tuple(A.values["join"][i]("*", 0) for i in range(len(homs2)))
+                  for A, _ in models if A.carrier is finite_set(n, I))
 
-    Functoriality and the nerve force the whole action from the operation
-    tables of the presentation's signature: a token is a family of free-
-    algebra classes, and its forced value interprets those classes in the
-    candidate tables.  We therefore range over raw signature algebras,
-    extend each canonically, and keep exactly those passing the full model
-    laws.  A genuine model is reproduced by its own operation tables, so
-    the survivors are all the models.
 
-    Candidates are first screened against the fragment pretheory on the two
-    smallest arities; a genuine model restricts to a fragment model, so the
-    screen never loses one, and it avoids building the large full action
-    for candidates that already fail there.
-    """
-    from varietal.presentation import free_algebra
-    from varietal.algebra import enumerate_algebras
-
-    objects = [finite_set(k, I) for k in object_sizes]
-    quotients = [free_algebra(P, J, depth) for J in objects]
-
-    def forced_model(indices):
-        T_sub = kleisli_pretheory(P, [objects[i] for i in indices], depth)
-        assert T_sub is not None
-        homs = {a: hom_list(objects[i], carrier)
-                for a, i in enumerate(indices)}
-        kleisli_homs = {
-            (a, b): hom_list(objects[jb], quotients[ja].classes)
-            for a, ja in enumerate(indices)
-            for b, jb in enumerate(indices)}
-
-        def build(A):
-            action = {}
-            for a, ja in enumerate(indices):
-                Q, memo = quotients[ja], {}
-                values = [tuple(Q.evaluate_class(A, phi, "*", c, memo)
-                                for c in range(Q.class_count()))
-                          for phi in homs[a]]
-                for b, jb in enumerate(indices):
-                    tables = []
-                    for g in kleisli_homs[(a, b)]:
-                        rows = []
-                        for vals in values:
-                            comps = tuple(vals[g("*", x)]
-                                          for x in objects[jb].elements("*"))
-                            psi = PresheafMorphism(
-                                objects[jb], carrier, (comps,))
-                            rows.append(hom_index(homs[b], psi))
-                        tables.append(tuple(rows))
-                    action[(a, b)] = tables
-            return ConcreteModel(T_sub, carrier, action)
-
-        return build
-
-    screen_indices = list(range(min(2, len(objects))))
-    screen = forced_model(screen_indices)
-    full = forced_model(list(range(len(objects))))
-    models = []
-    for A in enumerate_algebras(P.signature, 0, carrier=carrier):
-        if check_concrete_model(screen(A), first_only=True):
-            continue
-        M = full(A)
-        if check_concrete_model(M, first_only=True) == []:
-            assert check_concrete_model(M) == []
-            models.append((A, M))
-    return models
+def expected_join_tables(n):
+    return sorted(tuple(tab[h.components[0]]
+                        for h in hom_list(finite_set(2, I), finite_set(n, I)))
+                  for tab in semilattice_tables(n))
 
 
 def test_kleisli_models_match_semilattices_small():
     # arities (1, 2, 3) cover every equation arity of the presentation
     SL = semilattice_presentation()
-    for n in (1, 2):
-        carrier = finite_set(n, I)
-        models = enumerate_kleisli_models(SL, (1, 2, 3), 3, carrier)
-        tables = semilattice_tables(n)
-        assert len(models) == len(tables)
-        found = {
-            tuple(A.values["join"][i]("*", 0)
-                  for i in range(len(hom_list(finite_set(2, I), carrier))))
-            for A, _ in models}
-        expected = {
-            tuple(tab[h.components[0]] for h in hom_list(finite_set(2, I), carrier))
-            for tab in tables}
-        assert found == expected
+    objects = [finite_set(k, I) for k in (1, 2, 3)]
+    reference = reference_kleisli_pretheory(SL, objects, 3)
+    models = kleisli_models(SL, objects, 3, 2)
+    for _, M in models:
+        assert reference_check_concrete_model(
+            ConcreteModel(reference, M.carrier, M.action)) == []
+    for n in range(3):
+        assert join_tables(models, n) == expected_join_tables(n)
+
+
+def test_kleisli_models_build_no_validated_morphisms(count_morphism_calls):
+    calls = count_morphism_calls()
+    models = kleisli_models(semilattice_presentation(),
+                            [finite_set(k, I) for k in (1, 2, 3)], 3, 3)
+    assert len(models) == 13
+    assert calls["__post_init__"] <= 1000
+    assert calls["then"] == 0
+
+
+def test_kleisli_models_on_the_graph_index_are_the_presentation_models():
+    # a loop at every vertex; where a candidate's loop leaves its vertex,
+    # interpreting the free classes is not natural and no action is forced
+    g0, g1 = path_graph(0), path_graph(1)
+    sig = FreeFormSignature("loops", [OperationSymbol("ident", g0, g1)])
+    v0 = var(sig, "v", 0)
+    P = Presentation("loops", sig, [
+        Equation(f"ident-{end}",
+                 param_term_from_map(sig, g0, g0, lambda s, c, end=end: app(
+                     sig, "ident", ((v0,), ()), "v", end, g0)),
+                 param_term_from_map(sig, g0, g0, lambda s, c: v0))
+        for end in (0, 1)])
+    models = kleisli_models(P, [g0, g1], 3, 2)
+    assert len(models) == 6
+    assert ([A.canonical_key() for A, _ in models]
+            == [A.canonical_key() for A in enumerate_algebras(P, 2)])
 
 
 def test_thm_9_1_model_algebra_round_trip(kleisli_sl):
     SL = semilattice_presentation()
-    carrier = finite_set(2, I)
     P = presentation_of_pretheory(kleisli_sl)
-    models = enumerate_kleisli_models(SL, (1, 2), 3, carrier)
+    models = kleisli_models(SL, kleisli_sl.objects, 3, 2)
     keys = set()
     for _, M in models:
         A = model_as_algebra(P, M)
