@@ -14,14 +14,17 @@ or the congruence/act step that forced it.
 
 Depth, best nodes and saturation each have one home in FreeAlgebra.  Its
 bookkeeping follows changes (parent lists, a depth worklist, skipped no-op
-rebuilds), but an equation pass, or a rebuild that runs, still scans all.
+rebuilds, equation passes that skip the families that provably add and merge
+nothing), but a rebuild that runs still scans every node.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .base import (
@@ -235,7 +238,9 @@ class FreeAlgebra:
     error: it means the depth budget could not certify closure.
 
     ``_depth`` is the one depth rule, ``_run`` the one insertion walk (of
-    seeds and equation sides, compiled once into flat steps), and
+    seeds and equation sides, compiled once into step programs whose
+    binders build each node key in one call), ``_equation_pass`` reruns
+    only what could still add or merge something, and
     ``_applications`` the one list of one-step applications, which
     ``_grow_pass`` grows over the classes shallow enough to stay within the
     depth and ``_check_saturated`` walks lazily up to the first gap;
@@ -269,8 +274,12 @@ class FreeAlgebra:
             tuple(self._add_node(("v", sort, x), sort)
                   for x in generators.elements(sort))
             for sort in self.index.sorts)
-        self._run(_compile_terms(self.index, seeds)[0], self._gen_rows)
+        self._run(_compile_terms(generators, seeds)[0],
+                  sum(self._gen_rows, ()))
         self._instances = self._equation_instances()
+        # each unconstrained instance's slot pools at its last pass, as sets
+        self._seen_pools: list[list[set] | None] = [None] * len(
+            self._instances)
         self._close(grow)
         self._finalize()
 
@@ -438,24 +447,31 @@ class FreeAlgebra:
                 roots[self._node_sort[nid]].append(nid)
         return roots
 
-    def _class_pools(self, limit: float, budgets: dict):
-        """``choices`` for a family search over the current classes: each
-        element's classes of mindepth at most its budget (``limit`` where
-        unlisted), in class-list order."""
+    def _class_pools(self, wanted) -> dict:
+        """Each wanted ``(sort, limit)``'s current classes of mindepth at
+        most ``limit``, in class-list order; a family search lists each
+        element's pool from it."""
         roots, mindepth = self._class_lists(), self._mindepth
-
-        def choices(sort, x):
-            b = budgets.get((sort, x), limit)
-            return [r for r in roots[sort] if mindepth[r] <= b]
-
-        return choices
+        return {(sort, b): [r for r in roots[sort] if mindepth[r] <= b]
+                for sort, b in wanted}
 
     def _equation_instances(self) -> list[tuple]:
-        """Each equation instance whose sides fit the depth, compiled once,
-        with the class-depth budget of each variable leaf."""
+        """Each equation instance whose sides fit the depth, compiled once:
+        its name, arity, flat cuts of each sort, each arity element's
+        ``(sort, class-depth budget)`` (the least over its leaves), whether
+        it is unconstrained (no non-identity index arrow acts on an element
+        of the arity, so its families are a plain product of pools), and
+        the compiled sides."""
+        idx = self.index
+        sources = {src for m, src, _ in idx.morphisms
+                   if m not in idx.identities}
         out = []
         for eq in self.presentation.equations:
-            for sort in self.index.sorts:
+            X = eq.arity
+            cuts = tuple((X.offset(s), X.offset(s) + X.size(s))
+                         for s in idx.sorts)
+            unconstrained = not any(X.size(s) for s in sources)
+            for sort in idx.sorts:
                 for c in eq.parameter.elements(sort):
                     lt, rt = eq.lhs(sort, c), eq.rhs(sort, c)
                     if max(lt.depth, rt.depth) > self.depth:
@@ -465,39 +481,76 @@ class FreeAlgebra:
                         for leaf, path in term_leaf_depths(t).items():
                             b = self.depth - path
                             budgets[leaf] = min(b, budgets.get(leaf, b))
-                    steps, (left, right) = _compile_terms(self.index, (lt, rt))
-                    out.append((eq.name, eq.arity, budgets, steps, left, right))
+                    slots = tuple((s, budgets.get((s, x), self.depth))
+                                  for s in idx.sorts for x in X.elements(s))
+                    steps, (left, right) = _compile_terms(X, (lt, rt))
+                    out.append((eq.name, X, cuts, slots, unconstrained,
+                                steps, left, right))
         return out
 
-    def _run(self, steps: list[tuple], phi_rows) -> list[int]:
-        """Insert compiled terms with variables at the classes in
-        ``phi_rows``; the class of each step.  Nothing merges during a run,
-        so a step's children are roots and its key is canonical as built."""
+    def _run(self, steps: list[tuple], phi) -> list[int]:
+        """Insert compiled terms with variables at the classes in the flat
+        family ``phi``; the class of each step.  Nothing merges during a
+        run, so a step's children are roots and its key is canonical as
+        built."""
         find, lookup, parent = self._find, self._hash.get, self._parent
         vals: list[int] = []
-        for sym, sort, c, rows in steps:
-            if sym is None:  # a variable; ``sort`` is its sort's position
-                got = phi_rows[sort][c]
+        for sort, bind in steps:
+            if sort is None:  # a variable at flat position ``bind``
+                got = phi[bind]
             else:
-                key = ("a", sym, sort, c,
-                       tuple([tuple([vals[j] for j in row]) for row in rows]))
+                key = bind(vals)
                 got = lookup(key)
                 if got is None:
                     vals.append(self._insert(key, sort))
                     continue
-            vals.append(got if parent[got] == got else find(got))
+            up = parent[got]  # a root's child needs no find call
+            vals.append(got if up == got else up if parent[up] == up
+                        else find(got))
         return vals
 
     def _equation_pass(self) -> bool:
-        changed = False
-        for name, arity, budgets, steps, left, right in self._instances:
-            pools = self._class_pools(self.depth, budgets)
-            for fam in enumerate_families(arity, pools, self._act_memo()):
-                vals = self._run(steps, fam)
+        """Run every equation instance over its families of classes and
+        merge the two sides of each.
+
+        A pass starts right after a rebuild, so until its first merge every
+        hash key is canonical.  Until then it skips, for an unconstrained
+        instance, each family whose classes all sat in their slots' pools
+        at the previous pass, and the whole instance when no pool has a new
+        class.  Such a family is a tuple of roots (a root stays a root while
+        it exists) that already ran, so its nodes exist under canonical
+        keys and its sides are merged: a rerun would add and merge nothing.
+        From the pass's first merge on, and for instances whose arity has
+        naturality constraints, every family runs."""
+        start, changed = self._unions, False
+        seen_pools = self._seen_pools
+        for k, (name, X, cuts, slots, unconstrained, steps, left,
+                right) in enumerate(self._instances):
+            pools = self._class_pools(set(slots))
+            seen = None
+            if unconstrained:
+                sets = {key: set(pool) for key, pool in pools.items()}
+                seen, seen_pools[k] = seen_pools[k], [sets[s] for s in slots]
+                if seen is not None and self._unions == start and all(
+                        map(set.issuperset, seen, seen_pools[k])):
+                    continue
+                families = itertools.product(*[pools[s] for s in slots])
+            else:
+                families = [sum(rows, ()) for rows in enumerate_families(
+                    X, lambda s, x: pools[slots[X.offset(s) + x]],
+                    self._act_memo())]
+            for phi in families:
+                if seen is not None:
+                    if self._unions != start:
+                        seen = None
+                    elif all(map(set.__contains__, seen, phi)):
+                        continue
+                vals = self._run(steps, phi)
                 a, b = vals[left], vals[right]
                 if a != b:  # roots, as nothing merged during the run
                     self._union(a, b, AuditEntry(
-                        "eq", a, b, equation=name, phi=fam))
+                        "eq", a, b, equation=name,
+                        phi=tuple([phi[i:j] for i, j in cuts])))
                     changed = True
         return changed
 
@@ -510,8 +563,9 @@ class FreeAlgebra:
         for sym in self.signature.symbols:
             params = [(sort, c) for sort in self.index.sorts
                       for c in sym.parameter.elements(sort)]
-            pools = self._class_pools(limit, {})
-            for fam in listing(sym.arity, pools, self._act_memo()):
+            pools = self._class_pools([(s, limit) for s in self.index.sorts])
+            for fam in listing(sym.arity, lambda s, x: pools[s, limit],
+                               self._act_memo()):
                 yield [("a", sym.name, sort, c, fam) for sort, c in params]
 
     def _grow_pass(self) -> bool:
@@ -702,28 +756,44 @@ def free_algebra(P: Presentation, generators: Presheaf, depth: int,
     return FreeAlgebra(P, generators, depth, grow=True, max_nodes=max_nodes)
 
 
-def _compile_terms(index, terms) -> tuple[list[tuple], list[int]]:
-    """Post-order steps for ``FreeAlgebra._run``, a shared subterm object
-    once, and each term's slot.  A step is ``(None, sort position,
-    variable, None)`` or ``(symbol, sort, parameter, child slot rows)``."""
+def _compile_terms(X: Presheaf, terms) -> tuple[list[tuple], list[int]]:
+    """Post-order step programs for ``FreeAlgebra._run`` over terms in the
+    variables ``X``, a shared subterm object once, and each term's slot.
+    A step is ``(None, flat position of the variable in X)`` or ``(sort,
+    binder)``, where the binder builds the node key from the values of the
+    earlier steps (``_binder``)."""
     steps: list[tuple] = []
     memo: dict[int, int] = {}
-    return steps, [_compile_step(index, t, steps, memo) for t in terms]
+    return steps, [_compile_step(X, t, steps, memo) for t in terms]
 
 
-def _compile_step(index, t: Term, steps: list[tuple],
+def _compile_step(X: Presheaf, t: Term, steps: list[tuple],
                   memo: dict[int, int]) -> int:
     got = memo.get(id(t))
     if got is None:
         if t.is_var:
-            step = (None, index.sort_index(t.sort), t.var, None)
+            step = (None, X.offset(t.sort) + t.var)
         else:
-            step = (t.symbol.name, t.sort, t.param, tuple(
-                tuple(_compile_step(index, u, steps, memo) for u in row)
-                for row in t.binding))
+            step = (t.sort, _binder(t.symbol.name, t.sort, t.param, [
+                [_compile_step(X, u, steps, memo) for u in row]
+                for row in t.binding]))
         got = memo[id(t)] = len(steps)
         steps.append(step)
     return got
+
+
+def _binder(sym: str, sort: str, c: int, rows: list[list[int]]):
+    """The node key ``("a", sym, sort, c, binding)`` of an application
+    from the step values, whose binding rows are read off by one
+    ``operator.itemgetter`` per row (a row of one slot or none needs its
+    own tuple, which ``itemgetter`` does not give)."""
+    gets = [itemgetter(*row) if len(row) > 1
+            else (lambda vals, j=row[0]: (vals[j],)) if row
+            else (lambda vals: ()) for row in rows]
+    if len(gets) == 1:
+        get, = gets
+        return lambda vals: ("a", sym, sort, c, (get(vals),))
+    return lambda vals: ("a", sym, sort, c, tuple([get(vals) for get in gets]))
 
 
 # ---------------------------------------------------------------------------

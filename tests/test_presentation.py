@@ -538,13 +538,33 @@ ENGINE_CASES = [
     *((theory, k, d) for theory in BUNDLED_THEORIES
       for k, d in ((1, 2), (2, 2), (1, 3))),
     ("semilattice", 4, 4), ("globalstate", 2, 3), ("readbits", 2, 3),
+    # closures whose later passes skip families that ran before; the
+    # reference engine's own pass never skips
+    ("z2mod", 3, 3), ("boolmod", 3, 3), ("monoid", 1, 4),
+    ("restriction", 2, 3),
 ]
 
+# generator graphs for internalcat, so the act step has work
+GRAPH_CASES = [(1, [(0, 0)], 3), (2, [(0, 1)], 3), (2, [(0, 1), (1, 0)], 2)]
 
-@pytest.mark.parametrize("theory,k,d", ENGINE_CASES)
+
+@pytest.mark.parametrize("theory,k,d", [
+    # the last equation pass of semilattice 5/4 skips all 27,992 of its
+    # families, which the reference engine's own pass runs
+    *ENGINE_CASES, ("semilattice", 5, 4),
+])
 def test_free_algebra_matches_reference_engine(theory, k, d):
     P = _bundled_presentation(theory)
     gens = finite_set(k, P.signature.index)
+    _same_closure(FreeAlgebra(P, gens, d), ReferenceFreeAlgebra(P, gens, d))
+
+
+@pytest.mark.parametrize("vertices,edges,d", [
+    *GRAPH_CASES, (2, [(0, 1), (1, 0)], 3),
+])
+def test_graph_closure_matches_reference_engine(vertices, edges, d):
+    P = _bundled_presentation("internalcat")
+    gens = catalog.graph_presheaf(vertices, edges)
     _same_closure(FreeAlgebra(P, gens, d), ReferenceFreeAlgebra(P, gens, d))
 
 
@@ -658,11 +678,8 @@ def test_free_algebra_matches_old_bookkeeping(theory, k, d):
                       OldBookkeepingFreeAlgebra(P, gens, d))
 
 
-@pytest.mark.parametrize("vertices,edges,d", [
-    (1, [(0, 0)], 3), (2, [(0, 1)], 3), (2, [(0, 1), (1, 0)], 2),
-])
+@pytest.mark.parametrize("vertices,edges,d", GRAPH_CASES)
 def test_graph_closure_matches_old_bookkeeping(vertices, edges, d):
-    # internalcat over generators with edges, so the act step has work
     P = _bundled_presentation("internalcat")
     gens = catalog.graph_presheaf(vertices, edges)
     _same_bookkeeping(FreeAlgebra(P, gens, d),
@@ -720,10 +737,21 @@ def test_semilattice_closure_canonical_key_count(semilattice, monkeypatch):
 def test_semilattice_closure_find_count(semilattice, monkeypatch):
     # 51,904 calls when every rebuild grouped the nodes by class, though
     # over an index with no non-identity arrow the act step never reads
-    # the groups
+    # the groups; 49,213 when every equation pass reran every family and
+    # each lookup that hit a root's child called _find
     calls = _count_calls(monkeypatch, "_find")
     free_algebra(semilattice, finite_set(4, I), 4)
-    assert len(calls) == 49213
+    assert len(calls) == 17670
+
+
+def test_semilattice_closure_run_count(semilattice, monkeypatch):
+    # 9,276 runs when every equation pass reran every family, including
+    # the last pass, which only confirms the fixpoint; the skipped families
+    # add and merge nothing, so inserts and audit entries did not move
+    runs = _count_calls(monkeypatch, "_run")
+    inserts = _count_calls(monkeypatch, "_insert")
+    Q = free_algebra(semilattice, finite_set(4, I), 4)
+    assert (len(runs), len(inserts), len(Q.audit)) == (5657, 993, 978)
 
 
 # -- semantic soundness of the closure ---------------------------------------
@@ -813,7 +841,7 @@ def test_recursive_walks_leave_no_reference_cycles(semilattice):
     cells = Q.as_algebra()._cells[0]
     t = enumerate_terms(semilattice.signature, TWO, 2).terms("*")[-1]
     phi = var_assignment(semilattice.signature, TWO)
-    calls = [lambda: term_leaf_depths(t), lambda: _compile_terms(I, [t]),
+    calls = [lambda: term_leaf_depths(t), lambda: _compile_terms(TWO, [t]),
              lambda: Q.compile_class("*", Q.class_count() - 1, cells, {}),
              lambda: substitute(semilattice.signature, t, phi)]
     for call in calls:
