@@ -12,10 +12,13 @@ was measured.  Each pair runs
 once in each tree, one run at a time, on the same seed; which side goes
 first alternates from pair to pair, so a drift of the host's speed weighs
 on both sides alike.  There are 10 closure pairs and 5 search pairs, at
-the run length BENCHMARK.json sets.  The result is one JSON file holding
-every run's metrics and host speed, and per workload and metric the
-medians of both sides, the parent's quartiles and interquartile range,
-and the number of pairs the change won.  For example:
+the run length BENCHMARK.json sets.  After the pairs of a workload, each
+tree runs it once more with ``--trace 1``, on the first pair's seed, for
+the per-layer metrics.  The result is one JSON file holding every run's
+metrics and host speed, per workload and metric the medians of both sides,
+the parent's quartiles and interquartile range, and the number of pairs
+the change won, and per workload and side the traced run's per-layer
+metrics as printed.  For example:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_<n>.json \\
         --first-seed 1801 --dev-seeds 41-44
@@ -63,12 +66,14 @@ def seed_list(text: str) -> list[int]:
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int,
-             seconds: int) -> dict:
-    """One benchmark run in ``tree``: its metrics, host speed and counts."""
+             seconds: int, trace: int = 0) -> dict:
+    """One benchmark run in ``tree``: its metrics, host speed and counts;
+    with ``trace`` 1 the metrics are the per-layer ones."""
     started = time.time()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
         env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
     lines = proc.stdout.strip().splitlines()
@@ -142,6 +147,7 @@ def main(argv=None) -> int:
     seconds = gates["run_seconds"]
     report = {
         "command": f"perfbench/run.py --seconds {seconds} --trace 0",
+        "traced_command": f"perfbench/run.py --seconds {seconds} --trace 1",
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD"),
         "host": {"python": platform.python_version(),
@@ -169,10 +175,14 @@ def main(argv=None) -> int:
                           flush=True)
                 pairs.append(pair)
                 seed += 1
+            traced = {side: run_once(trees[side], workload, pairs[0]["seed"],
+                                     seconds, trace=1)
+                      for side in ("parent", "change")}
             report["workloads"][workload] = {
                 "seeds": [p["seed"] for p in pairs],
                 "summary": summarize(pairs, better),
                 "pairs": pairs,
+                "traced": traced,
             }
             out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, w in report["workloads"].items():

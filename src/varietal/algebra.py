@@ -19,7 +19,12 @@ algebra classes (``FreeAlgebra.compile_class``): ``evaluate``,
 search share this one evaluator, for term and quotient equations alike.
 Model enumeration sets one cell at a time and checks each equation instance
 as soon as the cells it reaches are set, after SEM (Zhang & Zhang, 1995) and
-Mace4 (McCune, 2003); its ceiling counts cell assignments tried.
+Mace4 (McCune, 2003); its ceiling counts cell assignments tried.  Each
+instance is specialized to its input family once per carrier
+(``_specialize``): an application whose input family is then known reads a
+fixed cell, and the instance is checked first at the level of its highest
+fixed cell, from a static list, and after that only on the watch lists of
+cells it reaches through table values.
 """
 
 from __future__ import annotations
@@ -156,19 +161,60 @@ def _compile(t: Term, J: Presheaf, cells: dict):
 def _value(node, phi: tuple, table: list) -> int:
     """The flat element a compiled term denotes under the input family with
     ``flat_table`` ``phi`` and the cell values ``table``, or ``~cell`` for
-    the first unassigned (``None``) cell its evaluation needs."""
+    the first unassigned (``None``) cell its evaluation needs.  Besides
+    variables and applications a node can be a fixed cell ``(cell, value
+    flat tables, flat parameter element)``, an application whose input
+    family was known in advance (``_specialize``)."""
     if type(node) is int:
         return phi[node]
-    position, first, values, c, children = node
-    key = []
-    for u in children:
-        x = phi[u] if type(u) is int else _value(u, phi, table)
-        if x < 0:
-            return x
-        key.append(x)
-    cell = first + position[tuple(key)]
+    if len(node) == 3:
+        cell, values, c = node
+    else:
+        position, first, values, c, children = node
+        key = []
+        for u in children:
+            if type(u) is int:
+                x = phi[u]
+            elif len(u) == 3:  # a fixed cell, read here to save a call
+                x = table[u[0]]
+                if x is None:
+                    return ~u[0]
+                x = u[1][x][u[2]]
+            else:
+                x = _value(u, phi, table)
+                if x < 0:
+                    return x
+            key.append(x)
+        cell = first + position[tuple(key)]
     v = table[cell]
     return ~cell if v is None else values[v][c]
+
+
+def _specialize(node, phi: tuple, memo: dict) -> tuple:
+    """A compiled node with the input family ``phi`` substituted in, and the
+    highest fixed cell it reads (-1 for none).
+
+    The result is a node over the carrier itself: a variable becomes the
+    flat element ``phi`` gives it, so it runs at the identity family, whose
+    flat table is ``0, 1, 2, ...``.  An application whose children are all
+    variables then has a known input family, and becomes the fixed cell
+    ``first + position[key]``.  ``memo`` serves one ``phi`` and keeps shared
+    subterms shared."""
+    if type(node) is int:
+        return phi[node], -1
+    got = memo.get(id(node))
+    if got is None:
+        position, first, values, c, children = node
+        subs = [_specialize(u, phi, memo) for u in children]
+        key = tuple([u for u, _ in subs])
+        if all(type(u) is int for u in key):
+            cell = first + position[key]
+            got = (cell, values, c), cell
+        else:
+            got = ((position, first, values, c, key),
+                   max([level for _, level in subs]))
+        memo[id(node)] = got
+    return got
 
 
 def evaluate(A: Algebra, t: Term, phi: PresheafMorphism) -> int:
@@ -284,14 +330,17 @@ def enumerate_carriers(
     return out
 
 
-def _propagate(insts, table: list, watch: list, moved: list) -> bool:
-    """Check equation instances against the partial table; False on the first
-    violation.  An instance that needs an unassigned cell joins that cell's
-    watch list, and the cell is recorded in ``moved`` for undoing."""
+def _propagate(insts, ident: tuple, table: list, watch: list,
+               moved: list) -> bool:
+    """Check specialized equation instances ``(lhs, rhs)`` against the
+    partial table, at the identity family ``ident``; False on the first
+    violation.  An instance that needs an unassigned cell, which only a
+    table value can lead to, joins that cell's watch list, and the cell is
+    recorded in ``moved`` for undoing."""
     for inst in insts:
-        lhs, rhs, phi = inst
-        lv = _value(lhs, phi, table)
-        rv = _value(rhs, phi, table) if lv >= 0 else lv
+        lhs, rhs = inst
+        lv = _value(lhs, ident, table)
+        rv = _value(rhs, ident, table) if lv >= 0 else lv
         if rv < 0:
             watch[~rv].append(inst)
             moved.append(~rv)
@@ -312,19 +361,26 @@ def enumerate_algebras(
     ``target`` is a signature or a presentation (anything with ``signature``
     and ``equations``).  Cells (see :func:`_cell_layout`) are set one at a
     time in layout order, so constants come first.  Each equation instance
-    (equation, input family, parameter element) waits on the first
-    unassigned cell its evaluation needs and is checked again when that cell
-    is set.  Each carrier's models are listed in lexicographic order of their
-    tables, in signature order.  Raises :class:`StructureError` on a negative
-    size bound and :class:`ResourceCeiling` once more than ``ceiling`` cell
-    assignments have been tried.
+    (equation, input family, parameter element) is specialized to its input
+    family once per carrier (:func:`_specialize`), so the cells it reads
+    without looking at a table value are fixed.  It is filed on a static
+    list at the level of its highest fixed cell, or checked before the first
+    assignment if it has none; when its evaluation stops at a cell reached
+    through a table value, it waits on that cell's watch list.  Level k runs
+    its static list, then its watch list, so an instance is checked in full
+    at the level where the last cell its evaluation reads is set.  Each
+    carrier's models are listed in lexicographic order of their tables, in
+    signature order.  Raises :class:`StructureError` on a negative size bound
+    and :class:`ResourceCeiling` once more than ``ceiling`` cell assignments
+    have been tried.
 
     A ``QuotientEquation``'s class programs look up input families that are
     natural only where the base equations hold, and no guard catches a miss.
-    The instances first checked, term equations before quotient equations,
-    stay first on their cells' watch lists.  So a base equation that reads
-    one cell (an endpoint law of ``internalcat``) rejects a bad value of it
-    before any class program reads it.
+    Static lists keep equation order, term equations before quotient
+    equations, and run before the watch lists.  So a base equation that
+    reads one cell (an endpoint law of ``internalcat``) is on the static list
+    of that cell's level and rejects a bad value of it before any class
+    program reads it.
     """
     sig = getattr(target, "signature", target)
     equations = getattr(target, "equations", ())
@@ -341,13 +397,21 @@ def enumerate_algebras(
     tried = 0
     for X in carriers:
         cells, nvals = _cell_layout(sig, X, lambda s: hom_list(s.parameter, X))
-        insts = []
+        n = len(nvals)
+        # static[k]: instances whose highest fixed cell is k, in equation
+        # order; initial: those with no fixed cell
+        static: list[list[tuple]] = [[] for _ in range(n)]
+        initial: list[tuple] = []
         for eq in equations:
             sides = _compiled_sides(eq, cells)
-            insts += [(lhs, rhs, phi)
-                      for phi in hom_list(eq.arity, X).position
-                      for _, _, lhs, rhs in sides]
-        n = len(nvals)
+            for phi in hom_list(eq.arity, X).position:
+                memo: dict = {}
+                for _, _, lhs, rhs in sides:
+                    lhs, lk = _specialize(lhs, phi, memo)
+                    rhs, rk = _specialize(rhs, phi, memo)
+                    level = max(lk, rk)
+                    (static[level] if level >= 0 else initial).append((lhs, rhs))
+        ident = tuple(range(X.total_size))
         table: list[int | None] = [None] * n
         # watch[k]: instances whose evaluation stopped at unassigned cell k;
         # moved[k]: the cells whose watch lists got an instance at level k
@@ -357,7 +421,7 @@ def enumerate_algebras(
         spans = [slice(first, first + len(position))
                  for position, first, _ in (cells[s.name] for s in sig.symbols)]
         found: list[tuple] = []
-        k = 0 if _propagate(insts, table, watch, []) else -1
+        k = 0 if _propagate(initial, ident, table, watch, []) else -1
         while k >= 0:
             for cell in moved[k]:
                 watch[cell].pop()
@@ -376,7 +440,8 @@ def enumerate_algebras(
                 if tried > ceiling:
                     raise ResourceCeiling(
                         f"cell assignments tried exceeded the ceiling {ceiling}")
-                if _propagate(watch[k], table, watch, moved[k]):
+                if (_propagate(static[k], ident, table, watch, moved[k])
+                        and _propagate(watch[k], ident, table, watch, moved[k])):
                     k += 1
         params = [hom_list(s.parameter, X) for s in sig.symbols]
         for key in sorted(found):

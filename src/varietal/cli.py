@@ -45,8 +45,19 @@ def _finish(code: int) -> int:
 
 
 def _ceiling() -> int:
+    """The model search's ceiling: ``VARIETAL_CEILING`` if set, a
+    nonnegative integer, else the default."""
     value = os.environ.get("VARIETAL_CEILING")
-    return int(value) if value else DEFAULT_CEILING
+    if not value:
+        return DEFAULT_CEILING
+    try:
+        ceiling = int(value)
+    except ValueError:
+        ceiling = -1
+    if ceiling < 0:
+        raise ValueError(
+            f"VARIETAL_CEILING must be a nonnegative integer, not {value!r}")
+    return ceiling
 
 
 def _load(paths) -> Workspace:

@@ -44,6 +44,7 @@ from varietal.algebra import (
     satisfies,
 )
 from varietal.catalog import (
+    boolean_rig,
     global_state_presentation,
     graph_presheaf,
     internal_category_presentation,
@@ -52,8 +53,10 @@ from varietal.catalog import (
     path_graph,
     reading_bits_presentation,
     restriction_presentation,
+    rig_module_presentation,
     semilattice_presentation,
     state_transformer_algebra,
+    z2_rig,
 )
 from varietal.presentation import (
     free_algebra,
@@ -204,6 +207,52 @@ def test_resource_ceiling_names_its_counter(sl):
         enumerate_algebras(sl, 3, ceiling=10)
 
 
+def _parsed(name):
+    (P,) = fileformat.parse_file(str(DATA / name)).presentations.values()
+    return P
+
+
+def assignments_tried(search, count):
+    """The search tries exactly ``count`` cell assignments: it completes
+    under that ceiling and trips one below it."""
+    search(count)
+    with pytest.raises(ResourceCeiling):
+        search(count - 1)
+
+
+@pytest.mark.parametrize("make,size,count", [
+    (monoid_presentation, 3, 548),
+    (monoid_presentation, 4, 28_176),
+    (semilattice_presentation, 3, 163),
+    (semilattice_presentation, 4, 2_855),
+    (reading_bits_presentation, 2, 61),
+    (reading_bits_presentation, 3, 1_870),
+    (lambda: sum_presentations(SL, MO), 2, 73),
+    (lambda: tensor(MO, MO), 2, 70),
+    (lambda: _parsed("restriction.var"), 3, 686),
+    (lambda: _parsed("globalstate.var"), 2, 40),
+    (lambda: _parsed("internalcat.var"), 2, 127),
+], ids=["monoid-3", "monoid-4", "semilattice-3", "semilattice-4",
+        "readbits-2", "readbits-3", "sum-2", "tensor-2", "restriction-3",
+        "globalstate-2", "internalcat-2"])
+def test_model_search_tries_a_pinned_number_of_assignments(make, size, count):
+    # the search's exact work: pruning neither earlier nor later than the
+    # watched search that first listed these models
+    P = make()
+    assignments_tried(
+        lambda ceiling: enumerate_algebras(P, size, ceiling=ceiling), count)
+
+
+@pytest.mark.parametrize("nv,edges,count", [
+    (1, [(0, 0)] * 3, 522),
+    (2, [(0, 0), (1, 1), (0, 1)], 18),
+    (2, [(0, 1), (1, 0)], 2),
+])
+def test_models_on_tries_a_pinned_number_of_assignments(ic, nv, edges, count):
+    G = graph_presheaf(nv, edges)
+    assignments_tried(lambda ceiling: ic.models_on(G, ceiling=ceiling), count)
+
+
 def brute_force_keys(P, carriers, extra=()):
     """Canonical keys of the models, by the whole-table product.
 
@@ -237,9 +286,11 @@ MO = monoid_presentation()
 
 @pytest.mark.parametrize("P", [
     SL, MO, restriction_presentation(), global_state_presentation(),
-    sum_presentations(SL, MO), tensor(MO, MO),
+    sum_presentations(SL, MO), tensor(MO, MO), reading_bits_presentation(),
+    rig_module_presentation(z2_rig()), rig_module_presentation(boolean_rig()),
 ], ids=["semilattice", "monoid", "restriction", "globalstate",
-        "sum-semilattice-monoid", "tensor-monoid-monoid"])
+        "sum-semilattice-monoid", "tensor-monoid-monoid", "readbits",
+        "z2-module", "bool-module"])
 def test_model_search_matches_whole_table_product(P):
     carriers = enumerate_carriers(P.signature.index, [2])
     assert ([A.canonical_key() for A in enumerate_algebras(P, 2)]

@@ -379,6 +379,27 @@ def test_resource_ceiling_exit_code(capsys):
         del os.environ["VARIETAL_CEILING"]
 
 
+@pytest.mark.parametrize("value", ["-5", "abc", "2.5"])
+def test_bad_ceiling_is_an_input_error_that_names_the_variable(
+        value, monkeypatch, capsys):
+    monkeypatch.setenv("VARIETAL_CEILING", value)
+    code = main(["models", str(DATA / "semilattice.var"), "--size", "1"])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert out.splitlines() == [
+        f"error: VARIETAL_CEILING must be a nonnegative integer, not {value!r}",
+        "status=input-error"]
+
+
+def test_zero_ceiling_is_valid(monkeypatch, capsys):
+    # the empty carrier has no cells, so its one model takes no assignment
+    monkeypatch.setenv("VARIETAL_CEILING", "0")
+    assert main(["models", str(DATA / "semilattice.var"), "--size", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["models=1", "status=ok"]
+    assert main(["models", str(DATA / "semilattice.var"), "--size", "1"]) == 4
+    assert "exceeded the ceiling 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("args", [
     ["free", "semilattice.var", "--gens", "2", "--depth", "3"],
     ["clone", "semilattice.var", "--of", "--objs", "1,2"],
