@@ -65,6 +65,8 @@ COMMANDS = [
     "pretheory k.pt --check",
     "pretheory data/semilattice.var --kleisli --objs 1,2,3 --depth 3",
     "birkhoff data/semilattice_gen.algs --scale 2,2 --gens 1",
+    "birkhoff data/semilattice_gen.algs --scale 3,1 --gens 1",
+    "birkhoff data/semilattice_gen.algs --scale 2,1 --gens 2",
 ]
 
 

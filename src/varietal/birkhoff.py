@@ -25,7 +25,6 @@ from .syntax import (
     Equation,
     FreeFormSignature,
     ParamTerm,
-    TermUniverse,
     enumerate_terms,
     precompose_equation,
 )
@@ -76,18 +75,17 @@ class BirkhoffWindow:
         self.arities = arities
         self._param_terms: dict[tuple[int, int], list[ParamTerm]] = {}
         self._algebras: list[Algebra] | None = None
-        self._kernels: dict[tuple, list[int]] = {}
+        self._kernels: dict[Algebra, list[int]] = {}
+        self._algebra_keys: set[tuple] | None = None
 
     # -- window construction -------------------------------------------------
-
-    def universe(self, ai: int) -> TermUniverse:
-        return enumerate_terms(self.signature, self.arities[ai], self.scale.depth)
 
     def param_terms(self, ai: int, gi: int) -> list[ParamTerm]:
         """Natural families from a generator into the truncated terms."""
         got = self._param_terms.get((ai, gi))
         if got is None:
-            uni = self.universe(ai)
+            uni = enumerate_terms(
+                self.signature, self.arities[ai], self.scale.depth)
             G = self.scale.generators[gi]
             fams = enumerate_families(
                 G, lambda sort, x: uni.terms(sort), uni.act)
@@ -107,16 +105,18 @@ class BirkhoffWindow:
         return list(self._window)
 
     @cached_property
-    def _window(self) -> dict[Equation, tuple[int, int, int, int]]:
-        """Each window equation, keyed by identity, to (arity, generator, i, j)."""
-        out = {}
+    def _window(self) -> dict[Equation, tuple[int, int]]:
+        """Each window equation, keyed by identity, to the positions of its
+        two sides in a kernel (see ``_kernel``)."""
+        out, start = {}, 0
         for ai in range(len(self.arities)):
             for gi in range(len(self.scale.generators)):
                 pts = self.param_terms(ai, gi)
                 for i in range(len(pts)):
                     for j in range(i + 1, len(pts)):
                         eq = Equation(f"w[{ai},{gi},{i},{j}]", pts[i], pts[j])
-                        out[eq] = (ai, gi, i, j)
+                        out[eq] = (start + i, start + j)
+                start += len(pts)
         return out
 
     def algebras(self) -> list[Algebra]:
@@ -127,19 +127,22 @@ class BirkhoffWindow:
 
     # -- the two polarities ----------------------------------------------------
 
-    def _kernel(self, A: Algebra, ai: int, gi: int) -> list[int]:
-        """Per parametrized term, a class id; equal ids iff A equates them."""
-        key = (A.canonical_key(), ai, gi)
-        got = self._kernels.get(key)
+    def _kernel(self, A: Algebra) -> list[int]:
+        """A class id per window parametrized term, block by block (arity,
+        then generator): two terms of a block have equal ids iff A equates
+        them.  Cached per algebra object."""
+        got = self._kernels.get(A)
         if got is None:
-            table = interpretation_table(A, self.arities[ai], self.scale.depth)
+            self._require_signature(A)
             ids: dict[tuple, int] = {}
-            got = [
-                ids.setdefault(
-                    tuple(tuple(table[t] for t in row) for row in pt.rows),
-                    len(ids))
-                for pt in self.param_terms(ai, gi)]
-            self._kernels[key] = got
+            got = []
+            for ai, J in enumerate(self.arities):
+                table = interpretation_table(A, J, self.scale.depth)
+                for gi in range(len(self.scale.generators)):
+                    got += [ids.setdefault(
+                        tuple(tuple(table[t] for t in row) for row in pt.rows),
+                        len(ids)) for pt in self.param_terms(ai, gi)]
+            self._kernels[A] = got
         return got
 
     def _holds(self, A: Algebra, eq: Equation) -> bool:
@@ -147,33 +150,22 @@ class BirkhoffWindow:
         at = self._window.get(eq)
         if at is None:
             return bool(satisfies(A, eq))
-        ai, gi, i, j = at
-        kernel = self._kernel(A, ai, gi)
-        return kernel[i] == kernel[j]
+        kernel = self._kernel(A)
+        return kernel[at[0]] == kernel[at[1]]
 
     def sat_star(self, E: Sequence[Equation]) -> list[Algebra]:
         """All window algebras satisfying every equation in E."""
-        out = []
-        for A in self.algebras():
-            if all(self._holds(A, eq) for eq in E):
-                out.append(A)
-        return out
+        return [A for A in self.algebras()
+                if all(self._holds(A, eq) for eq in E)]
 
     def sat_lower_g(self, algebras: Sequence[Algebra]) -> list[Equation]:
         """All window equations satisfied by every algebra in the set: the
         pairs whose class ids agree in the kernel of every member algebra."""
-        columns: dict[tuple[int, int], list[tuple]] = {}
-        out = []
-        for eq, (ai, gi, i, j) in self._window.items():
-            col = columns.get((ai, gi))
-            if col is None:
-                kernels = [self._kernel(A, ai, gi) for A in algebras]
-                col = [tuple(k[p] for k in kernels)
-                       for p in range(len(self.param_terms(ai, gi)))]
-                columns[ai, gi] = col
-            if col[i] == col[j]:
-                out.append(eq)
-        return out
+        if not algebras:  # the empty set satisfies every equation
+            return self.equation_window()
+        columns = list(zip(*map(self._kernel, algebras)))
+        return [eq for eq, (i, j) in self._window.items()
+                if columns[i] == columns[j]]
 
     def variety_generated(self, algebras: Sequence[Algebra]) -> list[Algebra]:
         return self.sat_star(self.sat_lower_g(algebras))
@@ -188,11 +180,20 @@ class BirkhoffWindow:
             if eq not in self._window:
                 raise ScaleError(f"equation {eq.name} is outside the window")
 
+    def _require_signature(self, A: Algebra):
+        if A.signature is not self.signature:
+            raise ScaleError(f"algebra over signature {A.signature.name}, "
+                             f"not the window's {self.signature.name}")
+
     def require_window_algebras(self, algebras: Sequence[Algebra]):
-        """Raise :class:`ScaleError` unless every algebra is a window algebra."""
-        keys = {A.canonical_key() for A in self.algebras()}
+        """Raise :class:`ScaleError` unless every algebra is a window algebra:
+        one over the window's signature, equal to one the window lists (the
+        only place where algebras are compared by structure)."""
+        if self._algebra_keys is None:
+            self._algebra_keys = {A.canonical_key() for A in self.algebras()}
         for A in algebras:
-            if A.canonical_key() not in keys:
+            self._require_signature(A)
+            if A.canonical_key() not in self._algebra_keys:
                 raise ScaleError("algebra outside the window scale")
 
     def check_galois_laws(self, E: Sequence[Equation],
@@ -219,19 +220,16 @@ class BirkhoffWindow:
         record("adjunction", left == right,
                f"left={left},right={right}")
 
+        # sat_star lists window algebras, so sets of them compare by identity
         sat_e = self.sat_star(E)
-        sat_e_keys = {A.canonical_key() for A in sat_e}
         tri1 = self.sat_star(self.sat_lower_g(sat_e))
-        record("triple-algebras",
-               {A.canonical_key() for A in tri1} == sat_e_keys)
+        record("triple-algebras", set(tri1) == set(sat_e))
         tri2 = set(self.sat_lower_g(self.sat_star(lower)))
         record("triple-equations", tri2 == low_a)
 
         va = self.variety_generated(algebras)
         vva = self.variety_generated(va)
-        record("variety-idempotent",
-               {A.canonical_key() for A in va}
-               == {A.canonical_key() for A in vva})
+        record("variety-idempotent", set(va) == set(vva))
         te = self.theory_generated(E)
         tte = self.theory_generated(te)
         record("theory-idempotent",

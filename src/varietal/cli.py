@@ -83,21 +83,20 @@ def _only(table: dict, kind: str, name: str | None, flag: str | None = None):
     return next(iter(table.values()))
 
 
-def _gen_objects(spec: str, index):
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(finite_set(int(part), index))
-    return out
+# argument types; argparse names the flag and the type when one raises
+def int_list(spec: str) -> list[int]:
+    return [int(part) for part in spec.split(",") if part.strip()]
 
 
-def _arity_objects(spec: str, index):
-    objs = _gen_objects(spec, index)
-    if not objs:
+def int_pair(spec: str) -> tuple[int, int]:
+    n, d = map(int, spec.split(","))
+    return n, d
+
+
+def _arity_objects(sizes: list[int], index):
+    if not sizes:
         raise ParseError("--objs needs at least one arity size, e.g. --objs 1,2")
-    return objs
+    return [finite_set(k, index) for k in sizes]
 
 
 def cmd_check(args) -> int:
@@ -243,8 +242,9 @@ def cmd_pretheory(args) -> int:
 def cmd_birkhoff(args) -> int:
     ws = _load(args.files)
     sig = _only(ws.signatures, "signature", args.signature)
-    n, d = (int(x) for x in args.scale.split(","))
-    gens = tuple(_gen_objects(args.gens, sig.index)) or (terminal(sig.index),)
+    n, d = args.scale
+    gens = (tuple(finite_set(k, sig.index) for k in args.gens)
+            or (terminal(sig.index),))
     window = BirkhoffWindow(sig, GaloisScale(n, d, gens), ceiling=_ceiling())
     algebras = [ws.algebras[name] for name in sorted(ws.algebras)]
     window.require_window_algebras(algebras)
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--of", action="store_true")
     p.add_argument("--name")
-    p.add_argument("--objs", default="")
+    p.add_argument("--objs", type=int_list, default="")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_clone)
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compile", action="store_true")
     p.add_argument("--kleisli", action="store_true")
     p.add_argument("--name")
-    p.add_argument("--objs", default="")
+    p.add_argument("--objs", type=int_list, default="")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_pretheory)
@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("birkhoff", help="variety generation and Galois laws")
     p.add_argument("files", nargs="+")
     p.add_argument("--signature")
-    p.add_argument("--scale", required=True, help="n,d")
-    p.add_argument("--gens", default="")
+    p.add_argument("--scale", type=int_pair, required=True, help="n,d")
+    p.add_argument("--gens", type=int_list, default="")
     p.set_defaults(fn=cmd_birkhoff)
     return top
 

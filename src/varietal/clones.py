@@ -312,18 +312,13 @@ def _clone_and_free_algebras(
     mult: dict[tuple[int, int], list[PresheafMorphism]] = {}
     idx = P.signature.index
     algebras = [Q.as_algebra() for Q in quotients]
-    for i, Qi in enumerate(quotients):
-        for j, Aj in enumerate(algebras):
-            values = []
-            memo: dict = {}
-            for g in hom_list(objects[i], carriers[j]):
-                comps = tuple(
-                    tuple(
-                        Qi.evaluate_class(Aj, g, sort, ci, memo)
-                        for ci in range(carriers[i].size(sort)))
-                    for sort in idx.sorts)
-                values.append(PresheafMorphism(carriers[i], carriers[j], comps))
-            mult[(i, j)] = values
+    for i, (X, Qi) in enumerate(zip(carriers, quotients)):
+        for j, (Y, Aj) in enumerate(zip(carriers, algebras)):
+            # m(g) for each g : J_i -> Y in listing order, split into sorts
+            mult[(i, j)] = [PresheafMorphism(X, Y, tuple(
+                tuple(v - Y.offset(s)
+                      for v in flat[X.offset(s):X.offset(s) + X.size(s)])
+                for s in idx.sorts)) for flat in Qi.class_values(Aj)]
     M = RelativeMonad(f"clone[{P.name}]", objects, carriers, unit, mult)
     bad = check_relative_monad(M, first_only=True)
     if bad:

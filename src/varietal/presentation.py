@@ -719,6 +719,15 @@ class FreeAlgebra:
             memo[root] = got
         return got
 
+    def class_values(self, A: Algebra) -> list[tuple[int, ...]]:
+        """For each phi of ``hom_list(generators, A.carrier)``, in listing
+        order, the flat value in ``A`` of every class; each compiles once."""
+        (cells, table), memo = A._cells, {}
+        nodes = [self.compile_class(s, c, cells, memo)
+                 for s in self.index.sorts for c in self.classes.elements(s)]
+        return [tuple([_value(v, phi, table) for v in nodes])
+                for phi in hom_list(self.generators, A.carrier).position]
+
     def evaluate_class(self, A: Algebra, phi: PresheafMorphism, sort: str,
                        i: int, memo: dict | None = None) -> int:
         """Interpret a class in an algebra satisfying the base presentation.

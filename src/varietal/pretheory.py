@@ -39,7 +39,7 @@ from .syntax import (
     var,
     var_assignment,
 )
-from .algebra import Algebra, _value, enumerate_algebras
+from .algebra import Algebra, enumerate_algebras
 from .presentation import Presentation
 from .clones import (RelativeMonad, Violation, _clone_and_free_algebras,
                      clone_of_presentation, identity_clone)
@@ -417,14 +417,10 @@ def kleisli_models(P: Presentation, objects: Sequence[Presheaf], depth: int,
               (pretheory_of_clone(M, name), range(n))]
 
     def forced(T, arities, A, alphas):  # alphas: i -> alpha_i(phi) per phi
-        (cells, table), action = A._cells, {}
+        action = {}
         for a, i in enumerate(arities):
             if i not in alphas:
-                Q, memo = quotients[i], {}
-                nodes = [Q.compile_class(s, c, cells, memo)
-                         for s in Q.classes.index.sorts for c in Q.classes.elements(s)]
-                alphas[i] = [tuple([_value(v, phi, table) for v in nodes])
-                             for phi in hom_list(M.objects[i], A.carrier).position]
+                alphas[i] = quotients[i].class_values(A)
             for b, j in enumerate(arities):
                 tokens, into = M.homs_into(j, i), hom_list(M.objects[j], A.carrier)
                 try:

@@ -1,7 +1,10 @@
+import pathlib
 import random
+from collections import Counter
 
 import pytest
 
+from varietal import birkhoff, fileformat
 from varietal.base import (
     finite_set,
     hom_set,
@@ -11,7 +14,9 @@ from varietal.base import (
 from varietal import syntax
 from varietal.syntax import FreeFormSignature, OperationSymbol
 from varietal.syntax import Equation, ParamTerm, app, var
-from varietal.algebra import enumerate_algebras, is_homomorphism, satisfies, product_algebra
+from varietal.algebra import (
+    enumerate_algebras, interpretation_table, is_homomorphism, product_algebra,
+    satisfies)
 from varietal.presentation import palg_satisfies, free_algebra
 from varietal.birkhoff import (
     BirkhoffWindow,
@@ -21,6 +26,7 @@ from varietal.birkhoff import (
 )
 from varietal.catalog import max_semilattice_algebra, semilattice_presentation
 
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
 I = trivial_index()
 ONE = terminal(I)
 TWO = finite_set(2, I)
@@ -246,3 +252,60 @@ def test_galois_laws_reject_equation_named_like_window_pair(binop_window):
                            _f(binop_window, TWO, x, y), _f(binop_window, TWO, y, x))
     with pytest.raises(ScaleError):
         binop_window.check_galois_laws([comm], [binop_window.algebras()[0]])
+
+
+def test_window_builds_one_kernel_per_algebra_and_arity(monkeypatch):
+    # every law reads the one cached kernel of each algebra object: the
+    # first run interprets each window algebra once per arity, the next none
+    calls = Counter()
+
+    def counting(A, J, depth):
+        calls[id(A), J] += 1
+        return interpretation_table(A, J, depth)
+
+    monkeypatch.setattr(birkhoff, "interpretation_table", counting)
+    sig = FreeFormSignature("pairops", [OperationSymbol("f", TWO, ONE),
+                                        OperationSymbol("g", ONE, ONE)])
+    window = BirkhoffWindow(sig, GaloisScale(2, 2, (ONE,)))
+    eqs, algebras = window.equation_window(), window.algebras()
+    assert window.arities == (TWO, ONE)
+    ok, _ = window.check_galois_laws(eqs[:1], algebras[:2])
+    assert ok
+    assert calls == {(id(A), J): 1 for A in algebras for J in window.arities}
+    calls.clear()
+    rng = random.Random(5)
+    for _ in range(3):
+        ok, _ = window.check_galois_laws(rng.sample(eqs, 3),
+                                         rng.sample(algebras, 3))
+        assert ok
+    assert not calls
+
+
+def test_parsed_algebra_reads_like_its_window_twin():
+    # kernels are held per object; an outside algebra equal to a window
+    # algebra gets the same theory and variety as the window's own object
+    ws = fileformat.Workspace()
+    fileformat.parse_file(str(DATA / "semilattice_gen.algs"), ws)
+    sig = ws.signatures["semilattice.sig"]
+    window = BirkhoffWindow(sig, GaloisScale(2, 2, (terminal(sig.index),)))
+    parsed = ws.algebras["chain2"]
+    twin, = [A for A in window.algebras()
+             if A.canonical_key() == parsed.canonical_key()]
+    assert twin is not parsed
+    window.require_window_algebras([parsed])
+    theory = window.sat_lower_g([parsed])
+    assert theory == window.sat_lower_g([twin])
+    assert window.variety_generated([parsed]) == window.variety_generated([twin])
+    assert all(window._holds(parsed, eq) for eq in theory)
+
+
+def test_algebra_over_another_signature_is_a_scale_error(binop_window):
+    # its tables are a window algebra's, but its terms are not the window's
+    other = FreeFormSignature("other", [OperationSymbol("f", TWO, ONE)])
+    A = enumerate_algebras(other, 2)[3]
+    assert A.canonical_key() in keys(binop_window.algebras())
+    for call in (binop_window.sat_lower_g, binop_window.variety_generated,
+                 binop_window.require_window_algebras,
+                 lambda algebras: binop_window.check_galois_laws([], algebras)):
+        with pytest.raises(ScaleError, match="signature other, not the window's binop"):
+            call([A])

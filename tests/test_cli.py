@@ -349,6 +349,22 @@ def test_birkhoff_outside_the_scale_fails_before_generating(monkeypatch,
     assert out == "error: algebra outside the window scale\nstatus=input-error\n"
 
 
+def test_birkhoff_algebra_over_another_signature_is_an_input_error(tmp_path,
+                                                                   capsys):
+    # the other signature's algebra has a semilattice table, so only its
+    # signature keeps it out of the window
+    bundle = tmp_path / "two-signatures.algs"
+    bundle.write_text((DATA / "semilattice_gen.algs").read_text()
+                      + "(signature other I (op join :arity ob0 :param ob1))\n"
+                      + "(algebra chain2o other carrier (op join (0) (1) (1) (1)))\n")
+    code = main(["birkhoff", str(bundle), "--scale", "2,2", "--gens", "1",
+                 "--signature", "semilattice.sig"])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert out == ("error: algebra over signature other, not the window's "
+                   "semilattice.sig\nstatus=input-error\n")
+
+
 def test_semantic_error_names_equation(tmp_path, capsys):
     text = (DATA / "semilattice.var").read_text()
     # corrupt the idem equation: reference a variable outside the arity
@@ -520,6 +536,14 @@ def test_free_monoid_three_generators_depth_three_stays_small(capsys):
 @pytest.mark.parametrize("args,message", [
     (["free", str(DATA / "semilattice.var"), "--gens", "x", "--depth", "2"],
      "invalid int value"),
+    (["birkhoff", str(DATA / "semilattice_gen.algs"), "--scale", "2"],
+     "argument --scale: invalid int_pair value: '2'"),
+    (["birkhoff", str(DATA / "semilattice_gen.algs"), "--scale", "2,2,1"],
+     "argument --scale: invalid int_pair value: '2,2,1'"),
+    (["birkhoff", str(DATA / "semilattice_gen.algs"), "--scale", "2,2",
+      "--gens", "1,x"], "argument --gens: invalid int_list value: '1,x'"),
+    (["clone", str(DATA / "semilattice.var"), "--of", "--objs", "x"],
+     "argument --objs: invalid int_list value: 'x'"),
     (["bogus"], "invalid choice"),
     (["models"], "required"),
     (["birkhoff", str(DATA / "semilattice_gen.algs"), "--scale", "2,2",
@@ -528,7 +552,8 @@ def test_free_monoid_three_generators_depth_three_stays_small(capsys):
       "out.var"], "no presentation named 'a'"),
     (["tensor", str(DATA / "semilattice.var"), "--names", "semilattice",
       "b", "-o", "out.var"], "no presentation named 'b'"),
-], ids=["bad-int", "unknown-command", "missing-argument",
+], ids=["bad-int", "short-scale", "long-scale", "bad-gens", "bad-objs",
+        "unknown-command", "missing-argument",
         "unknown-birkhoff-signature", "unknown-sum-name",
         "unknown-tensor-name"])
 def test_bad_arguments_are_input_errors(args, message, capsys):
