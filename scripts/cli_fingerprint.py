@@ -63,7 +63,8 @@ COMMANDS = [
     "pretheory data/kleisli_semilattice.pt --compile -o compiled.var",
     "pretheory data/semilattice.var --kleisli --objs 1,2 --depth 3 -o k.pt",
     "pretheory k.pt --check",
-    "pretheory data/semilattice.var --kleisli --objs 1,2,3 --depth 3",
+    "pretheory data/semilattice.var --kleisli --objs 1,2,3 --depth 3 -o k3.pt",
+    "pretheory k3.pt --check",
     "birkhoff data/semilattice_gen.algs --scale 2,2 --gens 1",
     "birkhoff data/semilattice_gen.algs --scale 3,1 --gens 1",
     "birkhoff data/semilattice_gen.algs --scale 2,1 --gens 2",

@@ -122,9 +122,6 @@ class Algebra:
     def homs_from(self, J: Presheaf) -> HomList:
         return hom_list(J, self.carrier)
 
-    def op_value(self, name: str, h: PresheafMorphism) -> PresheafMorphism:
-        return self.values[name][self._cells[0][name][0][flat_table(h)]]
-
     def canonical_key(self) -> tuple:
         # carrier and tables never change after construction
         if self._canonical_key is None:

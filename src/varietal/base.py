@@ -284,9 +284,6 @@ class PresheafMorphism:
         f.__dict__.update(source=source, target=target, components=components)
         return f
 
-    def is_injective(self) -> bool:
-        return all(len(set(c)) == len(c) for c in self.components)
-
 
 def identity_morphism(X: Presheaf) -> PresheafMorphism:
     return PresheafMorphism._trusted(
@@ -413,11 +410,6 @@ def hom_set(X: Presheaf, Y: Presheaf) -> list[PresheafMorphism]:
     families = enumerate_families(
         X, lambda sort, x: range(Y.size(sort)), lambda m, y: Y.map(m)[y])
     return [PresheafMorphism._trusted(X, Y, fam) for fam in families]
-
-
-def hom_index(homs: HomList, f: PresheafMorphism) -> int:
-    """Position of f in a canonical hom_list listing."""
-    return homs.position[flat_table(f)]
 
 
 class HomList(tuple):
@@ -603,20 +595,15 @@ def representable(index: IndexCategory, sort: str) -> tuple[Presheaf, list[str]]
     return Presheaf(index, sizes, tuple(action)), labels
 
 
-def element_morphism(X: Presheaf, sort: str, x: int) -> PresheafMorphism:
-    """The Yoneda map from the representable at ``sort`` picking out ``x``."""
-    Y, _ = representable(X.index, sort)
-    comps = []
-    for b in X.index.sorts:
-        names = [m for m, s, t in X.index.morphisms if s == sort and t == b]
-        comps.append(tuple(X.map(v)[x] for v in names))
-    return PresheafMorphism._trusted(Y, X, tuple(comps))
-
-
 def element_family(X: Presheaf) -> list[PresheafMorphism]:
-    """The jointly surjective family of all elements of X, via Yoneda."""
-    return [
-        element_morphism(X, sort, x)
-        for sort in X.index.sorts
-        for x in X.elements(sort)
-    ]
+    """The jointly surjective family of all elements of X: for x of sort s,
+    the Yoneda map from the representable at s that picks out x."""
+    out = []
+    for sort in X.index.sorts:
+        Y, _ = representable(X.index, sort)
+        arrows = [[m for m, s, t in X.index.morphisms if s == sort and t == b]
+                  for b in X.index.sorts]
+        out += (PresheafMorphism._trusted(Y, X, tuple(
+                    tuple(X.map(m)[x] for m in row) for row in arrows))
+                for x in X.elements(sort))
+    return out

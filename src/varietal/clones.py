@@ -30,7 +30,6 @@ from .base import (
     copower,
     flat_table,
     gather,
-    hom_index,
     hom_list,
     identity_morphism,
 )
@@ -98,7 +97,7 @@ class RelativeMonad:
         return hom_list(self.objects[i], self.carriers[j])
 
     def m(self, i: int, j: int, g: PresheafMorphism) -> PresheafMorphism:
-        return self.mult[(i, j)][hom_index(self.homs_into(i, j), g)]
+        return self.mult[(i, j)][self.homs_into(i, j).position[flat_table(g)]]
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (f"RelativeMonad({self.name}, "

@@ -116,6 +116,17 @@ def _ints(nodes, filename, what) -> tuple[int, ...]:
     return tuple(_int(x, filename, what) for x in nodes)
 
 
+def _entry_key(node, parts, size, n, seen, filename) -> tuple[int, ...]:
+    """The ``size`` object indices, each below ``n``, that key an entry such
+    as ``(m i j ...)``; a key already in ``seen`` is a repeated entry."""
+    key = tuple(_int(x, filename, "object index", n)
+                for x in parts[1:1 + size])
+    if key in seen:
+        raise _err(node, filename, f"repeated ({parts[0].value} "
+                   f"{' '.join(map(str, key))} ...) entry")
+    return key
+
+
 def _exactly(node, filename, what, n):
     """The items of a list node that needs exactly ``n`` of them."""
     items = _expect_list(node, filename, what)
@@ -414,7 +425,7 @@ def _parse_relmonad(items, filename, ws: Workspace, line):
                             filename, "component value") for g in groups)
         return PresheafMorphism(source, target, comps)
 
-    unit = [None] * n
+    units: dict[tuple[int], PresheafMorphism] = {}
     mult: dict[tuple[int, int], list] = {}
     for node in items:
         if not (node.is_list and node.items and not node.items[0].is_list):
@@ -422,15 +433,16 @@ def _parse_relmonad(items, filename, ws: Workspace, line):
         head = node.items[0].value
         if head == "e":
             parts = _items(node, filename, "unit entry", 2)
-            i = _int(parts[1], filename, "object index", n)
-            unit[i] = morphism(objects[i], carriers[i], parts[2:])
+            (i,) = key = _entry_key(node, parts, 1, n, units, filename)
+            units[key] = morphism(objects[i], carriers[i], parts[2:])
         elif head == "m":
             parts = _items(node, filename, "m entry", 3)
-            i, j = (_int(x, filename, "object index", n) for x in parts[1:3])
-            mult[(i, j)] = [
+            i, j = key = _entry_key(node, parts, 2, n, mult, filename)
+            mult[key] = [
                 morphism(carriers[i], carriers[j],
                          _expect_list(group, filename, "m value")[1:])
                 for group in parts[3:]]
+    unit = [units.get((i,)) for i in range(n)]
     if None in unit:
         raise _err(items[0], filename, f"relmonad {name!r} lacks unit "
                    f"entry (e {unit.index(None)} ...)")
@@ -447,29 +459,39 @@ def _parse_pretheory(items, filename, ws: Workspace, line):
                for n in _section(items, filename, "objects")]
     identities = _ints(_section(items, filename, "identities"), filename,
                        "identity token")
-    homs = {}
-    compose = {}
-    tau = {}
+    n = len(objects)
+    homs, entries, tau = {}, {}, {}
     for node in items:
         if not (node.is_list and node.items and not node.items[0].is_list):
             continue
         head = node.items[0].value
         if head == "homs":
             parts = _items(node, filename, "homs entry", 3)
-            homs[_ints(parts[1:3], filename, "object index")] = tuple(
-                str(_atom(x, filename)) for x in parts[3:])
+            key = _entry_key(node, parts, 2, n, homs, filename)
+            homs[key] = tuple(str(_atom(x, filename)) for x in parts[3:])
         elif head == "compose":
             parts = _items(node, filename, "compose entry", 4)
-            table = {}
-            for entry in parts[4:]:
-                f, g, h = _ints(_exactly(entry, filename, "composite", 3),
-                                filename, "hom token index")
-                table[(f, g)] = h
-            compose[_ints(parts[1:4], filename, "object index")] = table
+            entries[_entry_key(node, parts, 3, n, entries, filename)] = node
         elif head == "tau":
             parts = _items(node, filename, "tau entry", 3)
-            tau[_ints(parts[1:3], filename, "object index")] = _ints(
-                parts[3:], filename, "hom token index")
+            key = _entry_key(node, parts, 2, n, tau, filename)
+            tau[key] = _ints(parts[3:], filename, "hom token index")
+    compose = {}
+    for (i, j, k), node in entries.items():
+        if (i, j) not in homs or (j, k) not in homs:
+            continue  # Pretheory names the missing hom tokens
+        # each (f g h) triple places h at entry g of row f, once
+        rows = compose[(i, j, k)] = [[None] * len(homs[(j, k)])
+                                     for _ in homs[(i, j)]]
+        for entry in node.items[4:]:
+            f, g, h = _exactly(entry, filename, "composite", 3)
+            row = rows[_int(f, filename, "hom token index", len(rows))]
+            g = _int(g, filename, "hom token index", len(row))
+            if row[g] is not None:
+                raise _err(entry, filename, "repeated composite pair")
+            row[g] = _int(h, filename, "hom token index")
+        if any(None in row for row in rows):
+            raise _err(node, filename, "compose entry lacks a composite pair")
     try:
         T = Pretheory(name, objects, homs, compose, identities, tau)
     except StructureError as exc:
@@ -660,10 +682,8 @@ def pretheory_nodes(T: Pretheory, *,
     for i, j, k in product(range(n), repeat=3):
         entries = [sexpr.atom("compose"), sexpr.atom(i), sexpr.atom(j),
                    sexpr.atom(k)]
-        table = T.compose[(i, j, k)]
-        for f in range(T.hom_count(i, j)):
-            for g in range(T.hom_count(j, k)):
-                entries.append(sexpr.lst(f, g, table[(f, g)]))
+        for f, row in enumerate(T.compose[(i, j, k)]):
+            entries += (sexpr.lst(f, g, h) for g, h in enumerate(row))
         parts.append(sexpr.Node(items=entries))
     for i, j in product(range(n), repeat=2):
         parts.append(sexpr.Node(items=[

@@ -3,9 +3,10 @@ presentations, and Kleisli pretheories of relative monads.
 
 A pretheory is a finite category on the chosen arity objects together with
 an identity-on-objects functor from the opposite of their full subcategory;
-hom-sets are abstract tokens with explicit composition tables.  Stored
-composition ``compose(f, g)`` means "f then g"; the structural functor is
-contravariant, so a presheaf morphism x : K -> J yields a token in T(J, K).
+hom-sets are abstract tokens with explicit composition tables, one row per
+token: ``compose[(i, j, k)][f][g]`` is the token of "f then g".  The
+structural functor is contravariant, so a presheaf morphism x : K -> J
+yields a token in T(J, K).
 
 Every relative monad has a Kleisli pretheory, read off its tables by
 ``pretheory_of_clone``; the free and Kleisli pretheories are built through
@@ -45,15 +46,41 @@ from .clones import (RelativeMonad, Violation, _clone_and_free_algebras,
                      clone_of_presentation, identity_clone)
 
 
+def _int_table(tables: dict, key: tuple, rows: int | None, width: int,
+               bound: int, what: str) -> tuple:
+    """``tables[key]`` as ``rows`` tuples of ``width`` integers, each in
+    ``0..bound-1``; with ``rows`` None, as one such tuple.  The range of a
+    row is read by C-level ``min`` and ``max``, not by a test per entry."""
+    try:
+        table = tables[key]
+    except KeyError:
+        raise StructureError(f"missing {what} for {key}") from None
+    flat = rows is None
+    table = (tuple(table),) if flat else tuple(map(tuple, table))
+    if len(table) != (1 if flat else rows) or any(
+            len(row) != width for row in table):
+        raise StructureError(f"{what} {key} has the wrong shape")
+    if width and table and (min(map(min, table)) < 0
+                            or max(map(max, table)) >= bound):
+        raise StructureError(f"{what} {key} has an entry out of range")
+    return table[0] if flat else table
+
+
 class Pretheory:
-    """Finite category data on arity objects with the structural functor."""
+    """Finite category data on arity objects with the structural functor.
+
+    ``compose[(i, j, k)]`` holds one row per token f of T(i, j): entry g of
+    row f is the token of "f then g" in T(i, k), for g in T(j, k).
+    ``tau[(i, j)]`` gives the token of each x in hom(K_j, K_i), in
+    ``hom_list`` order.
+    """
 
     def __init__(
         self,
         name: str,
         objects: Sequence[Presheaf],
         homs: dict[tuple[int, int], Sequence[str]],
-        compose: dict[tuple[int, int, int], dict[tuple[int, int], int]],
+        compose: dict[tuple[int, int, int], Sequence[Sequence[int]]],
         identities: Sequence[int],
         tau: dict[tuple[int, int], Sequence[int]],
     ):
@@ -69,38 +96,21 @@ class Pretheory:
             if len(set(tokens)) != len(tokens):
                 raise StructureError(f"duplicate hom tokens in {(i, j)}")
             self.homs[(i, j)] = tokens
-        self.compose = {}
-        for i, j, k in product(range(n), repeat=3):
-            try:
-                table = dict(compose[(i, j, k)])
-            except KeyError:
-                raise StructureError(f"missing composition table for {(i, j, k)}")
-            for f, g in product(range(len(self.homs[(i, j)])),
-                                range(len(self.homs[(j, k)]))):
-                if (f, g) not in table:
-                    raise StructureError(f"missing composite for {(i, j, k)}[{f},{g}]")
-                if not (0 <= table[(f, g)] < len(self.homs[(i, k)])):
-                    raise StructureError("composite out of range")
-            self.compose[(i, j, k)] = table
+        self.compose = {
+            (i, j, k): _int_table(compose, (i, j, k), self.hom_count(i, j),
+                                  self.hom_count(j, k), self.hom_count(i, k),
+                                  "composition table")
+            for i, j, k in product(range(n), repeat=3)}
         self.identities = tuple(identities)
         if len(self.identities) != n:
             raise StructureError("one identity token per object required")
         for i, t in enumerate(self.identities):
             if not (0 <= t < len(self.homs[(i, i)])):
                 raise StructureError(f"identity token at {i} out of range")
-        self.tau = {}
-        for i, j in product(range(n), repeat=2):
-            homs_c = self.c_homs(j, i)
-            try:
-                table = tuple(tau[(i, j)])
-            except KeyError:
-                raise StructureError(f"missing tau table for {(i, j)}")
-            if len(table) != len(homs_c):
-                raise StructureError(f"tau table {(i, j)} must cover hom(K_{j}, K_{i})")
-            for t in table:
-                if not (0 <= t < len(self.homs[(i, j)])):
-                    raise StructureError("tau image out of range")
-            self.tau[(i, j)] = table
+        self.tau = {
+            (i, j): _int_table(tau, (i, j), None, len(self.c_homs(j, i)),
+                               self.hom_count(i, j), "tau table")
+            for i, j in product(range(n), repeat=2)}
 
     def c_homs(self, j: int, i: int) -> HomList:
         """hom of the base category from objects[j] to objects[i]."""
@@ -110,7 +120,7 @@ class Pretheory:
         return len(self.homs[(i, j)])
 
     def comp(self, i: int, j: int, k: int, f: int, g: int) -> int:
-        return self.compose[(i, j, k)][(f, g)]
+        return self.compose[(i, j, k)][f][g]
 
 
 def check_pretheory(T: Pretheory) -> list[Violation]:
@@ -123,17 +133,10 @@ def check_pretheory(T: Pretheory) -> list[Violation]:
                 out.append(Violation("left-identity", (i, j, f)))
             if T.comp(i, j, j, f, T.identities[j]) != f:
                 out.append(Violation("right-identity", (i, j, f)))
-    tables: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    for i, j, k in product(range(n), repeat=3):
-        table = T.compose[(i, j, k)]
-        tables[(i, j, k)] = [
-            tuple(table[(f, g)] for g in range(T.hom_count(j, k)))
-            for f in range(T.hom_count(i, j))]
     for i, j, k, l in product(range(n), repeat=4):
-        c_ijk, c_ikl = tables[(i, j, k)], tables[(i, k, l)]
-        c_jkl, c_ijl = tables[(j, k, l)], tables[(i, j, l)]
-        for f in range(T.hom_count(i, j)):
-            row_f, via_f = c_ijk[f], c_ijl[f]
+        c_ijk, c_ikl = T.compose[(i, j, k)], T.compose[(i, k, l)]
+        c_jkl, c_ijl = T.compose[(j, k, l)], T.compose[(i, j, l)]
+        for f, (row_f, via_f) in enumerate(zip(c_ijk, c_ijl)):
             for g in range(T.hom_count(j, k)):
                 lhs_row, gh_row = c_ikl[row_f[g]], c_jkl[g]
                 if lhs_row != tuple(via_f[x] for x in gh_row):
@@ -169,20 +172,11 @@ class ConcreteModel:
                  action: dict[tuple[int, int], Sequence[Sequence[int]]]):
         self.pretheory = T
         self.carrier = carrier
-        self.action = {}
-        n = len(T.objects)
-        for i, j in product(range(n), repeat=2):
-            try:
-                tables = tuple(tuple(t) for t in action[(i, j)])
-            except KeyError:
-                raise StructureError(f"missing action tables for {(i, j)}")
-            if len(tables) != T.hom_count(i, j):
-                raise StructureError(f"one table per token required at {(i, j)}")
-            ni, nj = len(self.homs(i)), len(self.homs(j))
-            for t in tables:
-                if len(t) != ni or t and (min(t) < 0 or max(t) >= nj):
-                    raise StructureError(f"action table at {(i, j)} malformed")
-            self.action[(i, j)] = tables
+        self.action = {
+            (i, j): _int_table(action, (i, j), T.hom_count(i, j),
+                               len(self.homs(i)), len(self.homs(j)),
+                               "action table")
+            for i, j in product(range(len(T.objects)), repeat=2)}
 
     def homs(self, i: int) -> HomList:
         return hom_list(self.pretheory.objects[i], self.carrier)
@@ -215,9 +209,9 @@ def check_concrete_model(M: ConcreteModel,
     for i, j, k in product(range(n), repeat=3):
         comp, composites = T.compose[(i, j, k)], M.action[(i, k)]
         for f, table_f in enumerate(M.action[(i, j)]):
-            after_f = gather(table_f)
+            after_f, row_f = gather(table_f), comp[f]
             for g, table_g in enumerate(M.action[(j, k)]):
-                if after_f(table_g) != composites[comp[(f, g)]]:
+                if after_f(table_g) != composites[row_f[g]]:
                     out.append(Violation("model-composition", (i, j, k, f, g)))
                     if first_only:
                         return out
@@ -242,11 +236,8 @@ def pretheory_of_clone(M: RelativeMonad, name: str) -> Pretheory:
         mult = [flat_table(mf) for mf in M.mult[(j, i)]]
         for k in range(n):
             gs, into = M.homs_into(k, j), M.homs_into(k, i)
-            compose[(i, j, k)] = {
-                (fi, gi): position
-                for fi, mf in enumerate(mult)
-                for gi, position in enumerate(
-                    composite_positions(gs, mf, into))}
+            compose[(i, j, k)] = tuple(
+                tuple(composite_positions(gs, mf, into)) for mf in mult)
     identities = [M.homs_into(i, i).position[units[i]] for i in range(n)]
     return Pretheory(name, M.objects, homs, compose, identities, tau)
 

@@ -106,9 +106,18 @@ def test_evaluate_rejects_a_term_over_another_context(ic):
         evaluate(A, var(A.signature, "v", 1), phi)
 
 
-def test_algebra_rejects_a_table_for_a_symbol_outside_its_signature(sl, chain2):
-    values = {**chain2.values, "bogus": chain2.values["join"]}
-    with pytest.raises(StructureError, match="'bogus'"):
+@pytest.mark.parametrize("edit,message", [
+    (lambda join, carrier: {"join": join, "bogus": join}, "'bogus'"),
+    (lambda join, carrier: {}, "missing operation table for join"),
+    (lambda join, carrier: {"join": join[:-1]}, "one value per input family"),
+    (lambda join, carrier: {"join": (PresheafMorphism(carrier, carrier, (
+        (0, 1),)), *join[1:])}, "wrong endpoints"),
+], ids=["symbol-outside-signature", "missing-table", "wrong-value-count",
+        "wrong-endpoints"])
+def test_algebra_constructor_rejects_malformed_tables(sl, chain2, edit,
+                                                      message):
+    values = edit(chain2.values["join"], chain2.carrier)
+    with pytest.raises(StructureError, match=message):
         Algebra(sl.signature, chain2.carrier, values)
 
 
@@ -413,7 +422,8 @@ def test_mono_homomorphism_reflects_satisfaction(sl):
     big = max_semilattice_algebra(sl, 3)
     for A in enumerate_algebras(sl.signature, 2):
         for f in hom_set(A.carrier, big.carrier):
-            if f.is_injective() and is_homomorphism(f, A, big):
+            injective = all(len(set(c)) == len(c) for c in f.components)
+            if injective and is_homomorphism(f, A, big):
                 assert satisfies(A, comm)
 
 

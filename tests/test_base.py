@@ -21,7 +21,7 @@ from varietal.base import (
     empty,
     element_family,
     finite_set,
-    hom_index,
+    flat_table,
     hom_list,
     hom_set,
     identity_morphism,
@@ -240,7 +240,8 @@ def test_hom_list_is_listed_once_and_shared(I):
     assert isinstance(homs, tuple)
     assert hom_list(X, Y) is homs
     assert [h.components for h in homs] == [h.components for h in hom_set(X, Y)]
-    assert [hom_index(homs, h) for h in hom_set(X, Y)] == list(range(len(homs)))
+    assert ([homs.position[flat_table(h)] for h in hom_set(X, Y)]
+            == list(range(len(homs))))
 
 
 def test_hom_list_racing_threads_keep_one_listing(I):

@@ -182,7 +182,8 @@ def test_sat_star_closed_under_subobjects_and_products(binop_window):
     for A in binop_window.algebras():
         for B in variety:
             for f in hom_set(A.carrier, B.carrier):
-                if f.is_injective() and is_homomorphism(f, A, B):
+                injective = all(len(set(c)) == len(c) for c in f.components)
+                if injective and is_homomorphism(f, A, B):
                     assert A.canonical_key() in vkeys
     for A in variety:
         for B in variety:

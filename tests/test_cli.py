@@ -273,6 +273,21 @@ ALGEBRA_CHECK = (["check", str(DATA / "semilattice.var")], "chain2.alg")
      "(objects ob0)"),
     (PRETHEORY_CHECK, "(identities 0 1)", "(identities 0 1) (identities 1)",
      "(identities 1)"),
+    (PRETHEORY_CHECK, "(1 0 1) (2 0 2))", "(1 0 1) (2 0 2) (1 0 2))",
+     "(1 0 2))"),
+    (PRETHEORY_CHECK, "(0 1 0) (0 2 0))", "(0 7 0) (0 2 0))", "7 0) (0 2 0))"),
+    (PRETHEORY_CHECK, "(homs 0 1 k0)", "(homs 0 1 k0) (homs 0 1 q0)",
+     "(homs 0 1 q0)"),
+    (PRETHEORY_CHECK, "(compose 0 0 0 (0 0 0))",
+     "(compose 0 0 0 (0 0 0)) (compose 0 0 0 (0 0 9))",
+     "(compose 0 0 0 (0 0 9))"),
+    (PRETHEORY_CHECK, "(tau 0 1 0)", "(tau 0 1 0) (tau 0 1 9)", "(tau 0 1 9)"),
+    (PRETHEORY_CHECK, "(compose 0 0 0 (0 0 0))", "(compose 5 0 0 (0 0 0))",
+     "5 0 0"),
+    (RELMONAD_CHECK, "(e 1 (* 1 0))", "(e 1 (* 1 0)) (e 1 (* 0 1))",
+     "(e 1 (* 0 1))"),
+    (RELMONAD_CHECK, "(m 1 0 (0 (* 0 0)))",
+     "(m 1 0 (0 (* 0 0))) (m 1 0 (0 (* 1 1)))", "(m 1 0 (0 (* 1 1)))"),
 ], ids=["unknown-object", "unknown-carrier", "unit-index-out-of-range",
         "non-integer-unit-index", "non-integer-unit-value",
         "m-index-out-of-range", "short-m-entry", "missing-unit-entry",
@@ -280,7 +295,11 @@ ALGEBRA_CHECK = (["check", str(DATA / "semilattice.var")], "chain2.alg")
         "short-compose", "short-composite", "non-integer-tau",
         "non-integer-table-value", "unknown-op", "repeated-op",
         "repeated-relmonad-objects", "repeated-carriers",
-        "repeated-pretheory-objects", "repeated-pretheory-identities"])
+        "repeated-pretheory-objects", "repeated-pretheory-identities",
+        "repeated-composite-pair", "composite-pair-out-of-range",
+        "repeated-homs", "repeated-compose", "repeated-tau",
+        "compose-object-index-out-of-range", "repeated-unit-entry",
+        "repeated-m-entry"])
 def test_malformed_structure_file_is_input_error(command, old, new, marker,
                                                  tmp_path, capsys):
     args, name = command
@@ -298,6 +317,17 @@ def test_malformed_structure_file_is_input_error(command, old, new, marker,
     assert code == 3, out
     assert out.splitlines()[-1] == "status=input-error"
     assert f"{broken.name}:{line}:{column}:" in out
+
+
+def test_algebra_file_lacking_an_op_table_is_input_error(tmp_path, capsys):
+    broken = tmp_path / "broken.alg"
+    broken.write_text((DATA / "chain2.alg").read_text().replace(
+        " (op join (0) (1) (1) (1))", "", 1))
+    code = main(["check", str(DATA / "semilattice.var"), str(broken)])
+    error, status = capsys.readouterr().out.splitlines()
+    assert code == 3, error
+    assert "invalid algebra" in error, error
+    assert status == "status=input-error"
 
 
 def mutants(seed, count):

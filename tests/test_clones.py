@@ -6,7 +6,7 @@ import pytest
 from varietal.base import (
     PresheafMorphism,
     finite_set,
-    hom_index,
+    flat_table,
     hom_list,
     identity_morphism,
     trivial_index,
@@ -148,7 +148,8 @@ def reference_check_h_algebra(M: RelativeMonad, struct: HAlgebraStructure):
             for pj, phi in enumerate(struct.homs(j)):
                 aphi = struct.alpha[j][pj]
                 for gi, g in enumerate(M.homs_into(i, j)):
-                    lhs = struct.alpha[i][hom_index(struct.homs(i), then(g, aphi))]
+                    lhs = struct.alpha[i][
+                        struct.homs(i).position[flat_table(then(g, aphi))]]
                     rhs = then(M.mult[(i, j)][gi], aphi)
                     if lhs.components != rhs.components:
                         out.append(("alg-subst", (i, j, pj, gi)))
@@ -557,10 +558,9 @@ def test_graph_pretheory_of_clone_matches_composites():
         for i, j, k in itertools.product(range(n), repeat=3):
             position = {h.components: t
                         for t, h in enumerate(bad.homs_into(k, i))}
-            want[(i, j, k)] = {
-                (fi, gi): position[then(g, mf).components]
-                for fi, mf in enumerate(bad.mult[(j, i)])
-                for gi, g in enumerate(bad.homs_into(k, j))}
+            want[(i, j, k)] = tuple(
+                tuple(position[then(g, mf).components]
+                      for g in bad.homs_into(k, j))
+                for mf in bad.mult[(j, i)])
         assert list(T.compose) == list(want)
-        for key, table in want.items():
-            assert list(T.compose[key].items()) == list(table.items())
+        assert T.compose == want

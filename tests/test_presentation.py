@@ -10,6 +10,7 @@ from varietal.base import (
     PresheafMorphism,
     enumerate_families,
     finite_set,
+    flat_table,
     hom_list,
     hom_set,
     terminal,
@@ -380,7 +381,8 @@ def test_traditional_round_trip_model_bijection():
                 ins = insertions[sym.name]
                 vals = []
                 for h in hom_list(sym.arity, carrier):
-                    bundled = B.op_value("op0", h)
+                    bundled = B.values["op0"][
+                        B.homs_from(h.source).position[flat_table(h)]]
                     vals.append(ins.then(bundled))
                 values[sym.name] = vals
             A = Algebra(two_ops, carrier, values)

@@ -8,7 +8,7 @@ from varietal import fileformat, pretheory
 from varietal.base import (
     PresheafMorphism,
     finite_set,
-    hom_index,
+    flat_table,
     hom_list,
     trivial_index,
 )
@@ -54,6 +54,11 @@ def kleisli_sl():
     return T
 
 
+def position(homs, f: PresheafMorphism) -> int:
+    """Where the validated morphism f sits in the listing ``homs``."""
+    return homs.position[flat_table(f)]
+
+
 def precomposition_model_of(T, carrier):
     homs = {i: hom_list(T.objects[i], carrier) for i in range(len(T.objects))}
     action = {}
@@ -63,7 +68,7 @@ def precomposition_model_of(T, carrier):
             for t in range(T.hom_count(i, j)):
                 x = T.c_homs(j, i)[t]
                 tables.append(tuple(
-                    hom_index(homs[j], x.then(phi)) for phi in homs[i]))
+                    position(homs[j], x.then(phi)) for phi in homs[i]))
             action[(i, j)] = tables
     return ConcreteModel(T, carrier, action)
 
@@ -79,7 +84,7 @@ def then(f: PresheafMorphism, g: PresheafMorphism) -> PresheafMorphism:
 def reference_kleisli_pretheory(P, objects, depth, max_nodes=500_000):
     """The Kleisli pretheory built straight from the free algebras: one
     ``evaluate_class`` per composite pair, each composite a validated
-    morphism located by ``hom_index``.  Shares no code with the clone."""
+    morphism located by ``position``.  Shares no code with the clone."""
     objects = tuple(objects)
     quotients: list[FreeAlgebra] = []
     for J in objects:
@@ -96,16 +101,17 @@ def reference_kleisli_pretheory(P, objects, depth, max_nodes=500_000):
             kl = hom_list(objects[j], quotients[i].classes)
             kleisli_homs[(i, j)] = kl
             homs[(i, j)] = tuple(f"k{t}" for t in range(len(kl)))
-    identities = [hom_index(kleisli_homs[(i, i)], quotients[i].unit())
+    identities = [position(kleisli_homs[(i, i)], quotients[i].unit())
                   for i in range(n)]
     compose = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                table = {}
+                rows = []
                 memo: dict = {}
-                for fi, f in enumerate(kleisli_homs[(i, j)]):
-                    for gi, g in enumerate(kleisli_homs[(j, k)]):
+                for f in kleisli_homs[(i, j)]:
+                    row = []
+                    for g in kleisli_homs[(j, k)]:
                         comps = tuple(
                             tuple(
                                 quotients[j].evaluate_class(
@@ -114,15 +120,15 @@ def reference_kleisli_pretheory(P, objects, depth, max_nodes=500_000):
                             for sort in objects[k].index.sorts)
                         composite = PresheafMorphism(
                             objects[k], quotients[i].classes, comps)
-                        table[(fi, gi)] = hom_index(
-                            kleisli_homs[(i, k)], composite)
-                compose[(i, j, k)] = table
+                        row.append(position(kleisli_homs[(i, k)], composite))
+                    rows.append(row)
+                compose[(i, j, k)] = rows
     tau = {}
     for i in range(n):
         unit = quotients[i].unit()
         for j in range(n):
             tau[(i, j)] = tuple(
-                hom_index(kleisli_homs[(i, j)], then(x, unit))
+                position(kleisli_homs[(i, j)], then(x, unit))
                 for x in hom_list(objects[j], objects[i]))
     return Pretheory(f"kleisli[{P.name}]", objects, homs, compose, identities, tau)
 
@@ -152,19 +158,18 @@ def reference_free_pretheory(objects, name="free"):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                table = {}
-                for f, x in enumerate(hom_lists[(i, j)]):
-                    for g, y in enumerate(hom_lists[(j, k)]):
-                        # f : J_i -> J_j is x : K_j -> K_i in the base, so
-                        # "f then g" is the base composite y then x.
-                        table[(f, g)] = hom_index(hom_lists[(i, k)], then(y, x))
-                compose[(i, j, k)] = table
+                # f : J_i -> J_j is x : K_j -> K_i in the base, so "f then
+                # g" is the base composite y then x.
+                compose[(i, j, k)] = [
+                    [position(hom_lists[(i, k)], then(y, x))
+                     for y in hom_lists[(j, k)]]
+                    for x in hom_lists[(i, j)]]
     return Pretheory(name, objects, homs, compose, identities, tau)
 
 
 def reference_check_pretheory(T: Pretheory):
     """The category and tau laws, with every base composite a validated
-    morphism located by ``hom_index``."""
+    morphism located by ``position``."""
     out = []
     n = len(T.objects)
     for i in range(n):
@@ -192,7 +197,7 @@ def reference_check_pretheory(T: Pretheory):
     for i, j, k in itertools.product(range(n), repeat=3):
         for xi, x in enumerate(T.c_homs(j, i)):
             for yi, y in enumerate(T.c_homs(k, j)):
-                xy = hom_index(T.c_homs(k, i), then(y, x))
+                xy = position(T.c_homs(k, i), then(y, x))
                 rhs = T.comp(i, j, k, T.tau[(i, j)][xi], T.tau[(j, k)][yi])
                 if T.tau[(i, k)][xy] != rhs:
                     out.append(("tau-composition", (i, j, k, xi, yi)))
@@ -201,7 +206,7 @@ def reference_check_pretheory(T: Pretheory):
 
 def reference_check_concrete_model(M: ConcreteModel, first_only=False):
     """Functoriality and the nerve, with each nerve image a validated
-    morphism located by ``hom_index``."""
+    morphism located by ``position``."""
     T = M.pretheory
     out = []
     n = len(T.objects)
@@ -213,7 +218,7 @@ def reference_check_concrete_model(M: ConcreteModel, first_only=False):
     for i in range(n):
         for j in range(n):
             for xi, x in enumerate(T.c_homs(j, i)):
-                expected = tuple(hom_index(M.homs(j), then(x, phi))
+                expected = tuple(position(M.homs(j), then(x, phi))
                                  for phi in M.homs(i))
                 if M.action[(i, j)][T.tau[(i, j)][xi]] != expected:
                     out.append(("model-nerve", (i, j, xi)))
@@ -297,19 +302,20 @@ def test_check_pretheory_matches_reference_on_mutants(free2):
     def moved(value, count):
         return (value + rng.randrange(1, count)) % count if count > 1 else value
 
-    sites = [("compose", key, fg) for key, table in free2.compose.items()
-             for fg in table]
+    sites = [("compose", key, (f, g)) for key, rows in free2.compose.items()
+             for f, row in enumerate(rows) for g in range(len(row))]
     sites += [("identities", i, None) for i in range(len(free2.objects))]
     sites += [("tau", key, xi) for key, table in free2.tau.items()
               for xi in range(len(table))]
     kinds = set()
     for kind, key, entry in [(None, None, None), *sites]:
-        compose = {k: dict(v) for k, v in free2.compose.items()}
+        compose = {k: [list(row) for row in v] for k, v in free2.compose.items()}
         identities = list(free2.identities)
         tau = {k: list(v) for k, v in free2.tau.items()}
         if kind == "compose":
             i, _, k = key
-            compose[key][entry] = moved(compose[key][entry], free2.hom_count(i, k))
+            f, g = entry
+            compose[key][f][g] = moved(compose[key][f][g], free2.hom_count(i, k))
         elif kind == "identities":
             identities[key] = moved(identities[key], free2.hom_count(key, key))
         elif kind == "tau":
@@ -371,11 +377,9 @@ def test_kleisli_unsaturated_returns_none():
 
 
 def test_corrupt_composition_reports_associativity(free2):
-    compose = {k: dict(v) for k, v in free2.compose.items()}
-    key = (1, 1, 1)
-    victim = sorted(compose[key])[0]
-    table = compose[key]
-    table[victim] = (table[victim] + 1) % free2.hom_count(1, 1)
+    compose = {k: [list(row) for row in v] for k, v in free2.compose.items()}
+    row = compose[(1, 1, 1)][0]
+    row[0] = (row[0] + 1) % free2.hom_count(1, 1)
     bad = Pretheory("bad", free2.objects, free2.homs, compose,
                     free2.identities, free2.tau)
     violations = check_pretheory(bad)
@@ -465,6 +469,17 @@ def test_kleisli_models_build_no_validated_morphisms(count_morphism_calls):
     assert len(models) == 13
     assert calls["__post_init__"] <= 1000
     assert calls["then"] == 0
+
+
+def test_kleisli_models_over_an_arity_family_missing_join_keep_every_table():
+    # the one token over arity 1 is the identity, so every join table is
+    # forced to a model; only 6 of these 18 make each alpha_i(phi) a
+    # homomorphism, since arity 2 is not among the objects
+    SL = semilattice_presentation()
+    models = kleisli_models(SL, [finite_set(1, I)], 3, 2)
+    assert len(models) == 18
+    assert ([A.canonical_key() for A, _ in models]
+            == [A.canonical_key() for A in enumerate_algebras(SL.signature, 2)])
 
 
 def test_kleisli_models_on_the_graph_index_are_the_presentation_models():
