@@ -14,8 +14,9 @@ or the congruence/act step that forced it.
 
 Depth, best nodes and saturation each have one home in FreeAlgebra.  Its
 bookkeeping follows changes (parent lists, a depth worklist, skipped no-op
-rebuilds, equation passes that skip the families that provably add and merge
-nothing), but a rebuild that runs still scans every node.
+rebuilds, rebuilds that skip a confirming scan no merge made necessary,
+equation passes that skip the families that provably add and merge nothing),
+but a rebuild that runs still scans every node once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from .base import (
@@ -237,10 +237,12 @@ class FreeAlgebra:
     saturation certificate.  ``saturated`` being False is a value, not an
     error: it means the depth budget could not certify closure.
 
-    ``_depth`` is the one depth rule, ``_run`` the one insertion walk (of
-    seeds and equation sides, compiled once into step programs whose
-    binders build each node key in one call), ``_equation_pass`` reruns
-    only what could still add or merge something, and
+    ``_depth`` is the one depth rule (``_insert`` applies it to a new node,
+    whose children are roots), ``_kernel`` the one insertion walk (of
+    seeds and equation sides, compiled into a loop over families that is
+    generated once per program shape), ``_equation_pass`` reruns only
+    what could still add or merge something, ``_rebuild`` scans again only
+    when a merge left a stored key stale, and
     ``_applications`` the one list of one-step applications, which
     ``_grow_pass`` grows over the classes shallow enough to stay within the
     depth and ``_check_saturated`` walks lazily up to the first gap;
@@ -274,8 +276,9 @@ class FreeAlgebra:
             tuple(self._add_node(("v", sort, x), sort)
                   for x in generators.elements(sort))
             for sort in self.index.sorts)
-        self._run(_compile_terms(generators, seeds)[0],
-                  sum(self._gen_rows, ()))
+        self._families_run = 0  # equation families run, over all passes
+        _kernel(None, _compile_terms(generators, seeds)[0], None, None, ())(
+            self, (sum(self._gen_rows, ()),), None, 0)
         self._instances = self._equation_instances()
         # each unconstrained instance's slot pools at its last pass, as sets
         self._seen_pools: list[list[set] | None] = [None] * len(
@@ -329,7 +332,8 @@ class FreeAlgebra:
         return self._insert(key, sort)
 
     def _insert(self, key: tuple, sort: str) -> int:
-        """Add a node under a canonical key that has none yet."""
+        """Add a node under a canonical key that has none yet.  Its children
+        are roots, so its depth (``_depth``) needs no find."""
         nid = len(self._nodes)
         if nid >= self.max_nodes:
             raise ResourceCeiling(
@@ -337,12 +341,16 @@ class FreeAlgebra:
         self._nodes.append(key)
         self._parent.append(nid)
         self._node_sort.append(sort)
-        self._mindepth.append(self._depth(key))
         self._hash[key] = nid
         self._parents.append([])
+        depth = 0
         if key[0] == "a":
-            for r in {r for row in key[4] for r in row}:
-                self._parents[r].append(nid)
+            parents, mindepth = self._parents, self._mindepth
+            children = {r for row in key[4] for r in row}
+            for r in children:
+                parents[r].append(nid)
+            depth = 1 + max([mindepth[r] for r in children], default=0)
+        self._mindepth.append(depth)
         return nid
 
     def _depth(self, key: tuple) -> int:
@@ -399,29 +407,40 @@ class FreeAlgebra:
     def _rebuild(self) -> bool:
         """Congruence and act closure to a local fixpoint; True if changed.
         Returns at once when nothing was added or merged since the last
-        rebuild that found nothing to do."""
+        rebuild that found nothing to do.
+
+        A scan keys every node by its children's roots.  A scan that merged
+        needs no confirming scan when no union absorbed a root with a
+        parent node keyed earlier in the scan, and the act step then added
+        and merged nothing: every key it stored is still canonical, so
+        another scan would store the same keys and merge nothing."""
         if self._clean == (len(self._nodes), self._unions):
             return False
+        nodes, parents, find = self._nodes, self._parents, self._find
+        arrows = [(m, msrc) for m, msrc, _ in self.index.morphisms
+                  if m not in self.index.identities]
         any_change = False
         while True:
-            changed = False
             self._recompute_depths()
+            start, stale = self._unions, False
             fresh: dict[tuple, int] = {}
-            for nid in range(len(self._nodes)):
-                key = self._canon_key(self._nodes[nid])
+            for nid in range(len(nodes)):
+                key = self._canon_key(nodes[nid])
                 other = fresh.get(key)
                 if other is None:
                     fresh[key] = nid
-                elif self._union(other, nid, AuditEntry("cong", other, nid)):
-                    changed = True
+                    continue
+                if not stale:  # the absorbed root's parents, before the union
+                    ra, rb = find(other), find(nid)
+                    stale = ra != rb and min(
+                        parents[max(ra, rb)], default=nid) < nid
+                self._union(other, nid, AuditEntry("cong", other, nid))
             self._hash = fresh
-            size = len(self._nodes)
-            arrows = [(m, msrc) for m, msrc, _ in self.index.morphisms
-                      if m not in self.index.identities]
+            size, scanned = len(nodes), self._unions
             classes: dict[int, list[int]] = {}
             if arrows:  # only the act step reads the classes
                 for nid in range(size):
-                    classes.setdefault(self._find(nid), []).append(nid)
+                    classes.setdefault(find(nid), []).append(nid)
             for m, msrc in arrows:
                 for root, members in list(classes.items()):
                     if self._node_sort[root] != msrc:
@@ -429,15 +448,17 @@ class FreeAlgebra:
                     images = [self._act_image(m, nid) for nid in members
                               if self._node_sort[nid] == msrc]
                     for other in images[1:]:
-                        if self._union(images[0], other,
-                                       AuditEntry("act", images[0], other,
-                                                  morphism=m)):
-                            changed = True
-            if not changed:
-                if len(self._nodes) == size:
+                        self._union(images[0], other, AuditEntry(
+                            "act", images[0], other, morphism=m))
+            if self._unions == start:
+                if len(nodes) == size:
                     self._clean = (size, self._unions)
                 return any_change
             any_change = True
+            if not stale and self._unions == scanned and len(nodes) == size:
+                self._recompute_depths()  # all a confirming scan would do
+                self._clean = (size, self._unions)
+                return True
 
     def _class_lists(self) -> dict[str, list[int]]:
         """Each sort's roots in id order (a root is its class's least id)."""
@@ -457,11 +478,11 @@ class FreeAlgebra:
 
     def _equation_instances(self) -> list[tuple]:
         """Each equation instance whose sides fit the depth, compiled once:
-        its name, arity, flat cuts of each sort, each arity element's
-        ``(sort, class-depth budget)`` (the least over its leaves), whether
-        it is unconstrained (no non-identity index arrow acts on an element
-        of the arity, so its families are a plain product of pools), and
-        the compiled sides."""
+        its arity, each arity element's ``(sort, class-depth budget)`` (the
+        least over its leaves), whether it is unconstrained (no non-identity
+        index arrow acts on an element of the arity, so its families are a
+        plain product of pools), and the ``_kernel`` that runs its sides
+        over families."""
         idx = self.index
         sources = {src for m, src, _ in idx.morphisms
                    if m not in idx.identities}
@@ -484,30 +505,9 @@ class FreeAlgebra:
                     slots = tuple((s, budgets.get((s, x), self.depth))
                                   for s in idx.sorts for x in X.elements(s))
                     steps, (left, right) = _compile_terms(X, (lt, rt))
-                    out.append((eq.name, X, cuts, slots, unconstrained,
-                                steps, left, right))
+                    out.append((X, slots, unconstrained, _kernel(
+                        eq.name, steps, left, right, cuts)))
         return out
-
-    def _run(self, steps: list[tuple], phi) -> list[int]:
-        """Insert compiled terms with variables at the classes in the flat
-        family ``phi``; the class of each step.  Nothing merges during a
-        run, so a step's children are roots and its key is canonical as
-        built."""
-        find, lookup, parent = self._find, self._hash.get, self._parent
-        vals: list[int] = []
-        for sort, bind in steps:
-            if sort is None:  # a variable at flat position ``bind``
-                got = phi[bind]
-            else:
-                key = bind(vals)
-                got = lookup(key)
-                if got is None:
-                    vals.append(self._insert(key, sort))
-                    continue
-            up = parent[got]  # a root's child needs no find call
-            vals.append(got if up == got else up if parent[up] == up
-                        else find(got))
-        return vals
 
     def _equation_pass(self) -> bool:
         """Run every equation instance over its families of classes and
@@ -522,10 +522,10 @@ class FreeAlgebra:
         keys and its sides are merged: a rerun would add and merge nothing.
         From the pass's first merge on, and for instances whose arity has
         naturality constraints, every family runs."""
-        start, changed = self._unions, False
+        start = self._unions
         seen_pools = self._seen_pools
-        for k, (name, X, cuts, slots, unconstrained, steps, left,
-                right) in enumerate(self._instances):
+        for k, (X, slots, unconstrained, kernel) in enumerate(
+                self._instances):
             pools = self._class_pools(set(slots))
             seen = None
             if unconstrained:
@@ -539,20 +539,8 @@ class FreeAlgebra:
                 families = [sum(rows, ()) for rows in enumerate_families(
                     X, lambda s, x: pools[slots[X.offset(s) + x]],
                     self._act_memo())]
-            for phi in families:
-                if seen is not None:
-                    if self._unions != start:
-                        seen = None
-                    elif all(map(set.__contains__, seen, phi)):
-                        continue
-                vals = self._run(steps, phi)
-                a, b = vals[left], vals[right]
-                if a != b:  # roots, as nothing merged during the run
-                    self._union(a, b, AuditEntry(
-                        "eq", a, b, equation=name,
-                        phi=tuple([phi[i:j] for i, j in cuts])))
-                    changed = True
-        return changed
+            self._families_run += kernel(self, families, seen, start)
+        return self._unions != start
 
     def _applications(self, limit: float, listing):
         """The one-step applications over the classes of mindepth at most
@@ -765,15 +753,15 @@ def free_algebra(P: Presentation, generators: Presheaf, depth: int,
     return FreeAlgebra(P, generators, depth, grow=True, max_nodes=max_nodes)
 
 
-def _compile_terms(X: Presheaf, terms) -> tuple[list[tuple], list[int]]:
-    """Post-order step programs for ``FreeAlgebra._run`` over terms in the
-    variables ``X``, a shared subterm object once, and each term's slot.
-    A step is ``(None, flat position of the variable in X)`` or ``(sort,
-    binder)``, where the binder builds the node key from the values of the
-    earlier steps (``_binder``)."""
+def _compile_terms(X: Presheaf, terms) -> tuple[tuple, list[int]]:
+    """Post-order step programs for ``_kernel`` over terms in the variables
+    ``X``, a shared subterm object once, and each term's slot.  A step is
+    ``(None, flat position of the variable in X)`` or ``(sort, symbol,
+    parameter element, binding rows of earlier steps)``."""
     steps: list[tuple] = []
     memo: dict[int, int] = {}
-    return steps, [_compile_step(X, t, steps, memo) for t in terms]
+    slots = [_compile_step(X, t, steps, memo) for t in terms]
+    return tuple(steps), slots
 
 
 def _compile_step(X: Presheaf, t: Term, steps: list[tuple],
@@ -783,26 +771,83 @@ def _compile_step(X: Presheaf, t: Term, steps: list[tuple],
         if t.is_var:
             step = (None, X.offset(t.sort) + t.var)
         else:
-            step = (t.sort, _binder(t.symbol.name, t.sort, t.param, [
-                [_compile_step(X, u, steps, memo) for u in row]
-                for row in t.binding]))
+            step = (t.sort, t.symbol.name, t.param, tuple(
+                tuple(_compile_step(X, u, steps, memo) for u in row)
+                for row in t.binding))
         got = memo[id(t)] = len(steps)
         steps.append(step)
     return got
 
 
-def _binder(sym: str, sort: str, c: int, rows: list[list[int]]):
-    """The node key ``("a", sym, sort, c, binding)`` of an application
-    from the step values, whose binding rows are read off by one
-    ``operator.itemgetter`` per row (a row of one slot or none needs its
-    own tuple, which ``itemgetter`` does not give)."""
-    gets = [itemgetter(*row) if len(row) > 1
-            else (lambda vals, j=row[0]: (vals[j],)) if row
-            else (lambda vals: ()) for row in rows]
-    if len(gets) == 1:
-        get, = gets
-        return lambda vals: ("a", sym, sort, c, (get(vals),))
-    return lambda vals: ("a", sym, sort, c, tuple([get(vals) for get in gets]))
+_KERNEL_HEAD = """\
+def make(AuditEntry, contains, {consts}):
+    def kernel(fa, families, seen, start):
+        find, lookup, parent = fa._find, fa._hash.get, fa._parent
+        insert, union = fa._insert, fa._union
+        ran = 0
+        for phi in families:
+            if seen is not None:
+                if fa._unions != start:
+                    seen = None
+                elif all(map(contains, seen, phi)):
+                    continue
+            ran += 1
+"""
+
+
+@functools.lru_cache(maxsize=1024)  # seed programs vary; equations recur
+def _kernel(name: str | None, steps: tuple, left: int | None,
+            right: int | None, cuts: tuple):
+    """One compiled program as a generated loop, the one insertion walk:
+    ``kernel(fa, families, seen, start)`` runs ``steps`` in straight-line
+    code on every family ``phi`` of ``families`` in ``fa``, and returns how
+    many it ran.  While ``seen`` is set and ``fa`` has merged nothing since
+    ``start``, it skips a family whose classes all lie in ``seen``'s pools
+    (``FreeAlgebra._equation_pass``).  A variable step reads ``phi``; an
+    application step looks its key up and inserts it if missing.  Nothing
+    merges during a family's steps, so every child is taken to its root as
+    it is built and each key is canonical.  For an equation instance
+    (``name`` set) the kernel then merges the classes of the steps
+    ``left`` and ``right``, logging ``phi`` cut at ``cuts``.
+
+    The source holds integers and generated names only: symbol, sort and
+    equation names come from user files, so they are bound constants.
+    Kernels are cached by program shape, so each equation instance
+    compiles once per process, not once per free algebra."""
+    consts: dict[str, str] = {}
+
+    def const(value: str) -> str:
+        return consts.setdefault(value, f"k{len(consts)}")
+
+    def root(v: str, indent: str) -> list[str]:  # what _find returns
+        return [f"{indent}u = parent[{v}]", f"{indent}if u != {v}:",
+                f"{indent}    {v} = u if parent[u] == u else find({v})"]
+
+    body: list[str] = []
+    for i, (sort, *rest) in enumerate(steps):
+        v = f"v{i:d}"
+        if sort is None:
+            body += [f"{v} = phi[{rest[0]:d}]", *root(v, "")]
+            continue
+        sym, c, rows = rest
+        binding = "".join(
+            "(" + "".join(f"v{j:d}, " for j in row) + "), " for row in rows)
+        body += [f'k = ("a", {const(sym)}, {const(sort)}, {c:d}, ({binding}))',
+                 f"{v} = lookup(k)", f"if {v} is None:",
+                 f"    {v} = insert(k, {const(sort)})", "else:",
+                 *root(v, "    ")]
+    if name is not None:
+        a, b = f"v{left:d}", f"v{right:d}"
+        cut = "".join(f"phi[{i:d}:{j:d}], " for i, j in cuts)
+        body += [f"if {a} != {b}:",
+                 f'    union({a}, {b}, AuditEntry("eq", {a}, {b}, '
+                 f'equation={const(name)}, phi=({cut})))']
+    source = (_KERNEL_HEAD.format(consts=", ".join(consts.values()))
+              + "".join(f"            {line}\n" for line in body)
+              + "        return ran\n    return kernel\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace.pop("make")(AuditEntry, set.__contains__, *consts)
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,11 @@ def check_pretheory(T: Pretheory) -> list[Violation]:
     for i, j, k, l in product(range(n), repeat=4):
         c_ijk, c_ikl = T.compose[(i, j, k)], T.compose[(i, k, l)]
         c_jkl, c_ijl = T.compose[(j, k, l)], T.compose[(i, j, l)]
+        gh_gathers = [gather(gh_row) for gh_row in c_jkl]
         for f, (row_f, via_f) in enumerate(zip(c_ijk, c_ijl)):
-            for g in range(T.hom_count(j, k)):
-                lhs_row, gh_row = c_ikl[row_f[g]], c_jkl[g]
-                if lhs_row != tuple(via_f[x] for x in gh_row):
+            for g, (gh_row, via_gh) in enumerate(zip(c_jkl, gh_gathers)):
+                lhs_row = c_ikl[row_f[g]]
+                if lhs_row != via_gh(via_f):
                     for h in range(T.hom_count(k, l)):
                         if lhs_row[h] != via_f[gh_row[h]]:
                             out.append(Violation(

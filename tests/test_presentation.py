@@ -40,6 +40,7 @@ from varietal.presentation import (
     FreeAlgebra,
     Presentation,
     _compile_terms,
+    _kernel,
     bundle_equations,
     free_algebra,
     kronecker_equation,
@@ -672,7 +673,11 @@ def _same_bookkeeping(engine, old):
     assert engine.saturation_witness == old.saturation_witness
 
 
-@pytest.mark.parametrize("theory,k,d", ENGINE_CASES)
+@pytest.mark.parametrize("theory,k,d", [
+    # the one merging rebuild of semilattice 5/4 skips its confirming scan,
+    # which the old bookkeeping's own rebuild runs
+    *ENGINE_CASES, ("semilattice", 5, 4),
+])
 def test_free_algebra_matches_old_bookkeeping(theory, k, d):
     P = _bundled_presentation(theory)
     gens = finite_set(k, P.signature.index)
@@ -730,30 +735,92 @@ def test_internal_category_act_images_once_per_family_search(monkeypatch):
 
 def test_semilattice_closure_canonical_key_count(semilattice, monkeypatch):
     # 7,324 calls when the insertion walk went through _add_node and every
-    # rebuild rescanned the whole graph
+    # rebuild rescanned the whole graph; 3,381 when a merging rebuild ran
+    # one more scan only to confirm its fixpoint
     calls = _count_calls(monkeypatch, "_canon_key")
     free_algebra(semilattice, finite_set(4, I), 4)
-    assert len(calls) == 3381
+    assert len(calls) == 2388
 
 
 def test_semilattice_closure_find_count(semilattice, monkeypatch):
     # 51,904 calls when every rebuild grouped the nodes by class, though
     # over an index with no non-identity arrow the act step never reads
     # the groups; 49,213 when every equation pass reran every family and
-    # each lookup that hit a root's child called _find
+    # each lookup that hit a root's child called _find; 17,670 when a
+    # merging rebuild ran one more scan only to confirm its fixpoint
     calls = _count_calls(monkeypatch, "_find")
     free_algebra(semilattice, finite_set(4, I), 4)
-    assert len(calls) == 17670
+    assert len(calls) == 14250
 
 
 def test_semilattice_closure_run_count(semilattice, monkeypatch):
-    # 9,276 runs when every equation pass reran every family, including
-    # the last pass, which only confirms the fixpoint; the skipped families
-    # add and merge nothing, so inserts and audit entries did not move
-    runs = _count_calls(monkeypatch, "_run")
+    # 9,275 families (9,276 _run calls with the seed walk) when every
+    # equation pass reran every family, including the last pass, which
+    # only confirms the fixpoint; the skipped families add and merge
+    # nothing, so inserts and audit entries did not move
     inserts = _count_calls(monkeypatch, "_insert")
     Q = free_algebra(semilattice, finite_set(4, I), 4)
-    assert (len(runs), len(inserts), len(Q.audit)) == (5657, 993, 978)
+    assert (Q._families_run, len(inserts), len(Q.audit)) == (5656, 993, 978)
+
+
+def _scans_per_merging_rebuild(monkeypatch, theory, k, d):
+    """The number of congruence scans of each rebuild that merged, in a
+    closure over the one-sort index, where a scan keys each node once and
+    nothing else calls ``_canon_key`` during a rebuild."""
+    keyed, scans = _count_calls(monkeypatch, "_canon_key"), []
+    rebuild = FreeAlgebra._rebuild
+
+    def counted(self):
+        before, unions = len(keyed), self._unions
+        changed = rebuild(self)
+        if self._unions != unions:
+            scans.append((len(keyed) - before) / len(self._nodes))
+        return changed
+
+    monkeypatch.setattr(FreeAlgebra, "_rebuild", counted)
+    P = _bundled_presentation(theory)
+    free_algebra(P, finite_set(k, P.signature.index), d)
+    return scans
+
+
+def test_merging_rebuild_scans_again_only_after_a_stale_key(monkeypatch):
+    # two scans per merging rebuild when each ran one only to confirm its
+    # fixpoint: [2] here and [3, 2] for z2mod, whose first scan leaves 303
+    # keys stale (a union absorbed a root with a parent keyed before it)
+    assert _scans_per_merging_rebuild(monkeypatch, "semilattice", 4, 4) == [1]
+    monkeypatch.undo()
+    assert _scans_per_merging_rebuild(monkeypatch, "z2mod", 3, 3) == [2, 1]
+
+
+def test_equation_kernels_are_generated_once_per_program():
+    # a freshly parsed copy of the same file reuses every kernel
+    first = free_algebra(_bundled_presentation("semilattice"), TWO, 3)
+    misses = _kernel.cache_info().misses
+    again = free_algebra(_bundled_presentation("semilattice"), TWO, 3)
+    assert _kernel.cache_info().misses == misses
+    assert ([kernel for *_, kernel in again._instances]
+            == [kernel for *_, kernel in first._instances])
+
+
+def test_equation_kernels_bind_names_that_are_not_identifiers():
+    # symbol and equation names reach the generated loops as constants only
+    odd = {"join": "j\"o'i\\n{k0}", "idem": "k0", "comm": 'phi[0:1]"+\\',
+           "assoc": 'as-soc"""'}
+    text = (DATA / "semilattice.var").read_text()
+    for name, new in odd.items():
+        text = text.replace(name, new)
+    P = next(iter(fileformat.parse_text(text).presentations.values()))
+    assert [P.signature.symbols[0].name, *(e.name for e in P.equations)] == [
+        odd[name] for name in ("join", "idem", "comm", "assoc")]
+    gens = finite_set(3, I)
+    _same_closure(FreeAlgebra(P, gens, 3), ReferenceFreeAlgebra(P, gens, 3))
+    plain = free_algebra(_bundled_presentation("semilattice"), gens, 3)
+    renamed = free_algebra(P, gens, 3)
+    lines = plain.audit_lines()
+    for name, new in odd.items():
+        lines = [line.replace(name, new) for line in lines]
+    assert renamed.audit_lines() == lines
+    assert renamed.classes == plain.classes
 
 
 # -- semantic soundness of the closure ---------------------------------------
