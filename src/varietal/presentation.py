@@ -795,7 +795,7 @@ def make(AuditEntry, contains, {consts}):
 """
 
 
-@functools.lru_cache(maxsize=1024)  # seed programs vary; equations recur
+@functools.lru_cache(maxsize=1024)
 def _kernel(name: str | None, steps: tuple, left: int | None,
             right: int | None, cuts: tuple):
     """One compiled program as a generated loop, the one insertion walk:
@@ -812,8 +812,9 @@ def _kernel(name: str | None, steps: tuple, left: int | None,
 
     The source holds integers and generated names only: symbol, sort and
     equation names come from user files, so they are bound constants.
-    Kernels are cached by program shape, so each equation instance
-    compiles once per process, not once per free algebra."""
+    Kernels are cached by program shape, the 1,024 last used, so an
+    equation instance compiles once per process, not once per free
+    algebra; seed programs vary from call to call, hence the bound."""
     consts: dict[str, str] = {}
 
     def const(value: str) -> str:

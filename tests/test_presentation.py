@@ -784,9 +784,9 @@ def _scans_per_merging_rebuild(monkeypatch, theory, k, d):
 
 
 def test_merging_rebuild_scans_again_only_after_a_stale_key(monkeypatch):
-    # two scans per merging rebuild when each ran one only to confirm its
-    # fixpoint: [2] here and [3, 2] for z2mod, whose first scan leaves 303
-    # keys stale (a union absorbed a root with a parent keyed before it)
+    # [2] here and [3, 2] for z2mod when each merging rebuild ran one more
+    # scan only to confirm its fixpoint; z2mod's first scan leaves keys
+    # stale (a union absorbs a root with a parent keyed before it)
     assert _scans_per_merging_rebuild(monkeypatch, "semilattice", 4, 4) == [1]
     monkeypatch.undo()
     assert _scans_per_merging_rebuild(monkeypatch, "z2mod", 3, 3) == [2, 1]
