@@ -11,12 +11,13 @@ Every table lives in one cell layout: a cell is one symbol at one input
 family and holds an index into that symbol's choices, the parameter homs in
 the model search and the algebra's own table in an :class:`Algebra`.  Homs
 are flat tables (``base.flat_table``), and so are the values the evaluator
-computes: an element is numbered across the carrier's sorts.  Terms
-are compiled once against a layout into integer tuples (``_compile``) and
-evaluated over a flat list of cell values (``_value``), and so are free-
-algebra classes (``FreeAlgebra.compile_class``): ``evaluate``,
-``evaluate_class``, ``satisfies``, ``interpretation_table`` and the model
-search share this one evaluator, for term and quotient equations alike.
+computes: an element is numbered across the carrier's sorts.  Terms,
+free-algebra classes' representatives (``FreeAlgebra.rep_term``) among
+them, are compiled once against a layout into integer tuples
+(``_compile``) and evaluated over a flat list of cell values (``_value``):
+``evaluate``, ``evaluate_class``, ``satisfies``, ``interpretation_table``
+and the model search share this one evaluator, for term and quotient
+equations alike.
 Model enumeration sets one cell at a time and checks each equation instance
 as soon as the cells it reaches are set, after SEM (Zhang & Zhang, 1995) and
 Mace4 (McCune, 2003); its ceiling counts cell assignments tried.  Each
@@ -29,7 +30,7 @@ cells it reaches through table values.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product as iproduct
 from typing import TYPE_CHECKING, Sequence
 
@@ -139,20 +140,25 @@ class Algebra:
         return f"Algebra(carrier sizes={self.carrier.sizes})"
 
 
-def _compile(t: Term, J: Presheaf, cells: dict):
+def _compile(t: Term, J: Presheaf, cells: dict, memo: dict):
     """A term over the context ``J`` as a flat node: a variable becomes its
     index into an input family's ``flat_table``, an application ``(input
     positions, first cell, value flat tables, flat parameter element,
-    children)``, the children of all binding rows in one tuple."""
+    children)``, the children of all binding rows in one tuple; ``memo``
+    serves one ``J`` and ``cells``, so a shared subterm compiles once."""
     if t.is_var:
         return J.offset(t.sort) + t.var
-    try:
-        position, first, values = cells[t.symbol.name]
-    except KeyError:
-        raise StructureError(
-            f"unknown operation symbol {t.symbol.name!r}") from None
-    return (position, first, values, t.symbol.parameter.offset(t.sort) + t.param,
-            tuple(_compile(u, J, cells) for row in t.binding for u in row))
+    got = memo.get(t)
+    if got is None:
+        try:
+            position, first, values = cells[t.symbol.name]
+        except KeyError:
+            raise StructureError(
+                f"unknown operation symbol {t.symbol.name!r}") from None
+        got = memo[t] = (
+            position, first, values, t.symbol.parameter.offset(t.sort) + t.param,
+            tuple(_compile(u, J, cells, memo) for row in t.binding for u in row))
+    return got
 
 
 def _value(node, phi: tuple, table: list) -> int:
@@ -219,21 +225,18 @@ def evaluate(A: Algebra, t: Term, phi: PresheafMorphism) -> int:
     if not t.fits(phi.source):
         raise StructureError("evaluate: the term is not over phi's source")
     cells, table = A._cells
-    return (_value(_compile(t, phi.source, cells), flat_table(phi), table)
+    return (_value(_compile(t, phi.source, cells, {}), flat_table(phi), table)
             - A.carrier.offset(t.sort))
 
 
 def _compiled_sides(eq: Equation | QuotientEquation,
                     cells: dict) -> list[tuple]:
     """``(sort, c, lhs, rhs)`` per parameter element, both sides compiled
-    against ``cells``: terms, or classes of a ``QuotientEquation``'s base."""
-    if isinstance(eq, Equation):
-        def compile_side(sort, t):
-            return _compile(t, eq.arity, cells)
-    else:
-        compile_side = partial(eq.base.compile_class, cells=cells, memo={})
-    return [(sort, c, compile_side(sort, eq.lhs(sort, c)),
-             compile_side(sort, eq.rhs(sort, c)))
+    against ``cells``: terms, or the representative terms of a
+    ``QuotientEquation``'s classes."""
+    memo: dict = {}
+    return [(sort, c, _compile(eq.lhs(sort, c), eq.arity, cells, memo),
+             _compile(eq.rhs(sort, c), eq.arity, cells, memo))
             for sort in eq.parameter.index.sorts
             for c in eq.parameter.elements(sort)]
 
@@ -466,10 +469,11 @@ def interpretation_table(
     homs = list(A.homs_from(J).position)
     universe = enumerate_terms(A.signature, J, depth)
     out: dict[Term, tuple[int, ...]] = {}
+    memo: dict = {}
     for sort in J.index.sorts:
         offset = A.carrier.offset(sort)
         for t in universe.terms(sort):
-            node = _compile(t, J, cells)
+            node = _compile(t, J, cells, memo)
             out[t] = tuple(_value(node, phi, table) - offset for phi in homs)
     return out
 

@@ -12,7 +12,9 @@ makes the truncation the genuine free algebra.
 Soundness is unconditional: each union is logged with the equation instance
 or the congruence/act step that forced it.
 
-Depth, best nodes and saturation each have one home in FreeAlgebra.  Its
+Depth, best nodes and saturation each have one home in FreeAlgebra, and so
+do representative terms: the printed classes, the audit and the compiled
+class programs all read a class through one best-node walk.  The e-graph's
 bookkeeping follows changes (parent lists, a depth worklist, skipped no-op
 rebuilds, rebuilds that skip a confirming scan no merge made necessary,
 equation passes that skip the families that provably add and merge nothing),
@@ -47,13 +49,14 @@ from .syntax import (
     OperationSymbol,
     ParamTerm,
     Term,
+    _node,
     app,
     param_term_from_map,
     term_leaf_depths,
     var,
 )
 from .algebra import (
-    DEFAULT_CEILING, Algebra, _value, enumerate_algebras, satisfies)
+    DEFAULT_CEILING, Algebra, _compile, _value, enumerate_algebras, satisfies)
 
 
 class Presentation:
@@ -246,7 +249,8 @@ class FreeAlgebra:
     ``_applications`` the one list of one-step applications, which
     ``_grow_pass`` grows over the classes shallow enough to stay within the
     depth and ``_check_saturated`` walks lazily up to the first gap;
-    ``_finalize`` finds every class's best node in one scan.
+    ``_finalize`` finds every class's best node in one scan, and
+    ``_root_term`` makes it the representative term that all readers use.
     ``_union`` queues the deeper side's parents for ``_recompute_depths``,
     whose fixpoint (each class's least term depth) no queue order changes.
     """
@@ -579,21 +583,22 @@ class FreeAlgebra:
 
     # -- finalization ---------------------------------------------------------
 
-    def _root_text(self, root: int) -> str:
-        return self._node_text(self._best[root])
-
-    def _node_text(self, nid: int) -> str:
+    def _node_term(self, nid: int) -> Term:
+        """Node ``nid`` with its children's representatives, interned unchecked:
+        over a nontrivial index a class can lack a term that fits."""
         key = self._nodes[nid]
         if key[0] == "v":
-            return f"(var {key[1]} {key[2]})"
+            return var(self.signature, key[1], key[2])
         _, sym, sort, c, binding = key
-        idx = self.index
-        entries = []
-        for bsort, row in zip(idx.sorts, binding):
-            entries.extend(
-                f"({bsort} {i} {self._root_text(self._find(r))})"
-                for i, r in enumerate(row))
-        return f"(app {sym} ({' '.join(entries)}) ({sort} {c}))"
+        return _node(self.signature, self.signature.symbol(sym), tuple(
+            tuple(self._root_term(self._find(r)) for r in row)
+            for row in binding), sort, c)
+
+    def _root_term(self, root: int) -> Term:
+        got = self._terms.get(root)
+        if got is None:
+            got = self._terms[root] = self._node_term(self._best[root])
+        return got
 
     def _finalize(self):
         """Best nodes (lowest id among a class's shallowest) in one scan, then
@@ -604,6 +609,7 @@ class FreeAlgebra:
         """
         self._recompute_depths()
         self._best: dict[int, int] = {}
+        self._terms: dict[int, Term] = {}  # each root's representative
         for nid, key in enumerate(self._nodes):
             root = self._find(nid)
             if root not in self._best and self._depth(key) == self._mindepth[root]:
@@ -647,9 +653,14 @@ class FreeAlgebra:
             return sum(self.classes.sizes)
         return self.classes.size(sort)
 
+    def rep_term(self, sort: str, i: int) -> Term:
+        """Class ``i`` of ``sort``'s best node, each child replaced by its
+        class's representative term (see ``_node_term``)."""
+        return self._root_term(self._roots_by_sort[sort][i])
+
     def rep_text(self, sort: str, i: int) -> str:
         """Printable canonical representative (class-level, always defined)."""
-        return self._root_text(self._roots_by_sort[sort][i])
+        return repr(self.rep_term(sort, i))
 
     def unit(self) -> PresheafMorphism:
         comps = tuple(tuple(self._class_index[self._find(v)] for v in row)
@@ -687,25 +698,10 @@ class FreeAlgebra:
         return Algebra(self.signature, self.classes, values)
 
     def compile_class(self, sort: str, i: int, cells: dict, memo: dict):
-        """Class ``i`` of ``sort``, read off the best nodes, as the flat
-        node ``algebra._value`` runs over the cell layout ``cells`` (see
-        ``algebra._compile``); ``memo`` serves one layout only."""
-        return self._compile_root(self._roots_by_sort[sort][i], cells, memo)
-
-    def _compile_root(self, root: int, cells: dict, memo: dict):
-        got = memo.get(root)
-        if got is None:
-            key = self._nodes[self._best[root]]
-            if key[0] == "v":
-                got = self.generators.offset(key[1]) + key[2]
-            else:
-                _, sym, s, c, binding = key
-                C = self.signature.symbol(sym).parameter
-                got = (*cells[sym], C.offset(s) + c, tuple(
-                    self._compile_root(self._find(r), cells, memo)
-                    for row in binding for r in row))
-            memo[root] = got
-        return got
+        """Class ``i`` of ``sort``'s representative term compiled against
+        the cell layout ``cells`` (``algebra._compile``), the flat node
+        ``algebra._value`` runs; ``memo`` serves one layout only."""
+        return _compile(self.rep_term(sort, i), self.generators, cells, memo)
 
     def class_values(self, A: Algebra) -> list[tuple[int, ...]]:
         """For each phi of ``hom_list(generators, A.carrier)``, in listing
@@ -731,19 +727,19 @@ class FreeAlgebra:
                        flat_table(phi), table) - A.carrier.offset(sort))
 
     def audit_lines(self) -> list[str]:
-        lines, show = [], self._node_text
+        lines, term = [], self._node_term
         for e in self.audit:
             if e.kind == "eq":
                 phi = " ".join(
-                    show(r) for row in (e.phi or ()) for r in row)
+                    repr(term(r)) for row in (e.phi or ()) for r in row)
                 lines.append(
-                    f"merge {show(e.left)} {show(e.right)} by {e.equation} "
+                    f"merge {term(e.left)!r} {term(e.right)!r} by {e.equation} "
                     f"phi=[{phi}]")
             elif e.kind == "cong":
-                lines.append(f"merge {show(e.left)} {show(e.right)} by cong")
+                lines.append(f"merge {term(e.left)!r} {term(e.right)!r} by cong")
             else:
-                lines.append(
-                    f"merge {show(e.left)} {show(e.right)} by act {e.morphism}")
+                lines.append(f"merge {term(e.left)!r} {term(e.right)!r} "
+                             f"by act {e.morphism}")
         return lines
 
 
@@ -911,8 +907,9 @@ class QuotientEquation:
     This is how equations whose sides only exist modulo earlier equations are
     expressed: the sides are classes of the base presentation's free algebra
     on the arity.  ``satisfies`` and ``enumerate_algebras`` take it like an
-    :class:`Equation` whose input families are the base's generator maps;
-    class values are well defined on algebras of the base presentation.
+    :class:`Equation` whose sides are the classes' representative terms
+    (``lhs``, ``rhs``); class values are well defined on algebras of the
+    base presentation.
     """
 
     name: str
@@ -931,11 +928,13 @@ class QuotientEquation:
     def arity(self) -> Presheaf:
         return self.base.generators
 
-    def lhs(self, sort: str, c: int) -> int:
-        return self.lhs_rows[self.parameter.index.sort_index(sort)][c]
+    def lhs(self, sort: str, c: int) -> Term:
+        return self.base.rep_term(
+            sort, self.lhs_rows[self.parameter.index.sort_index(sort)][c])
 
-    def rhs(self, sort: str, c: int) -> int:
-        return self.rhs_rows[self.parameter.index.sort_index(sort)][c]
+    def rhs(self, sort: str, c: int) -> Term:
+        return self.base.rep_term(
+            sort, self.rhs_rows[self.parameter.index.sort_index(sort)][c])
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,11 +12,13 @@ Every relative monad has a Kleisli pretheory, read off its tables by
 ``pretheory_of_clone``; the free and Kleisli pretheories are built through
 it.  Law checks locate base composites by their ``hom_list`` position,
 found by gathers over flat tables (``base.composite_positions``), and so
-does ``kleisli_models`` when it forces a candidate algebra's action.
+does ``kleisli_models`` when it forces the action of each candidate that
+its one model search, over the laws ``_kleisli_laws`` states, lists.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import product
 from typing import Sequence
 
@@ -30,18 +32,22 @@ from .base import (
     flat_table,
     gather,
     hom_list,
+    representable,
 )
 from .syntax import (
+    Assignment,
     Equation,
     FreeFormSignature,
     OperationSymbol,
+    act,
     app,
     param_term_from_map,
+    substitute,
     var,
     var_assignment,
 )
 from .algebra import Algebra, enumerate_algebras
-from .presentation import Presentation
+from .presentation import FreeAlgebra, Presentation
 from .clones import (RelativeMonad, Violation, _clone_and_free_algebras,
                      clone_of_presentation, identity_clone)
 
@@ -382,6 +388,53 @@ def kleisli_pretheory(P: Presentation, objects: Sequence[Presheaf],
     return None if M is None else pretheory_of_clone(M, f"kleisli[{P.name}]")
 
 
+def _kleisli_laws(M: RelativeMonad, quotients: Sequence[FreeAlgebra],
+                  sig: FreeFormSignature) -> list[Equation]:
+    """Equations over ``sig`` that every concrete model's algebra satisfies,
+    on the free classes' representative terms (rep), at each class c of
+    H J_j that a token g reaches at some x, where the forced action reads
+    alpha_j: composition at (f, g), rep(m(f)(c)) = rep(c)[y := rep(f(y))]
+    over J_i, whose sides denote those of the model's law at x under each
+    phi; and naturality of alpha_j(phi), rep(c.u) = act(u, rep(c)) over J_j.
+    Each is stated once, on the representable at its sort; one with
+    identical sides or with a term that does not fit is left out."""
+    n = len(M.objects)
+    reps = [[Q.rep_term(s, c) for s in Q.index.sorts
+             for c in Q.classes.elements(s)] for Q in quotients]
+    pending: dict[tuple, None] = {}  # (i, lhs, rhs), in first order
+    for j, (J, Q) in enumerate(zip(M.objects, quotients)):
+        reached = sorted({c for k in range(n)
+                          for table in M.homs_into(k, j).position for c in table})
+        for c in reached:
+            sort = reps[j][c].sort
+            for u, src, tgt in Q.index.morphisms:
+                if src == sort and u not in Q.index.identities:
+                    image = Q.classes.offset(tgt) + Q.act_class(
+                        u, c - Q.classes.offset(sort))
+                    pending[(j, reps[j][image], act(sig, J, u, reps[j][c]))] = None
+        for i in range(n):
+            for f, mf in zip(M.homs_into(j, i).position,
+                             map(flat_table, M.mult[(j, i)])):
+                try:
+                    phi = Assignment(sig, J, M.objects[i], tuple(
+                        tuple(reps[i][y] for y in f[J.offset(s):][:J.size(s)])
+                        for s in J.index.sorts))
+                except StructureError:
+                    continue
+                for c in reached:
+                    with suppress(StructureError):
+                        pending[(i, reps[i][mf[c]],
+                                 substitute(sig, reps[j][c], phi))] = None
+    laws = []
+    for i, lhs, rhs in (key for key in pending if key[1] is not key[2]):
+        J, (Y, labels) = M.objects[i], representable(M.objects[i].index, lhs.sort)
+        with suppress(StructureError):
+            laws.append(Equation(f"law{len(laws)}", *(
+                param_term_from_map(sig, J, Y, lambda b, e, t=t: act(
+                    sig, J, labels[Y.offset(b) + e], t)) for t in (lhs, rhs))))
+    return laws
+
+
 def kleisli_models(P: Presentation, objects: Sequence[Presheaf], depth: int,
                    max_size: int) -> list[tuple[Algebra, ConcreteModel]] | None:
     """The concrete models of ``kleisli_pretheory(P, objects, depth)`` with
@@ -391,45 +444,32 @@ def kleisli_models(P: Presentation, objects: Sequence[Presheaf], depth: int,
 
     A model's action is forced by its tables: the token g in hom(J_j, H J_i)
     sends phi to "g then alpha_i(phi)", where alpha_i(phi) : H J_i -> A
-    interprets each free class under phi (in a model, a homomorphism, so
-    natural).  Each candidate's forced action is kept if it is a model,
-    checked first on the two smallest arities (a model restricts to one).
+    interprets each free class under phi.  One model search lists the
+    signature algebras that satisfy ``_kleisli_laws``, as every model does,
+    and each one's forced action is kept if it passes the full model check.
+    The laws do not ask alpha_i(phi) to be a homomorphism: for s(x, y) = x
+    over arities 1, 2, all 18 tables of size <= 2 are models, not P's 3.
     """
     got = _clone_and_free_algebras(P, objects, depth)
     if got is None:
         return None
     M, quotients = got
-    n, name = len(M.objects), f"kleisli[{P.name}]"
-    small = sorted(sorted(range(n), key=lambda i: M.objects[i].total_size)[:2])
-    fragment = RelativeMonad(M.name, *(
-        [seq[i] for i in small] for seq in (M.objects, M.carriers, M.unit)),
-        {(a, b): M.mult[(i, j)]
-         for a, i in enumerate(small) for b, j in enumerate(small)})
-    stages = [(pretheory_of_clone(fragment, name), small),
-              (pretheory_of_clone(M, name), range(n))]
-
-    def forced(T, arities, A, alphas):  # alphas: i -> alpha_i(phi) per phi
-        action = {}
-        for a, i in enumerate(arities):
-            if i not in alphas:
-                alphas[i] = quotients[i].class_values(A)
-            for b, j in enumerate(arities):
-                tokens, into = M.homs_into(j, i), hom_list(M.objects[j], A.carrier)
-                try:
-                    rows = [tuple(composite_positions(tokens, alpha, into))
-                            for alpha in alphas[i]]
-                except KeyError:  # some alpha_i(phi) is not natural
-                    return None
-                action[(a, b)] = list(zip(*rows)) if rows else [()] * len(tokens)
-        return ConcreteModel(T, A.carrier, action)
-
+    n, T = len(M.objects), pretheory_of_clone(M, f"kleisli[{P.name}]")
+    laws = Presentation(f"laws[{P.name}]", P.signature,
+                        _kleisli_laws(M, quotients, P.signature))
     out = []
-    for A in enumerate_algebras(P.signature, max_size):
-        alphas: dict = {}
-        for T, arities in stages:
-            model = forced(T, arities, A, alphas)
-            if model is None or check_concrete_model(model, first_only=True):
-                break
-        else:
+    for A in enumerate_algebras(laws, max_size):
+        alphas, action = [Q.class_values(A) for Q in quotients], {}
+        try:
+            for i, j in product(range(n), repeat=2):
+                tokens = M.homs_into(j, i)
+                rows = [tuple(composite_positions(
+                    tokens, alpha, hom_list(M.objects[j], A.carrier)))
+                    for alpha in alphas[i]]
+                action[(i, j)] = list(zip(*rows)) if rows else [()] * len(tokens)
+        except KeyError:  # some alpha_i(phi) is not natural: no action
+            continue
+        model = ConcreteModel(T, A.carrier, action)
+        if not check_concrete_model(model, first_only=True):
             out.append((A, model))
     return out

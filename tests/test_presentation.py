@@ -904,6 +904,31 @@ def test_soundness_oracle_reports_a_planted_merge(semilattice):
     assert all(bad == [] for separated, bad in reports if not separated)
 
 
+@pytest.mark.parametrize("theory, k, depth", sorted({
+    tuple(path.stem.split("-")[1:4]) for path in GOLDEN.glob("free-*.txt")}))
+def test_rep_terms_round_trip(theory, k, depth):
+    # over internalcat's graph index a representative need not fit the
+    # generators, yet it still names its own class
+    (P,) = fileformat.parse_file(str(DATA / f"{theory}.var")).presentations.values()
+    Q = free_algebra(P, finite_set(int(k), P.signature.index), int(depth))
+    for sort in Q.index.sorts:
+        for i in range(Q.class_count(sort)):
+            t = Q.rep_term(sort, i)
+            assert t.sort == sort and Q.class_of_term(t) == i
+            assert Q.rep_text(sort, i) == repr(t)
+
+
+def test_quotient_equation_sides_are_rep_terms():
+    TS = catalog.internal_category_presentation()
+    assert TS.extra
+    for q in TS.extra:
+        for si, sort in enumerate(q.parameter.index.sorts):
+            for c in q.parameter.elements(sort):
+                assert q.lhs(sort, c) is q.base.rep_term(sort, q.lhs_rows[si][c])
+                assert q.rhs(sort, c) is q.base.rep_term(sort, q.rhs_rows[si][c])
+                assert q.base.class_of_term(q.lhs(sort, c)) == q.lhs_rows[si][c]
+
+
 def test_recursive_walks_leave_no_reference_cycles(semilattice):
     # reference counting alone frees what each call leaves behind
     Q = free_algebra(semilattice, TWO, 3)

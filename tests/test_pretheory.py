@@ -482,22 +482,106 @@ def test_kleisli_models_over_an_arity_family_missing_join_keep_every_table():
             == [A.canonical_key() for A in enumerate_algebras(SL.signature, 2)])
 
 
-def test_kleisli_models_on_the_graph_index_are_the_presentation_models():
-    # a loop at every vertex; where a candidate's loop leaves its vertex,
-    # interpreting the free classes is not natural and no action is forced
-    g0, g1 = path_graph(0), path_graph(1)
-    sig = FreeFormSignature("loops", [OperationSymbol("ident", g0, g1)])
+def loops_presentation():
+    """A loop at every vertex of the graph index."""
+    g0 = path_graph(0)
+    sig = FreeFormSignature("loops", [OperationSymbol("ident", g0, path_graph(1))])
     v0 = var(sig, "v", 0)
-    P = Presentation("loops", sig, [
+    return Presentation("loops", sig, [
         Equation(f"ident-{end}",
                  param_term_from_map(sig, g0, g0, lambda s, c, end=end: app(
                      sig, "ident", ((v0,), ()), "v", end, g0)),
                  param_term_from_map(sig, g0, g0, lambda s, c: v0))
         for end in (0, 1)])
-    models = kleisli_models(P, [g0, g1], 3, 2)
+
+
+def projection_presentation():
+    """s(x, y) = x."""
+    two = finite_set(2, I)
+    sig = FreeFormSignature("proj", [OperationSymbol("s", two, finite_set(1, I))])
+    x, y = var(sig, "*", 0), var(sig, "*", 1)
+    return Presentation("proj", sig, [Equation(
+        "first",
+        param_term_from_map(sig, two, finite_set(1, I),
+                            lambda s, c: app(sig, "s", ((x, y),), "*", 0, two)),
+        param_term_from_map(sig, two, finite_set(1, I), lambda s, c: x))])
+
+
+def test_kleisli_models_on_the_graph_index_are_the_presentation_models():
+    # a loop at every vertex; where a candidate's loop leaves its vertex,
+    # interpreting the free classes is not natural and no action is forced
+    P = loops_presentation()
+    models = kleisli_models(P, [path_graph(0), path_graph(1)], 3, 2)
     assert len(models) == 6
     assert ([A.canonical_key() for A, _ in models]
             == [A.canonical_key() for A in enumerate_algebras(P, 2)])
+
+
+def test_kleisli_models_of_the_projection_theory_keep_every_table():
+    # every free class's representative is a variable, so the forced action
+    # never reads s and all 18 tables are models; equations asking each
+    # alpha_i(phi) to be a homomorphism would wrongly keep only P's 3
+    P = projection_presentation()
+    models = kleisli_models(P, [finite_set(k, I) for k in (1, 2)], 3, 2)
+    assert len(models) == 18
+    assert ([A.canonical_key() for A, _ in models]
+            == [A.canonical_key() for A in enumerate_algebras(P.signature, 2)])
+    assert len(enumerate_algebras(P, 2)) == 3
+
+
+def reference_kleisli_models(P, objects, depth, max_size):
+    """Every signature algebra whose forced action is a model, by exhaustion.
+
+    The token g in hom(J_j, H J_i) sends phi to "g then alpha_i(phi)", each
+    class value read by ``evaluate_class``; a candidate where that is not a
+    listed family forces no action.  The model check is the test's own."""
+    objects = tuple(objects)
+    T = reference_kleisli_pretheory(P, objects, depth)
+    quotients = [free_algebra(P, J, depth) for J in objects]
+    n = len(objects)
+    out = []
+    for A in enumerate_algebras(P.signature, max_size):
+        alphas = []
+        for J, Q in zip(objects, quotients):
+            memo: dict = {}
+            alphas.append([[A.carrier.offset(s) + Q.evaluate_class(A, phi, s, c, memo)
+                            for s in Q.index.sorts for c in Q.classes.elements(s)]
+                           for phi in hom_list(J, A.carrier)])
+        action = {}
+        for i, j in itertools.product(range(n), repeat=2):
+            position = hom_list(objects[j], A.carrier).position
+            action[(i, j)] = [
+                tuple(position.get(tuple(alpha[c] for c in flat_table(g)))
+                      for alpha in alphas[i])
+                for g in hom_list(objects[j], quotients[i].classes)]
+        if any(None in table for tables in action.values() for table in tables):
+            continue
+        model = ConcreteModel(T, A.carrier, action)
+        if not reference_check_concrete_model(model, first_only=True):
+            out.append((A, model))
+    return out
+
+
+@pytest.mark.parametrize("P, objects", [
+    *((semilattice_presentation(), [finite_set(k, I) for k in arities])
+      for arities in ((1,), (2,), (1, 2), (1, 2, 3))),
+    (projection_presentation(), [finite_set(k, I) for k in (1, 2)]),
+    (loops_presentation(), [path_graph(0), path_graph(1)]),
+], ids=["sl-1", "sl-2", "sl-1-2", "sl-1-2-3", "proj-1-2", "loops"])
+def test_kleisli_models_match_reference(P, objects):
+    got = kleisli_models(P, objects, 3, 2)
+    want = reference_kleisli_models(P, objects, 3, 2)
+    assert ([A.canonical_key() for A, _ in got]
+            == [A.canonical_key() for A, _ in want])
+    assert [M.action for _, M in got] == [M.action for _, M in want]
+
+
+def test_kleisli_models_over_arities_two_and_three_are_semilattices():
+    models = kleisli_models(semilattice_presentation(),
+                            [finite_set(k, I) for k in (2, 3)], 3, 3)
+    assert len(models) == 13
+    for n in range(4):
+        assert join_tables(models, n) == expected_join_tables(n)
 
 
 def test_thm_9_1_model_algebra_round_trip(kleisli_sl):
