@@ -462,10 +462,9 @@ def kleisli_models(P: Presentation, objects: Sequence[Presheaf], depth: int,
         alphas, action = [Q.class_values(A) for Q in quotients], {}
         try:
             for i, j in product(range(n), repeat=2):
-                tokens = M.homs_into(j, i)
-                rows = [tuple(composite_positions(
-                    tokens, alpha, hom_list(M.objects[j], A.carrier)))
-                    for alpha in alphas[i]]
+                tokens, into = M.homs_into(j, i), hom_list(M.objects[j], A.carrier)
+                rows = [tuple(composite_positions(tokens, alpha, into))
+                        for alpha in alphas[i]]
                 action[(i, j)] = list(zip(*rows)) if rows else [()] * len(tokens)
         except KeyError:  # some alpha_i(phi) is not natural: no action
             continue
