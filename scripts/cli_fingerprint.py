@@ -54,6 +54,7 @@ COMMANDS = [
     "clone data/z2mat.rm --check",
     "clone data/state_clone.rm --check",
     "clone data/state_clone.rm --standardize -o std.var",
+    "clone data/state_clone.rm --standardize",
     "models std.var --size 1",
     "clone data/semilattice.var --of --objs 1,2 --depth 3 -o sl.rm",
     "clone sl.rm --check",
@@ -61,6 +62,7 @@ COMMANDS = [
     "clone data/semilattice.var --of --objs 1,2,3 --depth 3",
     "pretheory data/kleisli_semilattice.pt --check",
     "pretheory data/kleisli_semilattice.pt --compile -o compiled.var",
+    "pretheory data/kleisli_semilattice.pt --compile",
     "pretheory data/semilattice.var --kleisli --objs 1,2 --depth 3 -o k.pt",
     "pretheory k.pt --check",
     "pretheory data/semilattice.var --kleisli --objs 1,2,3 --depth 3 -o k3.pt",

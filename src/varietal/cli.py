@@ -146,10 +146,22 @@ def cmd_free(args) -> int:
     return _finish(OK if Q.saturated else UNKNOWN)
 
 
-def _write_presentation(P: Presentation, path: str) -> int:
+def _write(nodes, path: str | None, note: str = "",
+           needed_by: str | None = None) -> None:
+    """Write the declarations to the ``-o`` file ``path``, if one is given;
+    the mode ``needed_by`` exists to write them, so it must have one."""
+    if not path:
+        if needed_by:
+            raise ParseError(f"{needed_by} needs -o FILE")
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(fileformat.render(fileformat.presentation_nodes(P)))
-    print(f"written {path}: |S|={len(P.signature.symbols)} |E|={len(P.equations)}")
+        fh.write(fileformat.render(nodes))
+    print(f"written {path}{note}")
+
+
+def _write_presentation(P: Presentation, path: str | None, mode: str) -> int:
+    _write(fileformat.presentation_nodes(P), path,
+           f": |S|={len(P.signature.symbols)} |E|={len(P.equations)}", mode)
     return _finish(OK)
 
 
@@ -181,12 +193,12 @@ def _two_presentations(args) -> tuple[Presentation, Presentation]:
 
 def cmd_sum(args) -> int:
     P1, P2 = _two_presentations(args)
-    return _write_presentation(sum_presentations(P1, P2), args.output)
+    return _write_presentation(sum_presentations(P1, P2), args.output, "sum")
 
 
 def cmd_tensor(args) -> int:
     P1, P2 = _two_presentations(args)
-    return _write_presentation(tensor(P1, P2), args.output)
+    return _write_presentation(tensor(P1, P2), args.output, "tensor")
 
 
 def cmd_clone(args) -> int:
@@ -196,7 +208,8 @@ def cmd_clone(args) -> int:
         return _report(check_relative_monad(M))
     if args.standardize:
         M = _only(ws.relmonads, "relmonad", args.name, "--name")
-        return _write_presentation(standardized_presentation(M), args.output)
+        return _write_presentation(standardized_presentation(M), args.output,
+                                   "--standardize")
     if args.of:
         P = _only(ws.presentations, "presentation", args.name, "--name")
         objs = _arity_objects(args.objs, P.signature.index)
@@ -205,10 +218,7 @@ def cmd_clone(args) -> int:
             print("clone=unknown (some free algebra failed to saturate)")
             return _finish(UNKNOWN)
         print(f"clone carriers={[c.total_size for c in M.carriers]}")
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(fileformat.render(fileformat.relmonad_nodes(M)))
-            print(f"written {args.output}")
+        _write(fileformat.relmonad_nodes(M), args.output)
         return _finish(OK)
     raise ParseError("clone needs one of --check / --standardize / --of")
 
@@ -220,7 +230,8 @@ def cmd_pretheory(args) -> int:
         return _report(check_pretheory(T))
     if args.compile:
         T = _only(ws.pretheories, "pretheory", args.name, "--name")
-        return _write_presentation(presentation_of_pretheory(T), args.output)
+        return _write_presentation(presentation_of_pretheory(T), args.output,
+                                   "--compile")
     if args.kleisli:
         P = _only(ws.presentations, "presentation", args.name, "--name")
         objs = _arity_objects(args.objs, P.signature.index)
@@ -231,10 +242,7 @@ def cmd_pretheory(args) -> int:
         sizes = {f"{i},{j}": T.hom_count(i, j)
                  for i in range(len(T.objects)) for j in range(len(T.objects))}
         print("homs " + " ".join(f"{k}={v}" for k, v in sorted(sizes.items())))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(fileformat.render(fileformat.pretheory_nodes(T)))
-            print(f"written {args.output}")
+        _write(fileformat.pretheory_nodes(T), args.output)
         return _finish(OK)
     raise ParseError("pretheory needs one of --check / --compile / --kleisli")
 

@@ -1,10 +1,14 @@
 """The on-disk text format: parsing into validated structures and printing.
 
 Declarations are line-oriented s-expressions, resolved in order of
-appearance; every structure goes through the library constructors, so a file
-that parses is a file whose invariants hold.  The printer emits one
-declaration per line in a fixed layout, and parse(print(w)) reproduces the
-workspace exactly.
+appearance, and every one goes through one pipeline, `parse_text`.  It reads
+the declaration's kind and name and lets the kind's parser build the value
+through the library constructors, so a file that parses is a file whose
+invariants hold.  A ``StructureError`` from anywhere in that build reads
+``file:line: invalid <kind> 'name': ...``; only then is a duplicate name
+rejected and the value stored.  The printers build every node with
+`sexpr.lst` and emit one declaration per line in a fixed layout, and
+parse(print(w)) reproduces the workspace exactly.
 """
 
 from __future__ import annotations
@@ -52,12 +56,6 @@ class Workspace:
     relmonads: dict[str, RelativeMonad] = field(default_factory=dict)
     pretheories: dict[str, Pretheory] = field(default_factory=dict)
 
-    def _declare(self, kind: str, name: str, value, table: dict,
-                 filename: str, line: int):
-        if name in table:
-            raise ParseError(f"{filename}:{line}: duplicate {kind} {name!r}")
-        table[name] = value
-
 
 def _err(node: sexpr.Node, filename: str, message: str) -> ParseError:
     return ParseError(f"{filename}:{node.line}:{node.column}: {message}")
@@ -82,11 +80,16 @@ def _named(items, filename, keyword):
     raise _err(items[0], filename, f"missing {keyword}")
 
 
+def _entries(items, keyword) -> list[sexpr.Node]:
+    """The sublists of ``items`` whose head atom is the keyword."""
+    return [node for node in items
+            if node.is_list and node.items and not node.items[0].is_list
+            and node.items[0].value == keyword]
+
+
 def _section(items, filename, keyword):
     """The one sublist whose head atom is the keyword; returns its tail."""
-    found = [node for node in items
-             if node.is_list and node.items and not node.items[0].is_list
-             and node.items[0].value == keyword]
+    found = _entries(items, keyword)
     if not found:
         raise ParseError(f"{filename}: missing ({keyword} ...) section")
     if len(found) > 1:
@@ -135,11 +138,32 @@ def _exactly(node, filename, what, n):
     return items
 
 
+def _declared(table: dict, kind: str, name: str, where: str):
+    """The ``kind`` declared as ``name``; ``where`` (``file:line``, or with
+    a column) locates the reference in the error for an unknown name."""
+    if name not in table:
+        raise ParseError(f"{where}: unknown {kind} {name!r}")
+    return table[name]
+
+
 def _object(node, filename, ws: Workspace) -> Presheaf:
-    name = str(_atom(node, filename, "object name"))
-    if name not in ws.objects:
-        raise _err(node, filename, f"unknown object {name!r}")
-    return ws.objects[name]
+    return _declared(ws.objects, "object",
+                     str(_atom(node, filename, "object name")),
+                     f"{filename}:{node.line}:{node.column}")
+
+
+def _labelled(groups, labels, filename, what) -> list[list[sexpr.Node]]:
+    """The items after the label of each group, where the k-th group's label
+    must be ``labels[k]``; a group past the labels is not checked here."""
+    tails = []
+    for k, group in enumerate(groups):
+        items = _expect_list(group, filename, what)
+        if k < len(labels) and (not items or items[0].is_list
+                                or str(items[0].value) != str(labels[k])):
+            raise _err(group, filename,
+                       f"expected {what} labelled {labels[k]}")
+        tails.append(items[1:])
+    return tails
 
 
 def parse_term(node: sexpr.Node, sig: FreeFormSignature,
@@ -198,36 +222,26 @@ def term_node(t: Term, index: IndexCategory) -> sexpr.Node:
                      sexpr.lst(t.sort, t.param))
 
 
-def _parse_index(items, filename, ws: Workspace, line):
-    name = str(_atom(items[1], filename))
+def _parse_index(items, name, filename, ws: Workspace, line):
+    def names(keyword, what, n):
+        return tuple(tuple(str(_atom(x, filename))
+                           for x in _exactly(node, filename, what, n))
+                     for node in _section(items, filename, keyword))
+
     sorts = tuple(str(_atom(n, filename))
                   for n in _section(items, filename, "sorts"))
-    arrows = []
-    for node in _section(items, filename, "arrows"):
-        arrows.append(tuple(str(_atom(x, filename))
-                            for x in _exactly(node, filename, "arrow", 3)))
-    idents = {}
-    for node in _section(items, filename, "identities"):
-        sort, m = _exactly(node, filename, "identity entry", 2)
-        idents[str(_atom(sort, filename))] = str(_atom(m, filename))
-    comp = []
-    for node in _section(items, filename, "compose"):
-        comp.append(tuple(str(_atom(x, filename))
-                          for x in _exactly(node, filename, "compose entry", 3)))
-    try:
-        idx = IndexCategory(sorts, tuple(arrows),
-                            tuple(idents[s] for s in sorts), tuple(comp))
-    except (StructureError, KeyError) as exc:
-        raise ParseError(f"{filename}:{line}: invalid index {name!r}: {exc}")
-    ws._declare("index", name, idx, ws.indexes, filename, line)
+    arrows = names("arrows", "arrow", 3)
+    idents = dict(names("identities", "identity entry", 2))
+    comp = names("compose", "compose entry", 3)
+    for sort in sorts:
+        if sort not in idents:
+            raise StructureError(f"no identity for sort {sort!r}")
+    return IndexCategory(sorts, arrows, tuple(idents[s] for s in sorts), comp)
 
 
-def _parse_object(items, filename, ws: Workspace, line):
-    name = str(_atom(items[1], filename))
-    index_name = str(_atom(items[2], filename))
-    if index_name not in ws.indexes:
-        raise ParseError(f"{filename}:{line}: unknown index {index_name!r}")
-    idx = ws.indexes[index_name]
+def _parse_object(items, name, filename, ws: Workspace, line):
+    idx = _declared(ws.indexes, "index", str(_atom(items[2], filename)),
+                    f"{filename}:{line}")
     sizes = {}
     for node in _section(items, filename, "elems"):
         parts = _items(node, filename, "elems entry", 2)
@@ -238,19 +252,17 @@ def _parse_object(items, filename, ws: Workspace, line):
             raise _err(parts[0], filename, f"repeated sort {sort!r}")
         sizes[sort] = _int(parts[1], filename, "element count")
     maps = {}
-    for node in items:
-        if node.is_list and node.items and not node.items[0].is_list \
-                and node.items[0].value == "map":
-            parts = _items(node, filename, "map entry", 2)
-            m = str(_atom(parts[1], filename))
-            table = _ints(parts[2:], filename, "map value")
-            if m not in [n for n, _, _ in idx.morphisms]:
-                raise _err(parts[1], filename, f"unknown morphism {m!r}")
-            if m in idx.identities:
-                raise _err(parts[1], filename, f"identity {m!r} takes no map")
-            if m in maps:
-                raise _err(parts[1], filename, f"repeated map for {m!r}")
-            maps[m] = table
+    for node in _entries(items, "map"):
+        parts = _items(node, filename, "map entry", 2)
+        m = str(_atom(parts[1], filename))
+        table = _ints(parts[2:], filename, "map value")
+        if m not in [n for n, _, _ in idx.morphisms]:
+            raise _err(parts[1], filename, f"unknown morphism {m!r}")
+        if m in idx.identities:
+            raise _err(parts[1], filename, f"identity {m!r} takes no map")
+        if m in maps:
+            raise _err(parts[1], filename, f"repeated map for {m!r}")
+        maps[m] = table
     action = []
     for (m, src, tgt) in idx.morphisms:
         if m in idx.identities:
@@ -259,19 +271,13 @@ def _parse_object(items, filename, ws: Workspace, line):
             action.append(maps[m])
         else:
             raise ParseError(f"{filename}:{line}: object {name!r} lacks map for {m}")
-    try:
-        X = Presheaf(idx, tuple(sizes.get(s, 0) for s in idx.sorts),
-                     tuple(action))
-    except StructureError as exc:
-        raise ParseError(f"{filename}:{line}: invalid object {name!r}: {exc}")
-    ws._declare("object", name, X, ws.objects, filename, line)
+    return Presheaf(idx, tuple(sizes.get(s, 0) for s in idx.sorts),
+                    tuple(action))
 
 
-def _parse_signature(items, filename, ws: Workspace, line):
-    name = str(_atom(items[1], filename))
-    index_name = str(_atom(items[2], filename))
-    if index_name not in ws.indexes:
-        raise ParseError(f"{filename}:{line}: unknown index {index_name!r}")
+def _parse_signature(items, name, filename, ws: Workspace, line):
+    idx = _declared(ws.indexes, "index", str(_atom(items[2], filename)),
+                    f"{filename}:{line}")
     symbols = []
     for node in items[3:]:
         parts = _items(node, filename, "op declaration", 2)
@@ -281,39 +287,31 @@ def _parse_signature(items, filename, ws: Workspace, line):
         symbols.append(OperationSymbol(
             op_name, _object(_named(parts, filename, ":arity"), filename, ws),
             _object(_named(parts, filename, ":param"), filename, ws)))
-    try:
-        sig = FreeFormSignature(name, symbols)
-        if sig.index is None:
-            sig.index = ws.indexes[index_name]
-    except StructureError as exc:
-        raise ParseError(f"{filename}:{line}: invalid signature {name!r}: {exc}")
-    ws._declare("signature", name, sig, ws.signatures, filename, line)
+    sig = FreeFormSignature(name, symbols)
+    if sig.index is None:
+        sig.index = idx
+    return sig
 
 
-def _parse_equation(items, filename, ws: Workspace, line):
-    name = str(_atom(items[1], filename))
-    sig_name = str(_atom(items[2], filename))
-    if sig_name not in ws.signatures:
-        raise ParseError(f"{filename}:{line}: unknown signature {sig_name!r}")
-    sig = ws.signatures[sig_name]
+def _parse_equation(items, name, filename, ws: Workspace, line):
+    sig = _declared(ws.signatures, "signature", str(_atom(items[2], filename)),
+                    f"{filename}:{line}")
     arity = _object(_named(items, filename, ":arity"), filename, ws)
     param = _object(_named(items, filename, ":param"), filename, ws)
     lhs_rows = {s: {} for s in sig.index.sorts}
     rhs_rows = {s: {} for s in sig.index.sorts}
-    for node in items:
-        if node.is_list and node.items and not node.items[0].is_list \
-                and node.items[0].value == "pair":
-            try:
-                parts = _items(node, filename, "pair", 4)
-                where = _items(parts[1], filename, "parameter element", 2)
-                sort = str(_atom(where[0], filename))
-                if sort not in lhs_rows:
-                    raise _err(where[0], filename, f"unknown sort {sort!r}")
-                c = _int(where[1], filename, "parameter element")
-                lhs_rows[sort][c] = parse_term(parts[2], sig, arity, filename)
-                rhs_rows[sort][c] = parse_term(parts[3], sig, arity, filename)
-            except ParseError as exc:
-                raise ParseError(f"in equation {name!r}: {exc}") from None
+    for node in _entries(items, "pair"):
+        try:
+            parts = _items(node, filename, "pair", 4)
+            where = _items(parts[1], filename, "parameter element", 2)
+            sort = str(_atom(where[0], filename))
+            if sort not in lhs_rows:
+                raise _err(where[0], filename, f"unknown sort {sort!r}")
+            c = _int(where[1], filename, "parameter element")
+            lhs_rows[sort][c] = parse_term(parts[2], sig, arity, filename)
+            rhs_rows[sort][c] = parse_term(parts[3], sig, arity, filename)
+        except ParseError as exc:
+            raise ParseError(f"in equation {name!r}: {exc}") from None
     def rows_of(table):
         rows = []
         for sort in sig.index.sorts:
@@ -325,44 +323,26 @@ def _parse_equation(items, filename, ws: Workspace, line):
                     f"per parameter element at {sort}")
             rows.append(tuple(got[c] for c in range(want)))
         return tuple(rows)
-    try:
-        eq = Equation(name,
-                      ParamTerm(sig, arity, param, rows_of(lhs_rows)),
-                      ParamTerm(sig, arity, param, rows_of(rhs_rows)))
-    except StructureError as exc:
-        raise ParseError(f"{filename}:{line}: invalid equation {name!r}: {exc}")
-    ws._declare("equation", name, eq, ws.equations, filename, line)
+    return Equation(name, ParamTerm(sig, arity, param, rows_of(lhs_rows)),
+                    ParamTerm(sig, arity, param, rows_of(rhs_rows)))
 
 
-def _parse_presentation(items, filename, ws: Workspace, line):
-    name = str(_atom(items[1], filename))
-    sig_name = str(_atom(items[2], filename))
-    if sig_name not in ws.signatures:
-        raise ParseError(f"{filename}:{line}: unknown signature {sig_name!r}")
+def _parse_presentation(items, name, filename, ws: Workspace, line):
+    sig = _declared(ws.signatures, "signature", str(_atom(items[2], filename)),
+                    f"{filename}:{line}")
     eqs = []
     for node in items[3:]:
         parts = _items(node, filename, "(equations ...)", 1)
         if str(_atom(parts[0], filename)) != "equations":
             raise _err(node, filename, "expected (equations ...)")
-        for ref in parts[1:]:
-            eq_name = str(_atom(ref, filename))
-            if eq_name not in ws.equations:
-                raise ParseError(
-                    f"{filename}:{line}: unknown equation {eq_name!r}")
-            eqs.append(ws.equations[eq_name])
-    try:
-        P = Presentation(name, ws.signatures[sig_name], eqs)
-    except StructureError as exc:
-        raise ParseError(f"{filename}:{line}: invalid presentation {name!r}: {exc}")
-    ws._declare("presentation", name, P, ws.presentations, filename, line)
+        eqs += (_declared(ws.equations, "equation", str(_atom(ref, filename)),
+                          f"{filename}:{line}") for ref in parts[1:])
+    return Presentation(name, sig, eqs)
 
 
-def _parse_algebra(items, filename, ws: Workspace, line):
-    name = str(_atom(items[1], filename))
-    sig_name = str(_atom(items[2], filename))
-    if sig_name not in ws.signatures:
-        raise ParseError(f"{filename}:{line}: unknown signature {sig_name!r}")
-    sig = ws.signatures[sig_name]
+def _parse_algebra(items, name, filename, ws: Workspace, line):
+    sig = _declared(ws.signatures, "signature", str(_atom(items[2], filename)),
+                    f"{filename}:{line}")
     carrier = _object(items[3], filename, ws)
     values = {}
     for node in items[4:]:
@@ -403,15 +383,10 @@ def _parse_algebra(items, filename, ws: Workspace, line):
                 raise ParseError(
                     f"{filename}:{line}: op {op_name!r}: {exc}")
         values[op_name] = vals
-    try:
-        A = Algebra(sig, carrier, values)
-    except StructureError as exc:
-        raise ParseError(f"{filename}:{line}: invalid algebra {name!r}: {exc}")
-    ws._declare("algebra", name, A, ws.algebras, filename, line)
+    return Algebra(sig, carrier, values)
 
 
-def _parse_relmonad(items, filename, ws: Workspace, line):
-    name = str(_atom(items[1], filename))
+def _parse_relmonad(items, name, filename, ws: Workspace, line):
     objects = [_object(n, filename, ws)
                for n in _section(items, filename, "objects")]
     carriers = [_object(n, filename, ws)
@@ -421,61 +396,50 @@ def _parse_relmonad(items, filename, ws: Workspace, line):
         raise _err(items[0], filename, "relmonad needs one carrier per object")
 
     def morphism(source, target, groups):
-        comps = tuple(_ints(_expect_list(g, filename, "component")[1:],
-                            filename, "component value") for g in groups)
+        """A morphism given as one ``(sort v ...)`` group per sort."""
+        comps = tuple(_ints(values, filename, "component value")
+                      for values in _labelled(groups, source.index.sorts,
+                                              filename, "component"))
         return PresheafMorphism(source, target, comps)
 
     units: dict[tuple[int], PresheafMorphism] = {}
+    for node in _entries(items, "e"):
+        parts = _items(node, filename, "unit entry", 2)
+        (i,) = key = _entry_key(node, parts, 1, n, units, filename)
+        units[key] = morphism(objects[i], carriers[i], parts[2:])
     mult: dict[tuple[int, int], list] = {}
-    for node in items:
-        if not (node.is_list and node.items and not node.items[0].is_list):
-            continue
-        head = node.items[0].value
-        if head == "e":
-            parts = _items(node, filename, "unit entry", 2)
-            (i,) = key = _entry_key(node, parts, 1, n, units, filename)
-            units[key] = morphism(objects[i], carriers[i], parts[2:])
-        elif head == "m":
-            parts = _items(node, filename, "m entry", 3)
-            i, j = key = _entry_key(node, parts, 2, n, mult, filename)
-            mult[key] = [
-                morphism(carriers[i], carriers[j],
-                         _expect_list(group, filename, "m value")[1:])
-                for group in parts[3:]]
+    for node in _entries(items, "m"):
+        parts = _items(node, filename, "m entry", 3)
+        i, j = key = _entry_key(node, parts, 2, n, mult, filename)
+        groups = parts[3:]
+        mult[key] = [morphism(carriers[i], carriers[j], comps)
+                     for comps in _labelled(groups, range(len(groups)),
+                                            filename, "m value")]
     unit = [units.get((i,)) for i in range(n)]
     if None in unit:
         raise _err(items[0], filename, f"relmonad {name!r} lacks unit "
                    f"entry (e {unit.index(None)} ...)")
-    try:
-        M = RelativeMonad(name, objects, carriers, unit, mult)
-    except StructureError as exc:
-        raise ParseError(f"{filename}:{line}: invalid relmonad {name!r}: {exc}")
-    ws._declare("relmonad", name, M, ws.relmonads, filename, line)
+    return RelativeMonad(name, objects, carriers, unit, mult)
 
 
-def _parse_pretheory(items, filename, ws: Workspace, line):
-    name = str(_atom(items[1], filename))
+def _parse_pretheory(items, name, filename, ws: Workspace, line):
     objects = [_object(n, filename, ws)
                for n in _section(items, filename, "objects")]
     identities = _ints(_section(items, filename, "identities"), filename,
                        "identity token")
     n = len(objects)
     homs, entries, tau = {}, {}, {}
-    for node in items:
-        if not (node.is_list and node.items and not node.items[0].is_list):
-            continue
-        head = node.items[0].value
-        if head == "homs":
-            parts = _items(node, filename, "homs entry", 3)
-            key = _entry_key(node, parts, 2, n, homs, filename)
-            homs[key] = tuple(str(_atom(x, filename)) for x in parts[3:])
-        elif head == "compose":
-            parts = _items(node, filename, "compose entry", 4)
-            entries[_entry_key(node, parts, 3, n, entries, filename)] = node
-        elif head == "tau":
-            parts = _items(node, filename, "tau entry", 3)
-            key = _entry_key(node, parts, 2, n, tau, filename)
-            tau[key] = _ints(parts[3:], filename, "hom token index")
+    for node in _entries(items, "homs"):
+        parts = _items(node, filename, "homs entry", 3)
+        key = _entry_key(node, parts, 2, n, homs, filename)
+        homs[key] = tuple(str(_atom(x, filename)) for x in parts[3:])
+    for node in _entries(items, "compose"):
+        parts = _items(node, filename, "compose entry", 4)
+        entries[_entry_key(node, parts, 3, n, entries, filename)] = node
+    for node in _entries(items, "tau"):
+        parts = _items(node, filename, "tau entry", 3)
+        key = _entry_key(node, parts, 2, n, tau, filename)
+        tau[key] = _ints(parts[3:], filename, "hom token index")
     compose = {}
     for (i, j, k), node in entries.items():
         if (i, j) not in homs or (j, k) not in homs:
@@ -492,23 +456,20 @@ def _parse_pretheory(items, filename, ws: Workspace, line):
             row[g] = _int(h, filename, "hom token index")
         if any(None in row for row in rows):
             raise _err(node, filename, "compose entry lacks a composite pair")
-    try:
-        T = Pretheory(name, objects, homs, compose, identities, tau)
-    except StructureError as exc:
-        raise ParseError(f"{filename}:{line}: invalid pretheory {name!r}: {exc}")
-    ws._declare("pretheory", name, T, ws.pretheories, filename, line)
+    return Pretheory(name, objects, homs, compose, identities, tau)
 
 
-# each declaration's parser, and how many items its head reads unchecked
+# each declaration's parser, how many items its head reads unchecked, and
+# the workspace table that holds its values
 _PARSERS = {
-    "index": (_parse_index, 2),
-    "object": (_parse_object, 3),
-    "signature": (_parse_signature, 3),
-    "equation": (_parse_equation, 3),
-    "presentation": (_parse_presentation, 3),
-    "algebra": (_parse_algebra, 4),
-    "relmonad": (_parse_relmonad, 2),
-    "pretheory": (_parse_pretheory, 2),
+    "index": (_parse_index, 2, "indexes"),
+    "object": (_parse_object, 3, "objects"),
+    "signature": (_parse_signature, 3, "signatures"),
+    "equation": (_parse_equation, 3, "equations"),
+    "presentation": (_parse_presentation, 3, "presentations"),
+    "algebra": (_parse_algebra, 4, "algebras"),
+    "relmonad": (_parse_relmonad, 2, "relmonads"),
+    "pretheory": (_parse_pretheory, 2, "pretheories"),
 }
 
 
@@ -526,12 +487,21 @@ def parse_text(text: str, filename: str = "<text>",
     except sexpr.SexprError as exc:
         raise ParseError(f"{filename}: {exc}")
     for form in forms:
-        head = str(_atom(_items(form, filename, "declaration", 1)[0], filename))
-        if head not in _PARSERS:
-            raise _err(form, filename, f"unknown declaration kind {head!r}")
-        parser, n = _PARSERS[head]
-        parser(_items(form, filename, f"{head} declaration", n),
-               filename, ws, form.line)
+        kind = str(_atom(_items(form, filename, "declaration", 1)[0], filename))
+        if kind not in _PARSERS:
+            raise _err(form, filename, f"unknown declaration kind {kind!r}")
+        parser, n, table_name = _PARSERS[kind]
+        items = _items(form, filename, f"{kind} declaration", n)
+        name = str(_atom(items[1], filename))
+        try:
+            value = parser(items, name, filename, ws, form.line)
+        except StructureError as exc:
+            raise ParseError(
+                f"{filename}:{form.line}: invalid {kind} {name!r}: {exc}")
+        table = getattr(ws, table_name)
+        if name in table:
+            raise ParseError(f"{filename}:{form.line}: duplicate {kind} {name!r}")
+        table[name] = value
     return ws
 
 
@@ -542,54 +512,43 @@ def parse_text(text: str, filename: str = "<text>",
 def index_node(name: str, idx: IndexCategory) -> sexpr.Node:
     return sexpr.lst(
         "index", name,
-        sexpr.Node(items=[sexpr.atom("sorts"),
-                          *(sexpr.atom(s) for s in idx.sorts)]),
-        sexpr.Node(items=[sexpr.atom("arrows"),
-                          *(sexpr.lst(m, s, t) for m, s, t in idx.morphisms)]),
-        sexpr.Node(items=[sexpr.atom("identities"),
-                          *(sexpr.lst(s, m)
-                            for s, m in zip(idx.sorts, idx.identities))]),
-        sexpr.Node(items=[sexpr.atom("compose"),
-                          *(sexpr.lst(f, g, h) for f, g, h in idx.composition)]),
-    )
+        sexpr.lst("sorts", *idx.sorts),
+        sexpr.lst("arrows", *(sexpr.lst(*arrow) for arrow in idx.morphisms)),
+        sexpr.lst("identities", *(sexpr.lst(s, m) for s, m
+                                  in zip(idx.sorts, idx.identities))),
+        sexpr.lst("compose", *(sexpr.lst(*entry)
+                               for entry in idx.composition)))
 
 
 def object_node(name: str, X: Presheaf, index_name: str) -> sexpr.Node:
-    parts = [sexpr.atom("object"), sexpr.atom(name), sexpr.atom(index_name),
-             sexpr.Node(items=[sexpr.atom("elems"),
-                               *(sexpr.lst(s, n)
-                                 for s, n in zip(X.index.sorts, X.sizes))])]
-    for (m, src, _), table in zip(X.index.morphisms, X.action):
-        if m in X.index.identities:
-            continue
-        parts.append(sexpr.Node(items=[sexpr.atom("map"), sexpr.atom(m),
-                                       *(sexpr.atom(v) for v in table)]))
-    return sexpr.Node(items=parts)
+    return sexpr.lst(
+        "object", name, index_name,
+        sexpr.lst("elems", *(sexpr.lst(s, n)
+                             for s, n in zip(X.index.sorts, X.sizes))),
+        *(sexpr.lst("map", m, *table)
+          for (m, _, _), table in zip(X.index.morphisms, X.action)
+          if m not in X.index.identities))
 
 
 def signature_node(name: str, sig: FreeFormSignature, index_name: str,
                    object_names: dict[Presheaf, str]) -> sexpr.Node:
-    parts = [sexpr.atom("signature"), sexpr.atom(name), sexpr.atom(index_name)]
-    for sym in sig.symbols:
-        parts.append(sexpr.lst("op", sym.name,
-                               ":arity", object_names[sym.arity],
-                               ":param", object_names[sym.parameter]))
-    return sexpr.Node(items=parts)
+    return sexpr.lst(
+        "signature", name, index_name,
+        *(sexpr.lst("op", sym.name, ":arity", object_names[sym.arity],
+                    ":param", object_names[sym.parameter])
+          for sym in sig.symbols))
 
 
 def equation_node(eq: Equation, sig_name: str,
                   object_names: dict[Presheaf, str]) -> sexpr.Node:
     idx = eq.parameter.index
-    parts = [sexpr.atom("equation"), sexpr.atom(eq.name), sexpr.atom(sig_name),
-             sexpr.atom(":arity"), sexpr.atom(object_names[eq.arity]),
-             sexpr.atom(":param"), sexpr.atom(object_names[eq.parameter])]
-    for sort in idx.sorts:
-        for c in eq.parameter.elements(sort):
-            parts.append(sexpr.lst(
-                "pair", sexpr.lst(sort, c),
-                term_node(eq.lhs(sort, c), idx),
-                term_node(eq.rhs(sort, c), idx)))
-    return sexpr.Node(items=parts)
+    return sexpr.lst(
+        "equation", eq.name, sig_name,
+        ":arity", object_names[eq.arity], ":param", object_names[eq.parameter],
+        *(sexpr.lst("pair", sexpr.lst(sort, c),
+                    term_node(eq.lhs(sort, c), idx),
+                    term_node(eq.rhs(sort, c), idx))
+          for sort in idx.sorts for c in eq.parameter.elements(sort)))
 
 
 def _preamble(idx: IndexCategory,
@@ -614,82 +573,61 @@ def presentation_nodes(P: Presentation) -> list[sexpr.Node]:
     nodes.append(signature_node(f"{name}.sig", sig, "I", object_names))
     for eq in P.equations:
         nodes.append(equation_node(eq, f"{name}.sig", object_names))
-    nodes.append(sexpr.Node(items=[
-        sexpr.atom("presentation"), sexpr.atom(name), sexpr.atom(f"{name}.sig"),
-        sexpr.Node(items=[sexpr.atom("equations"),
-                          *(sexpr.atom(eq.name) for eq in P.equations)])]))
+    nodes.append(sexpr.lst("presentation", name, f"{name}.sig",
+                           sexpr.lst("equations",
+                                     *(eq.name for eq in P.equations))))
     return nodes
 
 
 def algebra_nodes(name: str, A: Algebra, *,
                   presentation: Presentation) -> list[sexpr.Node]:
-    nodes = [object_node("carrier", A.carrier, "I")]
-    parts = [sexpr.atom("algebra"), sexpr.atom(name),
-             sexpr.atom(f"{presentation.name}.sig"), sexpr.atom("carrier")]
-    for sym in A.signature.symbols:
-        groups = [sexpr.atom("op"), sexpr.atom(sym.name)]
-        for g in A.values[sym.name]:
-            flat = [v for comp in g.components for v in comp]
-            groups.append(sexpr.Node(items=[sexpr.atom(v) for v in flat]))
-        parts.append(sexpr.Node(items=groups))
-    nodes.append(sexpr.Node(items=parts))
-    return nodes
+    return [object_node("carrier", A.carrier, "I"),
+            sexpr.lst("algebra", name, f"{presentation.name}.sig", "carrier",
+                      *(sexpr.lst("op", sym.name,
+                                  *(sexpr.lst(*(v for comp in g.components
+                                                for v in comp))
+                                    for g in A.values[sym.name]))
+                        for sym in A.signature.symbols))]
+
+
+def _groups(sorts, f: PresheafMorphism) -> list[sexpr.Node]:
+    """A morphism's components as one ``(sort v ...)`` group per sort."""
+    return [sexpr.lst(sort, *comp) for sort, comp in zip(sorts, f.components)]
 
 
 def relmonad_nodes(M: RelativeMonad, *,
                    name: str | None = None) -> list[sexpr.Node]:
-    name = name or M.name
-    idx = M.objects[0].index
-    nodes, object_names = _preamble(idx, [*M.objects, *M.carriers])
-    parts = [sexpr.atom("relmonad"), sexpr.atom(name),
-             sexpr.Node(items=[sexpr.atom("objects"),
-                               *(sexpr.atom(object_names[X]) for X in M.objects)]),
-             sexpr.Node(items=[sexpr.atom("carriers"),
-                               *(sexpr.atom(object_names[X]) for X in M.carriers)])]
-    for i, e in enumerate(M.unit):
-        groups = [sexpr.atom("e"), sexpr.atom(i)]
-        for sort, comp in zip(idx.sorts, e.components):
-            groups.append(sexpr.Node(items=[sexpr.atom(sort),
-                                            *(sexpr.atom(v) for v in comp)]))
-        parts.append(sexpr.Node(items=groups))
-    for i, j in product(range(len(M.objects)), repeat=2):
-        groups = [sexpr.atom("m"), sexpr.atom(i), sexpr.atom(j)]
-        for gi, g in enumerate(M.mult[(i, j)]):
-            comps = [sexpr.atom(gi)]
-            for sort, comp in zip(idx.sorts, g.components):
-                comps.append(sexpr.Node(items=[
-                    sexpr.atom(sort), *(sexpr.atom(v) for v in comp)]))
-            groups.append(sexpr.Node(items=comps))
-        parts.append(sexpr.Node(items=groups))
-    nodes.append(sexpr.Node(items=parts))
+    sorts = M.objects[0].index.sorts
+    nodes, object_names = _preamble(M.objects[0].index,
+                                    [*M.objects, *M.carriers])
+    nodes.append(sexpr.lst(
+        "relmonad", name or M.name,
+        sexpr.lst("objects", *(object_names[X] for X in M.objects)),
+        sexpr.lst("carriers", *(object_names[X] for X in M.carriers)),
+        *(sexpr.lst("e", i, *_groups(sorts, e)) for i, e in enumerate(M.unit)),
+        *(sexpr.lst("m", i, j, *(sexpr.lst(k, *_groups(sorts, g))
+                                 for k, g in enumerate(M.mult[(i, j)])))
+          for i, j in product(range(len(M.objects)), repeat=2))))
     return nodes
 
 
 def pretheory_nodes(T: Pretheory, *,
                     name: str | None = None) -> list[sexpr.Node]:
-    name = name or T.name
     nodes, object_names = _preamble(T.objects[0].index, T.objects)
-    parts = [sexpr.atom("pretheory"), sexpr.atom(name),
-             sexpr.Node(items=[sexpr.atom("objects"),
-                               *(sexpr.atom(object_names[X]) for X in T.objects)])]
     n = len(T.objects)
-    for i, j in product(range(n), repeat=2):
-        parts.append(sexpr.Node(items=[
-            sexpr.atom("homs"), sexpr.atom(i), sexpr.atom(j),
-            *(sexpr.atom(t) for t in T.homs[(i, j)])]))
-    parts.append(sexpr.Node(items=[sexpr.atom("identities"),
-                                   *(sexpr.atom(t) for t in T.identities)]))
-    for i, j, k in product(range(n), repeat=3):
-        entries = [sexpr.atom("compose"), sexpr.atom(i), sexpr.atom(j),
-                   sexpr.atom(k)]
-        for f, row in enumerate(T.compose[(i, j, k)]):
-            entries += (sexpr.lst(f, g, h) for g, h in enumerate(row))
-        parts.append(sexpr.Node(items=entries))
-    for i, j in product(range(n), repeat=2):
-        parts.append(sexpr.Node(items=[
-            sexpr.atom("tau"), sexpr.atom(i), sexpr.atom(j),
-            *(sexpr.atom(t) for t in T.tau[(i, j)])]))
-    nodes.append(sexpr.Node(items=parts))
+    nodes.append(sexpr.lst(
+        "pretheory", name or T.name,
+        sexpr.lst("objects", *(object_names[X] for X in T.objects)),
+        *(sexpr.lst("homs", i, j, *T.homs[(i, j)])
+          for i, j in product(range(n), repeat=2)),
+        sexpr.lst("identities", *T.identities),
+        *(sexpr.lst("compose", i, j, k,
+                    *(sexpr.lst(f, g, h)
+                      for f, row in enumerate(T.compose[(i, j, k)])
+                      for g, h in enumerate(row)))
+          for i, j, k in product(range(n), repeat=3)),
+        *(sexpr.lst("tau", i, j, *T.tau[(i, j)])
+          for i, j in product(range(n), repeat=2))))
     return nodes
 
 

@@ -94,14 +94,6 @@ def write(node: Node) -> str:
 
 
 def lst(*items) -> Node:
-    out = []
-    for it in items:
-        if isinstance(it, Node):
-            out.append(it)
-        else:
-            out.append(Node(value=it))
-    return Node(items=out)
-
-
-def atom(value) -> Node:
-    return Node(value=value)
+    """A list node of the items, each one that is not a node as an atom."""
+    return Node(items=[it if isinstance(it, Node) else Node(value=it)
+                       for it in items])

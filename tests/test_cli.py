@@ -319,6 +319,102 @@ def test_malformed_structure_file_is_input_error(command, old, new, marker,
     assert f"{broken.name}:{line}:{column}:" in out
 
 
+OTHER_INDEX = ("(index J (sorts y) (arrows (id y y)) (identities (y id)) "
+               "(compose (id id id)))")
+MODELS = (["models", "--size", "1"], "semilattice.var")
+
+
+# each case: the command and bundled file, the text replaced, its
+# replacement, and the error message after the broken file's name
+@pytest.mark.parametrize("command,old,new,error", [
+    (RELMONAD_CHECK, "(e 0 (* 0))", "(e 0 (* 7))",
+     "4: invalid relmonad 'z2aff': morphism: entry 0 at * is out of range"),
+    (MODELS, "(object ob1 I (elems (* 1)))",
+     f"{OTHER_INDEX} (object ob1 J (elems (y 1)))",
+     "5: invalid signature 'semilattice.sig': symbol join: arity and "
+     "parameter over different indices"),
+    (ALGEBRA_CHECK, "(object carrier I (elems (* 2)))",
+     f"{OTHER_INDEX} (object carrier J (elems (y 2)))",
+     "2: invalid algebra 'chain2': hom_set requires a common index category"),
+    (MODELS, "(sorts *)", "(sorts * x)",
+     "1: invalid index 'I': no identity for sort 'x'"),
+], ids=["unit-out-of-range", "symbol-over-two-indices",
+        "carrier-over-another-index", "sort-without-identity"])
+def test_structure_error_names_its_declaration(command, old, new, error,
+                                               tmp_path, capsys):
+    args, name = command
+    text = (DATA / name).read_text()
+    assert old in text
+    broken = tmp_path / f"broken{pathlib.Path(name).suffix}"
+    broken.write_text(text.replace(old, new, 1))
+    code = main([*args, str(broken)])
+    out = capsys.readouterr().out
+    assert out == f"error: {broken}:{error}\nstatus=input-error\n"
+    assert code == 3
+
+
+def test_invalid_duplicate_is_reported_invalid(tmp_path, capsys):
+    # a declaration is built before its name is checked against the table
+    text = (DATA / "semilattice.var").read_text()
+    line = text.count("\n") + 1
+    for decl, error in [
+            ("(index I (sorts * x) (arrows (id * *)) (identities (* id)) "
+             "(compose (id id id)))",
+             f"{line}: invalid index 'I': no identity for sort 'x'"),
+            ("(object ob1 I (elems (* 1)))", f"{line}: duplicate object 'ob1'")]:
+        broken = tmp_path / "broken.var"
+        broken.write_text(text + decl + "\n")
+        code = main(["models", str(broken), "--size", "1"])
+        out = capsys.readouterr().out
+        assert out == f"error: {broken}:{error}\nstatus=input-error\n"
+        assert code == 3
+
+
+# each case: the bundled relmonad's text replaced, its replacement, and the
+# group the error's line and column must point at, with its message
+@pytest.mark.parametrize("old,new,marker,error", [
+    ("(e 0 (* 0))", "(e 0 (zz 0))", "(zz 0)", "expected component labelled *"),
+    ("(m 0 0 (0 (* 0)))", "(m 0 0 (7 (* 0)))", "(7 (* 0))",
+     "expected m value labelled 0"),
+    ("(m 0 1 (0 (* 0)) (1 (* 1)))", "(m 0 1 (1 (* 1)) (0 (* 0)))",
+     "(1 (* 1)) (0", "expected m value labelled 0"),
+    ("(m 1 1 (0 (* 0 0))", "(m 1 1 (0 (q 0 0))", "(q 0 0)",
+     "expected component labelled *"),
+], ids=["unit-sort-label", "m-value-label", "swapped-m-values",
+        "m-value-sort-label"])
+def test_relmonad_group_labels_are_checked(old, new, marker, error, tmp_path,
+                                           capsys):
+    text = (DATA / "z2aff.rm").read_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    assert text.count(marker) == 1
+    before = text[:text.index(marker)]
+    line = before.count("\n") + 1
+    column = len(before) - before.rfind("\n")
+    broken = tmp_path / "broken.rm"
+    broken.write_text(text)
+    code = main(["clone", "--check", str(broken)])
+    out = capsys.readouterr().out
+    assert out == (f"error: {broken}:{line}:{column}: {error}\n"
+                   "status=input-error\n")
+    assert code == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["clone", "state_clone.rm", "--standardize"],
+    ["pretheory", "kleisli_semilattice.pt", "--compile"],
+], ids=["standardize", "compile"])
+def test_writing_mode_without_output_is_an_input_error(args, tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    command, name, mode = args
+    code = main([command, str(DATA / name), mode])
+    out = capsys.readouterr().out
+    assert out == f"error: {mode} needs -o FILE\nstatus=input-error\n"
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_algebra_file_lacking_an_op_table_is_input_error(tmp_path, capsys):
     broken = tmp_path / "broken.alg"
     broken.write_text((DATA / "chain2.alg").read_text().replace(
@@ -330,9 +426,10 @@ def test_algebra_file_lacking_an_op_table_is_input_error(tmp_path, capsys):
     assert status == "status=input-error"
 
 
-def mutants(seed, count):
-    """``count`` one-character edits of the bundled files, taken in turn: a
-    substitution, deletion or insertion of a character the files use."""
+def mutants(seed, count, most=1):
+    """``count`` mutants of the bundled files, taken in turn, each made by 1
+    to ``most`` one-character edits: a substitution, deletion or insertion
+    of a character the files use."""
     texts = {path.name: path.read_text() for path in sorted(DATA.iterdir())}
     alphabet = sorted(set("".join(texts.values())))
     names = sorted(texts)
@@ -340,10 +437,14 @@ def mutants(seed, count):
     for k in range(count):
         name = names[k % len(names)]
         text = texts[name]
-        kind = rng.randrange(3)  # substitute, delete, insert
-        pos = rng.randrange(len(text) + (kind == 2))
-        ch = "" if kind == 1 else rng.choice(alphabet)
-        yield name, (kind, pos, ch), text[:pos] + ch + text[pos + (kind != 2):]
+        edits = []
+        for _ in range(rng.randint(1, most) if most > 1 else 1):
+            kind = rng.randrange(3)  # substitute, delete, insert
+            pos = rng.randrange(len(text) + (kind == 2))
+            ch = "" if kind == 1 else rng.choice(alphabet)
+            edits.append((kind, pos, ch))
+            text = text[:pos] + ch + text[pos + (kind != 2):]
+        yield name, edits, text
 
 
 def test_mutated_bundled_files_raise_only_parse_or_structure_errors():
@@ -352,7 +453,7 @@ def test_mutated_bundled_files_raise_only_parse_or_structure_errors():
     bases = {var: fileformat.parse_file(str(DATA / var))
              for var in needs.values()}
     escapes = []
-    for name, edit, text in mutants(0, 2000):
+    for name, edits, text in [*mutants(0, 2000), *mutants(1, 2000, most=3)]:
         base = bases.get(needs.get(name), fileformat.Workspace())
         ws = fileformat.Workspace(**{
             f.name: copy.copy(getattr(base, f.name))
@@ -362,7 +463,7 @@ def test_mutated_bundled_files_raise_only_parse_or_structure_errors():
         except (fileformat.ParseError, StructureError):
             pass
         except Exception as exc:
-            escapes.append((name, edit, repr(exc)))
+            escapes.append((name, edits, repr(exc)))
     assert escapes == []
 
 
