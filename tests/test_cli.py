@@ -438,6 +438,8 @@ def mutants(seed, count, most=1):
         name = names[k % len(names)]
         text = texts[name]
         edits = []
+        # one edit draws no count, so a seed gives the single-edit mutants
+        # it always gave
         for _ in range(rng.randint(1, most) if most > 1 else 1):
             kind = rng.randrange(3)  # substitute, delete, insert
             pos = rng.randrange(len(text) + (kind == 2))
