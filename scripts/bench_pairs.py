@@ -11,8 +11,8 @@ was measured.  Each pair runs
 
 once in each tree, one run at a time, on the same seed; which side goes
 first alternates from pair to pair, so a drift of the host's speed weighs
-on both sides alike.  There are 10 closure pairs and 5 search pairs, at
-the run length BENCHMARK.json sets.  After the pairs of a workload, each
+on both sides alike.  There are 10 pairs of each workload, at the run
+length BENCHMARK.json sets.  After the pairs of a workload, each
 tree runs it once more with ``--trace 1``, on the first pair's seed, for
 the per-layer metrics.  The result is one JSON file holding every run's
 metrics and host speed, per workload and metric the medians of both sides,
@@ -41,7 +41,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-PAIRS = {"closure": 10, "search": 5}
+PAIRS = {"closure": 10, "search": 10}
 
 
 def git(*args: str) -> str:

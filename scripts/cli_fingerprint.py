@@ -42,7 +42,10 @@ COMMANDS = [
     "free data/semilattice.var --gens 5 --depth 4 --audit",
     *(f"check data/{var} data/{alg}" for var, alg in CHECKS),
     "models data/semilattice.var --size 3 --list",
+    "models data/monoid.var --size 4 --list",
     "models data/monoid.var --size 4 --iso",
+    "models data/restriction.var --size 3 --list",
+    "models data/readbits.var --size 3",
     "models data/internalcat.var --size 2 --list",
     "models data/internalcat.var --size 2 --iso",
     "models data/semilattice.var --size -1",

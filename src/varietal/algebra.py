@@ -14,23 +14,25 @@ are flat tables (``base.flat_table``), and so are the values the evaluator
 computes: an element is numbered across the carrier's sorts.  Terms,
 free-algebra classes' representatives (``FreeAlgebra.rep_term``) among
 them, are compiled once against a layout into integer tuples
-(``_compile``) and evaluated over a flat list of cell values (``_value``):
-``evaluate``, ``evaluate_class``, ``satisfies``, ``interpretation_table``
-and the model search share this one evaluator, for term and quotient
-equations alike.
+(``_compile``) and evaluated over a complete flat list of cell values
+(``_value``): ``evaluate``, ``satisfies``, ``interpretation_table`` and
+``FreeAlgebra``'s ``class_values`` and ``evaluate_class`` share this one
+evaluator, for term and quotient equations alike.
 Model enumeration sets one cell at a time and checks each equation instance
 as soon as the cells it reaches are set, after SEM (Zhang & Zhang, 1995) and
-Mace4 (McCune, 2003); its ceiling counts cell assignments tried.  Each
-instance is specialized to its input family once per carrier
-(``_specialize``): an application whose input family is then known reads a
-fixed cell, and the instance is checked first at the level of its highest
-fixed cell, from a static list, and after that only on the watch lists of
-cells it reaches through table values.
+Mace4 (McCune, 2003); its ceiling counts cell assignments tried.  It does
+not run ``_value``: each side pair of an equation runs as one generated
+straight-line kernel (``_search_kernel``), cached by the pair's shape.  An
+application whose children are all variables reads a fixed cell once the
+input family is known, so an instance is that kernel with its fixed cells
+and variables' flat elements as arguments; it is checked first at the level
+of its highest fixed cell, from a static list, and after that only on the
+watch lists of cells it reaches through table values.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from typing import TYPE_CHECKING, Sequence
 
@@ -163,61 +165,13 @@ def _compile(t: Term, J: Presheaf, cells: dict, memo: dict):
 
 def _value(node, phi: tuple, table: list) -> int:
     """The flat element a compiled term denotes under the input family with
-    ``flat_table`` ``phi`` and the cell values ``table``, or ``~cell`` for
-    the first unassigned (``None``) cell its evaluation needs.  Besides
-    variables and applications a node can be a fixed cell ``(cell, value
-    flat tables, flat parameter element)``, an application whose input
-    family was known in advance (``_specialize``)."""
+    ``flat_table`` ``phi`` and the complete list of cell values ``table``."""
     if type(node) is int:
         return phi[node]
-    if len(node) == 3:
-        cell, values, c = node
-    else:
-        position, first, values, c, children = node
-        key = []
-        for u in children:
-            if type(u) is int:
-                x = phi[u]
-            elif len(u) == 3:  # a fixed cell, read here to save a call
-                x = table[u[0]]
-                if x is None:
-                    return ~u[0]
-                x = u[1][x][u[2]]
-            else:
-                x = _value(u, phi, table)
-                if x < 0:
-                    return x
-            key.append(x)
-        cell = first + position[tuple(key)]
-    v = table[cell]
-    return ~cell if v is None else values[v][c]
-
-
-def _specialize(node, phi: tuple, memo: dict) -> tuple:
-    """A compiled node with the input family ``phi`` substituted in, and the
-    highest fixed cell it reads (-1 for none).
-
-    The result is a node over the carrier itself: a variable becomes the
-    flat element ``phi`` gives it, so it runs at the identity family, whose
-    flat table is ``0, 1, 2, ...``.  An application whose children are all
-    variables then has a known input family, and becomes the fixed cell
-    ``first + position[key]``.  ``memo`` serves one ``phi`` and keeps shared
-    subterms shared."""
-    if type(node) is int:
-        return phi[node], -1
-    got = memo.get(id(node))
-    if got is None:
-        position, first, values, c, children = node
-        subs = [_specialize(u, phi, memo) for u in children]
-        key = tuple([u for u, _ in subs])
-        if all(type(u) is int for u in key):
-            cell = first + position[key]
-            got = (cell, values, c), cell
-        else:
-            got = ((position, first, values, c, key),
-                   max([level for _, level in subs]))
-        memo[id(node)] = got
-    return got
+    position, first, values, c, children = node
+    key = tuple([phi[u] if type(u) is int else _value(u, phi, table)
+                 for u in children])
+    return values[table[first + position[key]]][c]
 
 
 def evaluate(A: Algebra, t: Term, phi: PresheafMorphism) -> int:
@@ -330,22 +284,110 @@ def enumerate_carriers(
     return out
 
 
-def _propagate(insts, ident: tuple, table: list, watch: list,
-               moved: list) -> bool:
-    """Check specialized equation instances ``(lhs, rhs)`` against the
-    partial table, at the identity family ``ident``; False on the first
-    violation.  An instance that needs an unassigned cell, which only a
-    table value can lead to, joins that cell's watch list, and the cell is
-    recorded in ``moved`` for undoing."""
+def _program_step(node, steps: list, consts: list, leaves: list,
+                  memo: dict) -> int:
+    """Append the steps of a compiled node (``_compile``) in post-order, a
+    shared subterm once, and return the node's step.
+
+    A step is ``("a",)`` for a variable, ``("f",)`` for an application
+    whose children are all variables (a fixed cell, once the input family
+    is known), or ``("p", child steps)`` for any other application.  An
+    application's constants go to ``consts``: its position dict and first
+    cell for a ``"p"`` step, then its value column, each value table read at
+    the node's parameter element.  An ``"a"`` or ``"f"`` step is a leaf, and
+    ``leaves`` gets ``(position, first, variables)`` for it, with position
+    None for a variable."""
+    key = ~node if type(node) is int else id(node)  # ids are nonnegative
+    got = memo.get(key)
+    if got is None:
+        if type(node) is int:
+            step = ("a",)
+            leaves.append((None, 0, node))
+        else:
+            position, first, values, c, children = node
+            if all(type(u) is int for u in children):
+                step = ("f",)
+                leaves.append((position, first, children))
+            else:
+                step = ("p", tuple(_program_step(u, steps, consts, leaves, memo)
+                                   for u in children))
+                consts += (position, first)
+            consts.append([v[c] for v in values])
+        got = memo[key] = len(steps)
+        steps.append(step)
+    return got
+
+
+def _side_program(lhs, rhs) -> tuple[tuple, list, list]:
+    """One side pair's shape for ``_search_kernel``, its constants and its
+    leaves (``_program_step``), the left side's steps first."""
+    steps: list[tuple] = []
+    consts: list = []
+    leaves: list[tuple] = []
+    memo: dict = {}
+    left = _program_step(lhs, steps, consts, leaves, memo)
+    right = _program_step(rhs, steps, consts, leaves, memo)
+    return (tuple(steps), left, right), consts, leaves
+
+
+@lru_cache(maxsize=1024)
+def _search_kernel(shape: tuple):
+    """The generated ``make`` for a side pair's shape ``(steps, left,
+    right)`` (``_side_program``).  ``make(*consts)`` gives ``kernel(table,
+    args)``, which runs the steps in order over the partial cell values
+    ``table``; ``args`` holds each leaf's flat element or fixed cell.  The
+    kernel returns the first unassigned cell it reads, None when the two
+    sides agree, and -1 when they differ.
+
+    The source (``_kernel_source``) holds integers and generated names
+    only; symbol names come from user files, and every table is a bound
+    constant.  Kernels are cached by shape, the 1,024 last used, so one
+    serves every carrier and input family of its side pairs."""
+    namespace: dict = {}
+    exec(_kernel_source(shape), namespace)
+    return namespace.pop("make")
+
+
+def _kernel_source(shape: tuple) -> str:
+    """The straight-line source of ``_search_kernel``'s ``make``."""
+    steps, left, right = shape
+    params: list[str] = []
+    unpack: list[str] = []
+    body: list[str] = []
+    for i, (kind, *rest) in enumerate(steps):
+        if kind == "a":
+            unpack.append(f"v{i:d}")
+            continue
+        if kind == "f":
+            unpack.append(f"c{i:d}")
+        else:
+            params += [f"p{i:d}", f"f{i:d}"]
+            key = "".join(f"v{j:d}, " for j in rest[0])
+            body.append(f"c{i:d} = f{i:d} + p{i:d}[{key}]")
+        params.append(f"t{i:d}")
+        body += [f"v{i:d} = table[c{i:d}]", f"if v{i:d} is None:",
+                 f"    return c{i:d}", f"v{i:d} = t{i:d}[v{i:d}]"]
+    body.append(f"return None if v{left:d} == v{right:d} else -1")
+    return (f"def make({', '.join(params)}):\n"
+            "    def kernel(table, args):\n"
+            f"        {''.join(f'{name}, ' for name in unpack)}= args\n"
+            + "".join(f"        {line}\n" for line in body)
+            + "    return kernel\n")
+
+
+def _propagate(insts, table: list, watch: list, moved: list) -> bool:
+    """Run equation instances ``(kernel, args)`` over the partial table;
+    False on the first violation.  An instance that stops at an unassigned
+    cell, which only a table value can lead to, joins that cell's watch
+    list, and the cell is recorded in ``moved`` for undoing."""
     for inst in insts:
-        lhs, rhs = inst
-        lv = _value(lhs, ident, table)
-        rv = _value(rhs, ident, table) if lv >= 0 else lv
-        if rv < 0:
-            watch[~rv].append(inst)
-            moved.append(~rv)
-        elif lv != rv:
-            return False
+        kernel, args = inst
+        got = kernel(table, args)
+        if got is not None:
+            if got < 0:
+                return False
+            watch[got].append(inst)
+            moved.append(got)
     return True
 
 
@@ -361,14 +403,15 @@ def enumerate_algebras(
     ``target`` is a signature or a presentation (anything with ``signature``
     and ``equations``).  Cells (see :func:`_cell_layout`) are set one at a
     time in layout order, so constants come first.  Each equation instance
-    (equation, input family, parameter element) is specialized to its input
-    family once per carrier (:func:`_specialize`), so the cells it reads
-    without looking at a table value are fixed.  It is filed on a static
-    list at the level of its highest fixed cell, or checked before the first
-    assignment if it has none; when its evaluation stops at a cell reached
-    through a table value, it waits on that cell's watch list.  Level k runs
-    its static list, then its watch list, so an instance is checked in full
-    at the level where the last cell its evaluation reads is set.  Each
+    (equation, input family, parameter element) is its side pair's kernel
+    (:func:`_search_kernel`) with the input family's leaves as arguments:
+    the cells of the applications whose children are all variables, which
+    are fixed, and the other variables' flat elements.  It is filed on a
+    static list at the level of its highest fixed cell, or checked before
+    the first assignment if it has none; when its kernel stops at a cell
+    reached through a table value, it waits on that cell's watch list.
+    Level k runs its static list, then its watch list, so an instance is
+    checked in full at the level where the last cell it reads is set.  Each
     carrier's models are listed in lexicographic order of their tables, in
     signature order.  Raises :class:`StructureError` on a negative size bound
     and :class:`ResourceCeiling` once more than ``ceiling`` cell assignments
@@ -403,15 +446,22 @@ def enumerate_algebras(
         static: list[list[tuple]] = [[] for _ in range(n)]
         initial: list[tuple] = []
         for eq in equations:
-            sides = _compiled_sides(eq, cells)
+            programs = [(_search_kernel(shape)(*consts), leaves)
+                        for shape, consts, leaves in (
+                            _side_program(lhs, rhs)
+                            for _, _, lhs, rhs in _compiled_sides(eq, cells))]
             for phi in hom_list(eq.arity, X).position:
-                memo: dict = {}
-                for _, _, lhs, rhs in sides:
-                    lhs, lk = _specialize(lhs, phi, memo)
-                    rhs, rk = _specialize(rhs, phi, memo)
-                    level = max(lk, rk)
-                    (static[level] if level >= 0 else initial).append((lhs, rhs))
-        ident = tuple(range(X.total_size))
+                for kernel, leaves in programs:
+                    args, level = [], -1
+                    for position, first, u in leaves:
+                        if position is None:
+                            args.append(phi[u])
+                        else:
+                            cell = first + position[tuple([phi[w] for w in u])]
+                            args.append(cell)
+                            level = max(level, cell)
+                    (static[level] if level >= 0 else initial).append(
+                        (kernel, tuple(args)))
         table: list[int | None] = [None] * n
         # watch[k]: instances whose evaluation stopped at unassigned cell k;
         # moved[k]: the cells whose watch lists got an instance at level k
@@ -421,7 +471,7 @@ def enumerate_algebras(
         spans = [slice(first, first + len(position))
                  for position, first, _ in (cells[s.name] for s in sig.symbols)]
         found: list[tuple] = []
-        k = 0 if _propagate(initial, ident, table, watch, []) else -1
+        k = 0 if _propagate(initial, table, watch, []) else -1
         while k >= 0:
             for cell in moved[k]:
                 watch[cell].pop()
@@ -440,8 +490,8 @@ def enumerate_algebras(
                 if tried > ceiling:
                     raise ResourceCeiling(
                         f"cell assignments tried exceeded the ceiling {ceiling}")
-                if (_propagate(static[k], ident, table, watch, moved[k])
-                        and _propagate(watch[k], ident, table, watch, moved[k])):
+                if (_propagate(static[k], table, watch, moved[k])
+                        and _propagate(watch[k], table, watch, moved[k])):
                     k += 1
         params = [hom_list(s.parameter, X) for s in sig.symbols]
         for key in sorted(found):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 
 class SexprError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -29,59 +31,43 @@ class Node:
         return write(self)
 
 
+# "(", ")", a newline, a comment, or else an atom (no group); the search
+# skips the blanks between tokens, the only characters none of them matches
+_TOKEN = re.compile(r"(\()|(\))|(\n)|(;[^\n]*)|[^ \t\r\n();]+")
+
+
 def parse(text: str) -> list[Node]:
-    """All toplevel forms in the text; comments run from ';' to newline."""
+    """All toplevel forms in the text; comments run from ';' to newline.
+    Lines and columns count from 1.  Only a line feed ends a line, and a
+    form feed or vertical tab is an atom character."""
     forms: list[Node] = []
-    stack: list[Node] = []
-    line, col = 1, 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col += 1
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "(":
-            node = Node(items=[], line=line, column=col)
-            if stack:
-                stack[-1].items.append(node)
+    stack: list[Node] = []  # the open lists, innermost last
+    items = forms  # where the next form goes
+    line, line_end = 1, -1  # line_end: the offset of the last newline
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind is None:
+            token = m.group()
+            value: object = token
+            if not token[0].isalpha():  # int() rejects a leading letter
+                try:
+                    value = int(token)
+                except ValueError:
+                    pass
+            items.append(Node(value, None, line, m.start() - line_end))
+        elif kind == 1:
+            node = Node(None, [], line, m.start() - line_end)
+            items.append(node)
             stack.append(node)
-            i += 1
-            continue
-        if ch == ")":
+            items = node.items
+        elif kind == 2:
             if not stack:
-                raise SexprError("unbalanced ')'", line, col)
-            node = stack.pop()
-            if not stack:
-                forms.append(node)
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        col -= 1
-        token = text[start:i]
-        try:
-            value: object = int(token)
-        except ValueError:
-            value = token
-        atom = Node(value=value, line=line, column=start_col)
-        if stack:
-            stack[-1].items.append(atom)
-        else:
-            forms.append(atom)
+                raise SexprError("unbalanced ')'", line, m.start() - line_end)
+            stack.pop()
+            items = stack[-1].items if stack else forms
+        elif kind == 3:
+            line += 1
+            line_end = m.start()
     if stack:
         raise SexprError("unterminated '('", stack[-1].line, stack[-1].column)
     return forms

@@ -23,6 +23,7 @@ from varietal.syntax import (
     Assignment,
     Equation,
     FreeFormSignature,
+    OperationSymbol,
     ParamTerm,
     app,
     enumerate_terms,
@@ -33,6 +34,11 @@ from varietal.syntax import (
 from varietal.algebra import (
     Algebra,
     ResourceCeiling,
+    _cell_layout,
+    _compiled_sides,
+    _kernel_source,
+    _search_kernel,
+    _side_program,
     are_isomorphic,
     enumerate_algebras,
     enumerate_carriers,
@@ -59,6 +65,7 @@ from varietal.catalog import (
     z2_rig,
 )
 from varietal.presentation import (
+    Presentation,
     free_algebra,
     sum_presentations,
     tensor,
@@ -302,6 +309,80 @@ MO = monoid_presentation()
         "z2-module", "bool-module"])
 def test_model_search_matches_whole_table_product(P):
     carriers = enumerate_carriers(P.signature.index, [2])
+    assert ([A.canonical_key() for A in enumerate_algebras(P, 2)]
+            == brute_force_keys(P, carriers))
+
+
+def test_search_kernels_are_generated_once_per_shape():
+    # a freshly parsed copy of the same file reuses every kernel
+    first = enumerate_algebras(_parsed("monoid.var"), 3)
+    misses = _search_kernel.cache_info().misses
+    again = enumerate_algebras(_parsed("monoid.var"), 3)
+    assert _search_kernel.cache_info().misses == misses
+    assert ([A.canonical_key() for A in again]
+            == [A.canonical_key() for A in first])
+
+
+def test_search_kernels_bind_names_that_are_not_identifiers():
+    # symbol and equation names never reach a kernel's source
+    odd = {"join": "j\"o'i\\n{k0}", "idem": "k0", "comm": 'phi[0:1]"+\\',
+           "assoc": 'as-soc"""'}
+    text = (DATA / "semilattice.var").read_text()
+    for name, new in odd.items():
+        text = text.replace(name, new)
+    P = next(iter(fileformat.parse_text(text).presentations.values()))
+    assert [P.signature.symbols[0].name, *(e.name for e in P.equations)] == [
+        odd[name] for name in ("join", "idem", "comm", "assoc")]
+    assert ([A.canonical_key() for A in enumerate_algebras(P, 3)]
+            == [A.canonical_key() for A in enumerate_algebras(SL, 3)])
+    X = finite_set(3, I)
+    cells, _ = _cell_layout(P.signature, X,
+                            lambda s: hom_list(s.parameter, X))
+    sources = [_kernel_source(_side_program(lhs, rhs)[0])
+               for eq in P.equations
+               for *_, lhs, rhs in _compiled_sides(eq, cells)]
+    assert len(sources) == 3
+    assert not [name for name in odd.values()
+                for source in sources if name in source]
+
+
+SHAPES = [(a, p) for a in range(3) for p in range(3)]
+
+
+def tables_at_two(shape):
+    """The tables of a symbol with arity and parameter of these sizes over
+    a carrier of size 2: (2^p)^(2^a)."""
+    a, p = shape
+    return 2 ** (p * 2 ** a)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_model_search_matches_whole_table_product_on_generated_presentations(
+        data):
+    # one or two symbols, at most 256 whole tables at size 2, and one to
+    # three equations between terms of depth at most 2
+    shapes = [data.draw(st.sampled_from(SHAPES))]
+    if data.draw(st.booleans()):
+        room = 256 // tables_at_two(shapes[0])
+        shapes.append(data.draw(st.sampled_from(
+            [s for s in SHAPES if tables_at_two(s) <= room])))
+    sig = FreeFormSignature("generated", [
+        OperationSymbol(f"s{i}", finite_set(a, I), finite_set(p, I))
+        for i, (a, p) in enumerate(shapes)])
+    equations = []
+    for k in range(data.draw(st.integers(1, 3))):
+        J = finite_set(data.draw(st.integers(1, 3)), I)
+        terms = enumerate_terms(sig, J, 2).terms("*")
+        sides = []
+        for _ in range(2):  # a side of each depth is as likely
+            depth = data.draw(st.integers(0, 2))
+            pool = [t for t in terms if t.depth == depth] or terms
+            sides.append(ParamTerm(sig, J, ONE,
+                                   ((data.draw(st.sampled_from(pool)),),)))
+        equations.append(Equation(f"e{k}", *sides))
+    P = Presentation("generated", sig, equations)
+    carriers = enumerate_carriers(I, [2])
     assert ([A.canonical_key() for A in enumerate_algebras(P, 2)]
             == brute_force_keys(P, carriers))
 

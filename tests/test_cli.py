@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from varietal import fileformat
+from varietal import fileformat, sexpr
 from varietal.base import StructureError
 from varietal.birkhoff import BirkhoffWindow
 from varietal.cli import main
@@ -467,6 +467,85 @@ def test_mutated_bundled_files_raise_only_parse_or_structure_errors():
         except Exception as exc:
             escapes.append((name, edits, repr(exc)))
     assert escapes == []
+
+
+def reference_parse(text):
+    """The reader as one loop over characters, kept here as the oracle for
+    ``sexpr.parse``: the same nodes, or the same ``SexprError``."""
+    forms, stack = [], []
+    line, col, i, n = 1, 0, 0, len(text)
+    while i < n:
+        ch = text[i]
+        col += 1
+        if ch == "\n":
+            line, col, i = line + 1, 0, i + 1
+        elif ch in " \t\r":
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch == "(":
+            node = sexpr.Node(items=[], line=line, column=col)
+            if stack:
+                stack[-1].items.append(node)
+            stack.append(node)
+            i += 1
+        elif ch == ")":
+            if not stack:
+                raise sexpr.SexprError("unbalanced ')'", line, col)
+            node = stack.pop()
+            if not stack:
+                forms.append(node)
+            i += 1
+        else:
+            start, start_col = i, col
+            while i < n and text[i] not in " \t\r\n();":
+                i, col = i + 1, col + 1
+            col -= 1
+            token = text[start:i]
+            try:
+                value = int(token)
+            except ValueError:
+                value = token
+            (stack[-1].items if stack else forms).append(
+                sexpr.Node(value=value, line=line, column=start_col))
+    if stack:
+        raise sexpr.SexprError("unterminated '('", stack[-1].line,
+                               stack[-1].column)
+    return forms
+
+
+def _read(parse, text):
+    try:
+        return parse(text)
+    except sexpr.SexprError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _same(a, b) -> bool:
+    """Equal node lists: the same values, items, lines and columns."""
+    if isinstance(a, tuple) or isinstance(b, tuple):  # an error
+        return a == b
+    return len(a) == len(b) and all(
+        (x.value, x.line, x.column) == (y.value, y.line, y.column)
+        and (x.items is None) == (y.items is None)
+        and (x.items is None or _same(x.items, y.items))
+        for x, y in zip(a, b))
+
+
+def test_sexpr_tokenizer_matches_the_character_loop():
+    # \f and \v are atom characters, int() strips them, and only \n ends a
+    # line; every error keeps its line and column
+    odd = ["a\fb (c\vd) \f5 ;x\n)", "(", ")", "(a (b", "١٢ +3 1_0 -x",
+           "a\r\n(b)\n\n  c ; c\n", "", "; only", " (a\x85b)", "((a)\n)\n)",
+           "x\n\t  (y ;)\n z))"]
+    texts = [path.read_text() for path in sorted(DATA.iterdir())]
+    texts += odd + [text for _, _, text in
+                    [*mutants(0, 2000), *mutants(1, 2000, most=3)]]
+    mismatched = [text for text in texts if not _same(
+        _read(sexpr.parse, text), _read(reference_parse, text))]
+    assert mismatched == []
+    assert [n.value for n in sexpr.parse("١٢ \f5 a\fb")] == [12, 5, "a\fb"]
 
 
 def test_birkhoff_outside_the_scale_fails_before_generating(monkeypatch,
