@@ -446,10 +446,10 @@ def enumerate_algebras(
         static: list[list[tuple]] = [[] for _ in range(n)]
         initial: list[tuple] = []
         for eq in equations:
-            programs = [(_search_kernel(shape)(*consts), leaves)
-                        for shape, consts, leaves in (
-                            _side_program(lhs, rhs)
-                            for _, _, lhs, rhs in _compiled_sides(eq, cells))]
+            programs = []
+            for _, _, lhs, rhs in _compiled_sides(eq, cells):
+                shape, consts, leaves = _side_program(lhs, rhs)
+                programs.append((_search_kernel(shape)(*consts), leaves))
             for phi in hom_list(eq.arity, X).position:
                 for kernel, leaves in programs:
                     args, level = [], -1
