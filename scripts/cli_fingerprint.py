@@ -73,6 +73,7 @@ COMMANDS = [
     "birkhoff data/semilattice_gen.algs --scale 2,2 --gens 1",
     "birkhoff data/semilattice_gen.algs --scale 3,1 --gens 1",
     "birkhoff data/semilattice_gen.algs --scale 2,1 --gens 2",
+    "birkhoff data/semilattice_gen.algs --scale 2,1 --gens 1,2",
 ]
 
 

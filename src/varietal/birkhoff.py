@@ -4,6 +4,9 @@ equations, restricted to an explicit finite window.
 The window fixes a carrier size bound, a term depth bound, a set of
 generator parameters, and an arity list; equation candidates are pairs of
 natural families from a generator into the depth-bounded term presheaf.
+A theory is a partition of each block of families, met by an algebra whose
+kernel agrees on one spanning pair per merge; ``Equation`` lists exist only
+at the API edge.
 Every result is relative to the window: nothing here claims anything about
 the unbounded connection, and reports carry the scale so a finite run is
 never mistaken for a theorem.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 from .base import (
@@ -145,40 +149,62 @@ class BirkhoffWindow:
             self._kernels[A] = got
         return got
 
-    def _holds(self, A: Algebra, eq: Equation) -> bool:
-        # window equations compare kernel entries; others are checked directly
-        at = self._window.get(eq)
-        if at is None:
-            return bool(satisfies(A, eq))
-        kernel = self._kernel(A)
-        return kernel[at[0]] == kernel[at[1]]
+    @cached_property
+    def _blocks(self) -> list[int]:
+        """The block (arity, then generator) of each kernel position."""
+        n = len(self.scale.generators)
+        return [ai * n + gi for ai in range(len(self.arities)) for gi in range(n)
+                for _ in self.param_terms(ai, gi)]
+
+    def _meet(self, algebras: Sequence[Algebra]) -> list[tuple]:
+        """The algebras' theory: a label per kernel position, its block (class
+        ids are shared across blocks) and its class id in each kernel."""
+        return list(zip(self._blocks, *map(self._kernel, algebras)))
+
+    def _models(self, pairs: list, others: Sequence = ()) -> list[Algebra]:
+        """The window algebras whose kernels agree at each spanning pair and
+        that satisfy every equation in others."""
+        algebras = self.algebras()
+        if pairs:
+            left, right = (itemgetter(*side) for side in zip(*pairs))
+            algebras = [A for A in algebras
+                        if left(k := self._kernel(A)) == right(k)]
+        return [A for A in algebras if all(satisfies(A, eq) for eq in others)]
 
     def sat_star(self, E: Sequence[Equation]) -> list[Algebra]:
-        """All window algebras satisfying every equation in E."""
-        return [A for A in self.algebras()
-                if all(self._holds(A, eq) for eq in E)]
+        """All window algebras satisfying every equation in E: a union-find
+        over window equations keeps each merge's pair; others are checked."""
+        root: dict[int, int] = {}
+        pairs, others = [], []
+        for eq in E:
+            at = self._window.get(eq)
+            if at is None:
+                others.append(eq)
+                continue
+            i, j = at
+            while i in root:
+                i = root[i]
+            while j in root:
+                j = root[j]
+            if i != j:
+                root[i] = j
+                pairs.append(at)
+        return self._models(pairs, others)
 
     def sat_lower_g(self, algebras: Sequence[Algebra]) -> list[Equation]:
-        """All window equations satisfied by every algebra in the set: the
-        pairs whose class ids agree in the kernel of every member algebra."""
-        if not algebras:  # the empty set satisfies every equation
-            return self.equation_window()
-        columns = list(zip(*map(self._kernel, algebras)))
+        """All window equations satisfied by every algebra in the set (the
+        whole window for the empty set): the pairs in one class of the meet."""
+        lower = self._meet(algebras)
         return [eq for eq, (i, j) in self._window.items()
-                if columns[i] == columns[j]]
+                if lower[i] == lower[j]]
 
     def variety_generated(self, algebras: Sequence[Algebra]) -> list[Algebra]:
-        return self.sat_star(self.sat_lower_g(algebras))
+        return self._models(_spanning(self._meet(algebras)))
 
     def theory_generated(self, E: Sequence[Equation]) -> list[Equation]:
         return self.sat_lower_g(self.sat_star(E))
 
     # -- law checking ------------------------------------------------------------
-
-    def _require_window_equations(self, E: Sequence[Equation]):
-        for eq in E:
-            if eq not in self._window:
-                raise ScaleError(f"equation {eq.name} is outside the window")
 
     def _require_signature(self, A: Algebra):
         if A.signature is not self.signature:
@@ -199,7 +225,9 @@ class BirkhoffWindow:
     def check_galois_laws(self, E: Sequence[Equation],
                           algebras: Sequence[Algebra]) -> tuple[bool, list[str]]:
         """Adjunction, triple laws, and closure idempotence at this scale."""
-        self._require_window_equations(E)
+        for eq in E:
+            if eq not in self._window:
+                raise ScaleError(f"equation {eq.name} is outside the window")
         self.require_window_algebras(algebras)
         scale_tag = (f"scale=({self.scale.size},{self.scale.depth},"
                      f"{len(self.scale.generators)})")
@@ -212,29 +240,31 @@ class BirkhoffWindow:
             lines.append(
                 f"LAW {name} {'OK' if ok else 'FAIL'} witness={witness} {scale_tag}")
 
-        left = all(
-            all(satisfies(A, eq) for eq in E) for A in algebras)
-        lower = self.sat_lower_g(algebras)
-        low_a = set(lower)
-        right = all(eq in low_a for eq in E)
-        record("adjunction", left == right,
-               f"left={left},right={right}")
+        left = all(satisfies(A, eq) for A in algebras for eq in E)
+        lower = self._meet(algebras)
+        right = all(lower[i] == lower[j] for i, j in map(self._window.get, E))
+        record("adjunction", left == right, f"left={left},right={right}")
 
-        # sat_star lists window algebras, so sets of them compare by identity
+        # algebras compare by identity, theories by their ``_spanning`` pairs
         sat_e = self.sat_star(E)
-        tri1 = self.sat_star(self.sat_lower_g(sat_e))
+        te = _spanning(self._meet(sat_e))
+        tri1 = self._models(te)
         record("triple-algebras", set(tri1) == set(sat_e))
-        tri2 = set(self.sat_lower_g(self.sat_star(lower)))
-        record("triple-equations", tri2 == low_a)
-
-        va = self.variety_generated(algebras)
+        low = _spanning(lower)
+        va = self._models(low)
+        record("triple-equations", _spanning(self._meet(va)) == low)
         vva = self.variety_generated(va)
         record("variety-idempotent", set(va) == set(vva))
-        te = self.theory_generated(E)
-        tte = self.theory_generated(te)
-        record("theory-idempotent",
-               set(te) == set(tte))
+        record("theory-idempotent", _spanning(self._meet(tri1)) == te)
         return ok_all, lines
+
+
+def _spanning(labels: Sequence) -> list[tuple[int, int]]:
+    """Spanning pairs of the labels' partition: each position paired with
+    the first position of its class, so equal iff the partitions are."""
+    first: dict = {}
+    pairs = [(first.setdefault(label, p), p) for p, label in enumerate(labels)]
+    return [(rep, p) for rep, p in pairs if rep != p]
 
 
 def restrict_to_generators(equations: Sequence[Equation],

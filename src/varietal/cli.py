@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 property violated, 2 unknown or unsaturated,
 3 input error (bad files or bad arguments), 4 resource ceiling.  Every run
 ends with a machine-readable ``status=`` line; all other output is
-deterministic given the inputs.
+deterministic given the inputs.  A run whose reader closed stdout stops
+quietly with 141 (128 + SIGPIPE), as ``cat`` does, and no status line.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from . import fileformat
 from .fileformat import ParseError, Workspace
 
 OK, VIOLATION, UNKNOWN, INPUT_ERROR, RESOURCE = 0, 1, 2, 3, 4
+BROKEN_PIPE = 141
 _STATUS = {OK: "ok", VIOLATION: "violation", UNKNOWN: "unknown",
            INPUT_ERROR: "input-error", RESOURCE: "resource"}
 
@@ -353,6 +355,11 @@ def main(argv=None) -> int:
     except ResourceCeiling as exc:
         print(f"error: {exc}")
         return _finish(RESOURCE)
+    except BrokenPipeError:
+        # nothing more can reach the reader; send the interpreter's final
+        # flush of what is still buffered to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ParseError, StructureError, OSError, ValueError) as exc:
         print(f"error: {exc}")
         return _finish(INPUT_ERROR)

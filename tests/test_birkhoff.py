@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from varietal import birkhoff, fileformat
 from varietal.base import (
@@ -42,6 +44,12 @@ def binop_window():
 def sl_window(semilattice):
     return BirkhoffWindow(semilattice.signature,
                           GaloisScale(2, 2, (ONE,), (TWO,)))
+
+
+def binop_fresh():
+    """A binop window of its own, for tests that count or corrupt its work."""
+    sig = FreeFormSignature("binop", [OperationSymbol("f", TWO, ONE)])
+    return BirkhoffWindow(sig, GaloisScale(2, 2, (ONE,)))
 
 
 def keys(algebras):
@@ -297,7 +305,7 @@ def test_parsed_algebra_reads_like_its_window_twin():
     theory = window.sat_lower_g([parsed])
     assert theory == window.sat_lower_g([twin])
     assert window.variety_generated([parsed]) == window.variety_generated([twin])
-    assert all(window._holds(parsed, eq) for eq in theory)
+    assert all(satisfies(parsed, eq) for eq in theory)
 
 
 def test_algebra_over_another_signature_is_a_scale_error(binop_window):
@@ -310,3 +318,91 @@ def test_algebra_over_another_signature_is_a_scale_error(binop_window):
                  lambda algebras: binop_window.check_galois_laws([], algebras)):
         with pytest.raises(ScaleError, match="signature other, not the window's binop"):
             call([A])
+
+
+@pytest.fixture(scope="module")
+def binop_direct(binop_window):
+    """``satisfies`` on every (algebra, window equation) of the binop window."""
+    return {(id(A), id(eq)): bool(satisfies(A, eq))
+            for A in binop_window.algebras()
+            for eq in binop_window.equation_window()}
+
+
+def ids(items):
+    return [id(x) for x in items]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_window_matches_direct_satisfies_filters(binop_window, binop_direct,
+                                                 data):
+    # the plain filters read satisfies only (memoized on window equations);
+    # a precomposed copy of a window equation is another object, so the
+    # window checks it directly too
+    eqs, algebras = binop_window.equation_window(), binop_window.algebras()
+    E = data.draw(st.lists(st.sampled_from(eqs), max_size=8))
+    copy, = restrict_to_generators([data.draw(st.sampled_from(eqs))], [ONE])
+    if data.draw(st.booleans()):
+        E.insert(data.draw(st.integers(0, len(E))), copy)
+    A = data.draw(st.lists(st.sampled_from(algebras), max_size=5))
+
+    def holds(B, eq):
+        got = binop_direct.get((id(B), id(eq)))
+        return bool(satisfies(B, eq)) if got is None else got
+
+    def star(equations):
+        return [B for B in algebras if all(holds(B, eq) for eq in equations)]
+
+    def lower(members):
+        return [eq for eq in eqs if all(holds(B, eq) for B in members)]
+
+    assert ids(binop_window.sat_star(E)) == ids(star(E))
+    assert ids(binop_window.sat_lower_g(A)) == ids(lower(A))
+    assert ids(binop_window.variety_generated(A)) == ids(star(lower(A)))
+    assert ids(binop_window.theory_generated(E)) == ids(lower(star(E)))
+
+
+def test_laws_and_varieties_build_no_equation_lists(monkeypatch):
+    calls = []
+    sat_lower_g = BirkhoffWindow.sat_lower_g
+
+    def counting(self, algebras):
+        calls.append(len(algebras))
+        return sat_lower_g(self, algebras)
+
+    monkeypatch.setattr(BirkhoffWindow, "sat_lower_g", counting)
+    window = binop_fresh()
+    assert window.sat_star([]) == window.algebras()
+    assert not window._kernels  # no equations, so no kernel is read
+    eqs, algebras = window.equation_window(), window.algebras()
+    rng = random.Random(7)
+    for _ in range(5):
+        ok, lines = window.check_galois_laws(rng.sample(eqs, 3),
+                                             rng.sample(algebras, 3))
+        assert ok, lines
+        window.variety_generated(rng.sample(algebras, 2))
+    assert calls == []
+
+
+def test_adjunction_left_side_does_not_read_the_kernels():
+    # a corrupted kernel moves the right side only, so the law must fail
+    window = binop_fresh()
+
+    def corruptible():
+        # an equation A satisfies, and a term of another class
+        for A in window.algebras():
+            kernel = window._kernel(A)
+            for eq, (i, j) in window._window.items():
+                for p, cls in enumerate(kernel):
+                    if kernel[i] == kernel[j] != cls:
+                        return A, eq, j, p
+
+    A, eq, j, p = corruptible()
+    assert satisfies(A, eq)
+    ok, lines = window.check_galois_laws([eq], [A])
+    assert ok, lines
+    kernel = window._kernels[A]
+    kernel[j], kernel[p] = kernel[p], kernel[j]
+    ok, lines = window.check_galois_laws([eq], [A])
+    assert not ok
+    assert lines[0].startswith("LAW adjunction FAIL witness=left=True,right=False")

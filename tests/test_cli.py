@@ -939,6 +939,25 @@ def test_birkhoff_subcommand(capsys):
     assert "FAIL" not in out
 
 
+def test_closed_stdout_pipe_ends_quietly():
+    # the reader takes one line and closes the pipe; the listing (about
+    # 120 KB) outgrows the pipe's buffer, so the CLI writes into a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "varietal.cli", "models",
+         str(DATA / "monoid.var"), "--size", "4", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert first == b"models=662\n"
+    assert err == b""
+    assert code == 141
+
+
 def test_cli_determinism_across_hash_seeds():
     # identical bytes for two runs under different hash randomization
     args = ["free", str(DATA / "semilattice.var"),
