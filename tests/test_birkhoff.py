@@ -36,8 +36,7 @@ TWO = finite_set(2, I)
 
 @pytest.fixture(scope="module")
 def binop_window():
-    sig = FreeFormSignature("binop", [OperationSymbol("f", TWO, ONE)])
-    return BirkhoffWindow(sig, GaloisScale(2, 2, (ONE,)))
+    return binop_fresh()
 
 
 @pytest.fixture(scope="module")
