@@ -40,6 +40,8 @@ COMMANDS = [
     *(f"free data/{t} --gens {k} --depth {d} --table --audit"
       for t in THEORIES for k, d in ((1, 2), (2, 2), (1, 3), (2, 3))),
     "free data/semilattice.var --gens 5 --depth 4 --audit",
+    "free data/semilattice.var --gens 5 --depth 4 --table",
+    "free data/monoid.var --gens 3 --depth 3",
     *(f"check data/{var} data/{alg}" for var, alg in CHECKS),
     "models data/semilattice.var --size 3 --list",
     "models data/monoid.var --size 4 --list",

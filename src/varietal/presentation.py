@@ -253,6 +253,9 @@ class FreeAlgebra:
     ``_root_term`` makes it the representative term that all readers use.
     ``_union`` queues the deeper side's parents for ``_recompute_depths``,
     whose fixpoint (each class's least term depth) no queue order changes.
+    ``_close`` runs equation passes to their fixpoint before each grow pass,
+    so nothing grows over classes the equations could still merge; node ids
+    and audits follow that order, classes and saturation do not.
     """
 
     def __init__(self, P: Presentation, generators: Presheaf, depth: int,
@@ -573,13 +576,10 @@ class FreeAlgebra:
     def _close(self, grow: bool):
         self._rebuild()
         while True:
-            changed = self._equation_pass()
-            changed |= self._rebuild()
-            if grow:
-                changed |= self._grow_pass()
-                changed |= self._rebuild()
-            if not changed:
-                break
+            while self._equation_pass() | self._rebuild():
+                pass
+            if not (grow and self._grow_pass() | self._rebuild()):
+                return
 
     # -- finalization ---------------------------------------------------------
 

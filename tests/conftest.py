@@ -1,3 +1,7 @@
+import faulthandler
+import os
+import sys
+
 import pytest
 
 from varietal.base import PresheafMorphism, parallel_pair_index, trivial_index
@@ -6,6 +10,30 @@ from varietal.catalog import (
     monoid_presentation,
     semilattice_presentation,
 )
+
+
+# a test still running after this many seconds is taken to hang: every
+# thread's stack goes to stderr and the run ends with exit code 1
+HANG_S = 120
+
+
+def pytest_configure(config):
+    # a copy of the real stderr, which output capture leaves in place
+    config.hang_stderr = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.hang_stderr)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item):
+    faulthandler.dump_traceback_later(HANG_S, exit=True,
+                                      file=item.config.hang_stderr)
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from varietal import catalog, fileformat
+from varietal import catalog, fileformat, syntax
 from varietal.base import (
     PresheafMorphism,
+    ResourceCeiling,
     enumerate_families,
     finite_set,
     flat_table,
@@ -674,8 +675,8 @@ def _same_bookkeeping(engine, old):
 
 
 @pytest.mark.parametrize("theory,k,d", [
-    # the one merging rebuild of semilattice 5/4 skips its confirming scan,
-    # which the old bookkeeping's own rebuild runs
+    # semilattice 5/4, the largest closure here: with the equations at
+    # their fixpoint before its one grow pass, none of its rebuilds merges
     *ENGINE_CASES, ("semilattice", 5, 4),
 ])
 def test_free_algebra_matches_old_bookkeeping(theory, k, d):
@@ -714,6 +715,75 @@ def test_internal_category_closures_match_old_bookkeeping(monkeypatch):
     assert len(built) == 2
 
 
+# -- the loop order before equation fixpoints ----------------------------------
+
+
+class InterleavedFreeAlgebra(FreeAlgebra):
+    """The engine with its earlier loop order: one equation pass, a rebuild,
+    a grow pass and a rebuild in every round.  Node ids, merges and the
+    representatives of unsaturated closures may differ, but both orders
+    reach the same least fixpoint: the same classes, the same saturation
+    and the same class for every term."""
+
+    def _close(self, grow):
+        self._rebuild()
+        while True:
+            changed = self._equation_pass()
+            changed |= self._rebuild()
+            if grow:
+                changed |= self._grow_pass()
+                changed |= self._rebuild()
+            if not changed:
+                break
+
+
+def _term_partition(Q, terms):
+    """The classes of ``terms`` in Q as first-occurrence labels (a class's
+    index depends on its representative), None outside the universe."""
+    labels = {}
+    return [None if c is None else labels.setdefault(c, len(labels))
+            for c in map(Q.class_of_term, terms)]
+
+
+def _same_quotient(monkeypatch, engine, interleaved, extra_terms=()):
+    assert engine.classes == interleaved.classes
+    assert engine.saturated == interleaved.saturated
+    monkeypatch.setattr(syntax, "MAX_TERMS", 20_000)  # a small universe only
+    try:
+        universe = enumerate_terms(
+            engine.signature, engine.generators, engine.depth)
+    except ResourceCeiling:
+        return
+    for sort in engine.index.sorts:
+        terms = [*universe.terms(sort), *(t for t in extra_terms
+                                          if t.sort == sort)]
+        assert (_term_partition(engine, terms)
+                == _term_partition(interleaved, terms))
+
+
+@pytest.mark.parametrize("theory,k,d", [*ENGINE_CASES, ("semilattice", 5, 4)])
+def test_free_algebra_matches_interleaved_loop(monkeypatch, theory, k, d):
+    P = _bundled_presentation(theory)
+    gens = finite_set(k, P.signature.index)
+    _same_quotient(monkeypatch, FreeAlgebra(P, gens, d),
+                   InterleavedFreeAlgebra(P, gens, d))
+
+
+@pytest.mark.parametrize("vertices,edges,d", GRAPH_CASES)
+def test_graph_closure_matches_interleaved_loop(monkeypatch, vertices, edges,
+                                                d):
+    P = _bundled_presentation("internalcat")
+    gens = catalog.graph_presheaf(vertices, edges)
+    _same_quotient(monkeypatch, FreeAlgebra(P, gens, d),
+                   InterleavedFreeAlgebra(P, gens, d))
+
+
+def test_seeded_closure_matches_interleaved_loop(monkeypatch, monoid):
+    args, options = _seeded_closure_case(monoid)
+    _same_quotient(monkeypatch, FreeAlgebra(*args, **options),
+                   InterleavedFreeAlgebra(*args, **options), options["seeds"])
+
+
 def _count_calls(monkeypatch, name):
     """A list that gains an entry at each call of FreeAlgebra.<name>."""
     calls, method = [], getattr(FreeAlgebra, name)
@@ -727,19 +797,23 @@ def _count_calls(monkeypatch, name):
 
 
 def test_internal_category_act_images_once_per_family_search(monkeypatch):
-    # 392,677 calls without the memo
+    # 392,677 calls without the memo; 1,903 when a grow pass followed every
+    # equation pass, which ran 8 equation passes where the fixpoint of
+    # equation passes before each grow pass runs 14
     calls = _count_calls(monkeypatch, "_act_image")
     catalog.internal_category_presentation()
-    assert len(calls) == 1903
+    assert len(calls) == 2191
 
 
 def test_semilattice_closure_canonical_key_count(semilattice, monkeypatch):
     # 7,324 calls when the insertion walk went through _add_node and every
     # rebuild rescanned the whole graph; 3,381 when a merging rebuild ran
-    # one more scan only to confirm its fixpoint
+    # one more scan only to confirm its fixpoint; 2,388 when a grow pass
+    # followed every equation pass and added applications over classes the
+    # equations had yet to merge
     calls = _count_calls(monkeypatch, "_canon_key")
     free_algebra(semilattice, finite_set(4, I), 4)
-    assert len(calls) == 2388
+    assert len(calls) == 946
 
 
 def test_semilattice_closure_find_count(semilattice, monkeypatch):
@@ -747,20 +821,34 @@ def test_semilattice_closure_find_count(semilattice, monkeypatch):
     # over an index with no non-identity arrow the act step never reads
     # the groups; 49,213 when every equation pass reran every family and
     # each lookup that hit a root's child called _find; 17,670 when a
-    # merging rebuild ran one more scan only to confirm its fixpoint
+    # merging rebuild ran one more scan only to confirm its fixpoint;
+    # 14,250 when a grow pass followed every equation pass
     calls = _count_calls(monkeypatch, "_find")
     free_algebra(semilattice, finite_set(4, I), 4)
-    assert len(calls) == 14250
+    assert len(calls) == 4461
 
 
 def test_semilattice_closure_run_count(semilattice, monkeypatch):
     # 9,275 families (9,276 _run calls with the seed walk) when every
     # equation pass reran every family, including the last pass, which
     # only confirms the fixpoint; the skipped families add and merge
-    # nothing, so inserts and audit entries did not move
+    # nothing, so inserts and audit entries did not move; (5,656, 993, 978)
+    # when a grow pass followed every equation pass: the second pass then
+    # ran the equations over applications of unmerged classes
     inserts = _count_calls(monkeypatch, "_insert")
     Q = free_algebra(semilattice, finite_set(4, I), 4)
-    assert (Q._families_run, len(inserts), len(Q.audit)) == (5656, 993, 978)
+    assert (Q._families_run, len(inserts), len(Q.audit)) == (4631, 364, 349)
+
+
+def test_semilattice_five_generators_closure_run_count(monkeypatch):
+    # (88,737, 23,104, 23,073) when a grow pass followed every equation
+    # pass: its second equation pass ran comm over 241 classes, and the
+    # next rebuild merged 10,709 of the nodes it inserted
+    P = _bundled_presentation("semilattice")
+    inserts = _count_calls(monkeypatch, "_insert")
+    Q = free_algebra(P, finite_set(5, I), 4)
+    assert (Q._families_run, len(inserts), len(Q.audit)) == (31392, 1440, 1409)
+    assert (Q.class_count(), Q.saturated) == (31, True)
 
 
 def _scans_per_merging_rebuild(monkeypatch, theory, k, d):
@@ -784,12 +872,16 @@ def _scans_per_merging_rebuild(monkeypatch, theory, k, d):
 
 
 def test_merging_rebuild_scans_again_only_after_a_stale_key(monkeypatch):
-    # [2] here and [3, 2] for z2mod when each merging rebuild ran one more
-    # scan only to confirm its fixpoint; z2mod's first scan leaves keys
-    # stale (a union absorbs a root with a parent keyed before it)
-    assert _scans_per_merging_rebuild(monkeypatch, "semilattice", 4, 4) == [1]
+    # [2] for semilattice 4/4 and [3, 2] for z2mod when each merging rebuild
+    # ran one more scan only to confirm its fixpoint; z2mod's first scan
+    # leaves keys stale (a union absorbs a root with a parent keyed before
+    # it).  When a grow pass followed every equation pass these read [1]
+    # for semilattice 4/4, [1, 1] for boolmod and [2, 1] for z2mod; with
+    # the equations at their fixpoint before each grow pass, semilattice
+    # 4/4 has no merging rebuild left
+    assert _scans_per_merging_rebuild(monkeypatch, "boolmod", 3, 3) == [1]
     monkeypatch.undo()
-    assert _scans_per_merging_rebuild(monkeypatch, "z2mod", 3, 3) == [2, 1]
+    assert _scans_per_merging_rebuild(monkeypatch, "z2mod", 3, 3) == [2]
 
 
 def test_equation_kernels_are_generated_once_per_program():
