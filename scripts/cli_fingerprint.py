@@ -65,6 +65,10 @@ COMMANDS = [
     "clone sl.rm --check",
     "clone data/monoid.var --of --objs 1 --depth 2",
     "clone data/semilattice.var --of --objs 1,2,3 --depth 3",
+    "clone data/semilattice.var --of --objs 3,1,2 --depth 3 -o sl312.rm",
+    "clone sl312.rm --check",
+    "clone data/globalstate.var --of --objs 1,2 --depth 3 -o gs.rm",
+    "clone gs.rm --check",
     "pretheory data/kleisli_semilattice.pt --check",
     "pretheory data/kleisli_semilattice.pt --compile -o compiled.var",
     "pretheory data/kleisli_semilattice.pt --compile",

@@ -687,23 +687,26 @@ def state_clone(object_sizes, num_states: int = 2,
         return sum((j * S + s1) * ((n * S) ** s)
                    for s, (j, s1) in enumerate(values))
 
+    # over the trivial index every function is natural, so the values are
+    # built trusted
     unit = []
     for n, J, HJ in zip(object_sizes, objects, carriers):
-        unit.append(PresheafMorphism(J, HJ, (tuple(
+        unit.append(PresheafMorphism._trusted(J, HJ, (tuple(
             encode(n, [(j, s) for s in range(S)]) for j in range(n)),)))
     mult = {}
     for i, n_i in enumerate(object_sizes):
         for j, n_j in enumerate(object_sizes):
             values = []
             for g in hom_list(objects[i], carriers[j]):
+                (ga,) = g.components
                 comps = []
                 for w in carriers[i].elements("*"):
                     values_per_state = []
                     for s in range(S):
                         a, s1 = decode(n_i, w, s)
-                        values_per_state.append(decode(n_j, g("*", a), s1))
+                        values_per_state.append(decode(n_j, ga[a], s1))
                     comps.append(encode(n_j, values_per_state))
-                values.append(PresheafMorphism(
+                values.append(PresheafMorphism._trusted(
                     carriers[i], carriers[j], (tuple(comps),)))
             mult[(i, j)] = values
     return RelativeMonad(name, objects, carriers, unit, mult)
@@ -725,27 +728,30 @@ def matrix_clone(rig: FiniteRig, sizes, affine: bool = False,
     row_index = {n: {r: i for i, r in enumerate(row_lists[n])} for n in sizes}
     objects = [finite_set(n, I) for n in sizes]
     carriers = [finite_set(len(row_lists[n]), I) for n in sizes]
+    # over the trivial index every function is natural, so the values are
+    # built trusted
     unit = []
     for n, J, HJ in zip(sizes, objects, carriers):
         comps = []
         for i in range(n):
             basis = tuple(rig.one if k == i else rig.zero for k in range(n))
             comps.append(row_index[n][basis])
-        unit.append(PresheafMorphism(J, HJ, (tuple(comps),)))
+        unit.append(PresheafMorphism._trusted(J, HJ, (tuple(comps),)))
     mult = {}
     for a, n_a in enumerate(sizes):
         for b, n_b in enumerate(sizes):
             values = []
             for g in hom_list(objects[a], carriers[b]):
+                (ga,) = g.components
                 comps = []
                 for wi in carriers[a].elements("*"):
                     v = row_lists[n_a][wi]
                     out = tuple(
-                        rig.sum(rig.mul[v[i]][row_lists[n_b][g("*", i)][k]]
+                        rig.sum(rig.mul[v[i]][row_lists[n_b][ga[i]][k]]
                                 for i in range(n_a))
                         for k in range(n_b))
                     comps.append(row_index[n_b][out])
-                values.append(PresheafMorphism(
+                values.append(PresheafMorphism._trusted(
                     carriers[a], carriers[b], (tuple(comps),)))
             mult[(a, b)] = values
     return RelativeMonad(

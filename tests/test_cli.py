@@ -711,6 +711,23 @@ def test_clone_check_lists_violations_as_golden_file(tmp_path, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+def test_clone_check_lists_associativity_violations_as_golden_file(tmp_path, capsys):
+    # tests/golden/clone-check-state_clone-assoc-mutant.txt holds the stdout
+    # of `varietal clone <file> --check` on state_clone.rm with the first
+    # substitution value in m 0 0 moved off the unit image: both unit laws
+    # hold, so the check reaches the associativity proof, whose direct check
+    # fails, and the full loop lists 112 associativity violations
+    text = (DATA / "state_clone.rm").read_text()
+    assert text.count("(m 0 0 (0 (* 0 0 0 0))") == 1
+    mutant = tmp_path / "mutant.rm"
+    mutant.write_text(text.replace("(m 0 0 (0 (* 0 0 0 0))",
+                                   "(m 0 0 (0 (* 1 0 0 0))"))
+    assert main(["clone", str(mutant), "--check"]) == 1
+    golden = (DATA.parents[2] / "tests" / "golden"
+              / "clone-check-state_clone-assoc-mutant.txt")
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_free_outputs_match_golden_files(capsys):
     # tests/golden/free-<theory>-<k>-<d>[-<flag>...].txt holds the stdout of
     # `varietal free <theory>.var --gens <k> --depth <d>` with the listed

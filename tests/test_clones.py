@@ -5,13 +5,14 @@ import pytest
 
 from varietal.base import (
     PresheafMorphism,
+    StructureError,
     finite_set,
     flat_table,
     hom_list,
     identity_morphism,
     trivial_index,
 )
-from varietal import base
+from varietal import base, clones
 from varietal.algebra import (
     are_isomorphic,
     enumerate_algebras,
@@ -31,6 +32,7 @@ from varietal.clones import (
     standardized_presentation,
 )
 from varietal.catalog import (
+    boolean_rig,
     graph_presheaf,
     matrix_clone,
     semilattice_presentation,
@@ -564,3 +566,151 @@ def test_graph_pretheory_of_clone_matches_composites():
                 for mf in bad.mult[(j, i)])
         assert list(T.compose) == list(want)
         assert T.compose == want
+
+
+# -- associativity proven from a generating set --------------------------------
+
+def count_full_loop(monkeypatch):
+    """Call records of the full associativity loop, which lists violations;
+    the check runs it only when the proof from generators is not reached."""
+    calls = []
+    real = clones._associativity_violations
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(clones, "_associativity_violations", counted)
+    return calls
+
+
+def clone_of_objects(P, sizes):
+    return clone_of_presentation(P, [finite_set(k, I) for k in sizes], 3)
+
+
+LAWFUL = {
+    "sl-1-2-3": lambda: clone_of_objects(semilattice_presentation(), (1, 2, 3)),
+    "sl-3-1-2": lambda: clone_of_objects(semilattice_presentation(), (3, 1, 2)),
+    "globalstate-1-2": lambda: clone_of_objects(
+        global_state_presentation(2, 1), (1, 2)),
+    "state-2-0-1": lambda: state_clone([2, 0, 1], 2),
+    "boolean-affine-2-1": lambda: matrix_clone(boolean_rig(), [2, 1], affine=True),
+    "graphs": lambda: identity_clone(GRAPHS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAWFUL))
+def test_associativity_proof_matches_reference_on_lawful_monads(name, monkeypatch):
+    M = LAWFUL[name]()
+    want = reference_check_relative_monad(M)
+    assert want == []
+    calls = count_full_loop(monkeypatch)
+    assert laws(check_relative_monad(M)) == want
+    # with first_only the reference returns the first of its violations
+    assert laws(check_relative_monad(M, first_only=True)) == want[:1]
+    assert calls == []
+
+
+def test_full_associativity_loop_runs_only_where_the_proof_fails(monkeypatch):
+    M = state_clone([0, 1, 2], 2)
+    # m(g) for the first g : J_1 -> H J_1, moved off the unit image of
+    # H J_1, so that both unit laws still hold
+    bad = mutate_mult(M, (1, 1), 0, 0, 0, 1)
+    calls = count_full_loop(monkeypatch)
+    assert check_relative_monad(M) == []
+    assert len(calls) == 0
+    violations = check_relative_monad(bad)
+    assert len(calls) == 1
+    assert len(violations) == 112
+    assert {v.law for v in violations} == {"associativity"}
+    assert laws(check_relative_monad(bad, first_only=True)) == \
+        laws(violations[:1])
+    assert len(calls) == 2
+
+
+def test_relative_monad_rejects_a_substitution_table_outside_its_objects():
+    M = identity_clone([finite_set(1, I)])
+    mult = dict(M.mult)
+    mult[(7, 7)] = M.mult[(0, 0)]
+    with pytest.raises(StructureError, match=r"\(7, 7\)"):
+        RelativeMonad("extra", M.objects, M.carriers, M.unit, mult)
+
+
+# -- catalog clones against builds through the public constructor -------------
+
+def validated_state_clone(object_sizes, S):
+    """e and m of the state clone, H(J) = (J x S)^S, each value built by
+    the validating constructor and g read as a function."""
+    objects = [finite_set(n, I) for n in object_sizes]
+    carriers = [finite_set((n * S) ** S, I) for n in object_sizes]
+
+    def decode(n, w):
+        # the (a, s1) that w gives at each state s
+        return [divmod((w // (n * S) ** s) % (n * S), S) for s in range(S)]
+
+    def encode(n, pairs):
+        return sum((a * S + s1) * (n * S) ** s
+                   for s, (a, s1) in enumerate(pairs))
+
+    unit = [PresheafMorphism(J, H, (tuple(
+        encode(n, [(a, s) for s in range(S)]) for a in range(n)),))
+        for n, J, H in zip(object_sizes, objects, carriers)]
+    mult = {}
+    for (i, n), (j, k) in itertools.product(enumerate(object_sizes), repeat=2):
+        mult[(i, j)] = [PresheafMorphism(carriers[i], carriers[j], (tuple(
+            encode(k, [decode(k, g("*", a))[s1] for a, s1 in decode(n, w)])
+            for w in carriers[i].elements("*")),))
+            for g in hom_list(objects[i], carriers[j])]
+    return unit, mult
+
+
+def validated_matrix_clone(rig, sizes, affine):
+    """e and m of the matrix clone, H(n) the rows in R^n (with sum one if
+    ``affine``), each value built by the validating constructor."""
+    rows = {n: [r for r in itertools.product(range(rig.size), repeat=n)
+                if not affine or rig.sum(r) == rig.one] for n in sizes}
+    index = {n: {r: x for x, r in enumerate(rows[n])} for n in sizes}
+    objects = [finite_set(n, I) for n in sizes]
+    carriers = [finite_set(len(rows[n]), I) for n in sizes]
+    unit = [PresheafMorphism(J, H, (tuple(
+        index[n][tuple(rig.one if c == a else rig.zero for c in range(n))]
+        for a in range(n)),))
+        for n, J, H in zip(sizes, objects, carriers)]
+    mult = {}
+    for (a, n), (b, k) in itertools.product(enumerate(sizes), repeat=2):
+        mult[(a, b)] = [PresheafMorphism(carriers[a], carriers[b], (tuple(
+            index[k][tuple(rig.sum(rig.mul[v[x]][rows[k][g("*", x)][c]]
+                               for x in range(n)) for c in range(k))]
+            for v in rows[n]),))
+            for g in hom_list(objects[a], carriers[b])]
+    return unit, mult
+
+
+CATALOG_CLONES = {
+    "state-0-1-2": (lambda: state_clone([0, 1, 2], 2),
+                    lambda: validated_state_clone([0, 1, 2], 2)),
+    "z2-plain-1-2": (lambda: matrix_clone(z2_rig(), [1, 2]),
+                     lambda: validated_matrix_clone(z2_rig(), [1, 2], False)),
+    "z2-affine-1-2": (lambda: matrix_clone(z2_rig(), [1, 2], affine=True),
+                      lambda: validated_matrix_clone(z2_rig(), [1, 2], True)),
+    "boolean-plain-1-2": (
+        lambda: matrix_clone(boolean_rig(), [1, 2]),
+        lambda: validated_matrix_clone(boolean_rig(), [1, 2], False)),
+    "boolean-affine-1-2": (
+        lambda: matrix_clone(boolean_rig(), [1, 2], affine=True),
+        lambda: validated_matrix_clone(boolean_rig(), [1, 2], True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_CLONES))
+def test_catalog_clones_build_trusted_values(name, count_morphism_calls):
+    build, validated = CATALOG_CLONES[name]
+    unit, mult = validated()
+    calls = count_morphism_calls()
+    M = build()
+    assert calls["__post_init__"] == 0
+    assert [e.components for e in M.unit] == [e.components for e in unit]
+    assert ({key: [f.components for f in values]
+             for key, values in M.mult.items()}
+            == {key: [f.components for f in values]
+                for key, values in mult.items()})
