@@ -12,11 +12,23 @@ another exit code.  Byte identity of two checkouts is then one diff:
     python3 scripts/cli_fingerprint.py > after.txt
     (in the other checkout) python3 scripts/cli_fingerprint.py > before.txt
     diff before.txt after.txt
+
+With ``--in-process`` every command runs in order through ``cli.main`` in
+one interpreter under ``PYTHONHASHSEED`` 0, with the temporary directory as
+the working directory, and the same lines are printed.  Its diff against
+the default mode is empty unless one call leaves state that changes a later
+call's bytes or exit code:
+
+    python3 scripts/cli_fingerprint.py --in-process > in-process.txt
+    diff after.txt in-process.txt
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import os
 import pathlib
 import shutil
@@ -83,28 +95,64 @@ COMMANDS = [
 ]
 
 
+def fingerprint(stdout: bytes, args: list[str], workdir: pathlib.Path) -> str:
+    """The hash of one command's stdout and ``-o`` file."""
+    digest = hashlib.sha256(stdout)
+    if "-o" in args:
+        written = workdir / args[args.index("-o") + 1]
+        digest.update(b"\0" + (written.read_bytes() if written.exists()
+                               else b"(no file)"))
+    return digest.hexdigest()
+
+
 def run(command: str, workdir: pathlib.Path, seed: str) -> tuple[str, int]:
-    """The hash of one command's stdout and ``-o`` file, and its exit code."""
+    """One command in a fresh interpreter: its fingerprint and exit code."""
     args = command.split()
     env = dict(os.environ, PYTHONHASHSEED=seed,
                PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-m", "varietal.cli", *args],
                           cwd=workdir, env=env, capture_output=True)
-    digest = hashlib.sha256(proc.stdout)
-    if "-o" in args:
-        written = workdir / args[args.index("-o") + 1]
-        digest.update(b"\0" + (written.read_bytes() if written.exists()
-                               else b"(no file)"))
-    return digest.hexdigest(), proc.returncode
+    return fingerprint(proc.stdout, args, workdir), proc.returncode
 
 
-def main() -> int:
+def run_in_process(workdir: pathlib.Path) -> list[tuple[str, int]]:
+    """Every command in order through ``cli.main`` in this interpreter, in
+    ``workdir``: each one's fingerprint and exit code."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from varietal.cli import main as cli_main
+    results = []
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for command in COMMANDS:
+            args = command.split()
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli_main(args)
+            results.append((fingerprint(stdout.getvalue().encode(), args,
+                                        workdir), code))
+    finally:
+        os.chdir(cwd)
+    return results
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--in-process", action="store_true",
+                    help="run every command in one interpreter, in order")
+    in_process = ap.parse_args(argv).in_process
+    if in_process and os.environ.get("PYTHONHASHSEED") != SEEDS[0]:
+        # the hash seed is fixed when an interpreter starts
+        env = dict(os.environ, PYTHONHASHSEED=SEEDS[0])
+        return subprocess.run([sys.executable, __file__, "--in-process"],
+                              env=env).returncode
     with tempfile.TemporaryDirectory() as tmp:
         results = []
-        for seed in SEEDS:
+        for seed in SEEDS[:1] if in_process else SEEDS:
             workdir = pathlib.Path(tmp) / seed
             shutil.copytree(DATA, workdir / "data")
-            results.append([run(command, workdir, seed)
+            results.append(run_in_process(workdir) if in_process else
+                           [run(command, workdir, seed)
                             for command in COMMANDS])
     for command, first, *others in zip(COMMANDS, *results):
         digest, code = first

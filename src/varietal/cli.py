@@ -5,11 +5,18 @@ Exit codes: 0 success, 1 property violated, 2 unknown or unsaturated,
 ends with a machine-readable ``status=`` line; all other output is
 deterministic given the inputs.  A run whose reader closed stdout stops
 quietly with 141 (128 + SIGPIPE), as ``cat`` does, and no status line.
+
+The argument parser is built on the first ``main`` call and reused for the
+rest of the process; its defaults are immutable, so a parse leaves nothing
+behind for the next.  ``main`` keeps no other state between calls, so a
+program that calls it many times, such as a test suite, gets the same bytes
+and exit codes as one fresh process per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -276,7 +283,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use."""
     top = _Parser(
         prog="varietal",
         description="finite presheaf algebra workbench")
@@ -307,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sum", help="sum of two presentations")
     p.add_argument("files", nargs="+")
-    p.add_argument("--names", nargs=2, default=[])
+    p.add_argument("--names", nargs=2, default=())
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_sum)
 
     p = sub.add_parser("tensor", help="tensor of two presentations")
     p.add_argument("files", nargs="+")
-    p.add_argument("--names", nargs=2, default=[])
+    p.add_argument("--names", nargs=2, default=())
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_tensor)
 

@@ -26,11 +26,14 @@ element by element, so over graph indexes too:
 
 So once the unit loops find no right-unit violation, each carrier's proven
 set starts as its unit image and is closed under fact 2.  Where the closure
-stalls, the object with the fewest (g, h) pairs has its unproven elements
-checked directly, all at once, and the closure runs again.  A lawful monad
-is proven without listing anything.  If a direct check fails, the full
-associativity loop runs as it always has; it is the only code that lists
-violations, so their order and ``first_only`` do not depend on the proof.
+stalls, the object with the fewest (g, h) pairs has its least unproven
+element checked directly, and the closure runs again; if it stalls at that
+object a second time, all of the object's unproven elements are checked at
+once.  A lawful monad is proven without listing anything.  If a direct check
+fails, the full associativity loop runs over each i whose carrier was not
+proven at every element; no violation (i, j, k, g, h) exists at the others.
+It is the only code that lists violations, so their order and
+``first_only`` do not depend on the proof.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def check_relative_monad(M: RelativeMonad,
     is first proven from a generating set of each carrier (facts 1 and 2 of
     the module docstring); the full associativity loop runs only when that
     proof is not reached, that is, when a right-unit violation was found or
-    a direct check failed.
+    a direct check failed, and then only over the objects not proven.
     """
     out: list[Violation] = []
     n = len(M.objects)
@@ -157,18 +160,23 @@ def check_relative_monad(M: RelativeMonad,
                     out.append(Violation("right-unit", (i, j, gi)))
                     if first_only:
                         return out
-    if (all(v.law != "right-unit" for v in out)
-            and _associativity_proven(M, unit, flat)):
+    proven = (_proven_objects(M, unit, flat)
+              if all(v.law != "right-unit" for v in out) else set())
+    if len(proven) == n:
         return out
-    return _associativity_violations(M, flat, out, first_only)
+    return _associativity_violations(M, flat, out, first_only, proven)
 
 
 def _associativity_violations(M: RelativeMonad, flat, out: list[Violation],
-                              first_only: bool) -> list[Violation]:
+                              first_only: bool,
+                              proven: set[int]) -> list[Violation]:
     """``out`` followed by every associativity violation, in the order
-    (i, j, k, g, h)."""
+    (i, j, k, g, h).  Associativity holds at every element of H J_i for each
+    i in ``proven``, so those i are skipped."""
     n = len(M.objects)
     for i in range(n):
+        if i in proven:
+            continue
         width = M.carriers[i].total_size
         for j in range(n):
             homs = M.homs_into(i, j)
@@ -188,14 +196,17 @@ def _associativity_violations(M: RelativeMonad, flat, out: list[Violation],
     return out
 
 
-def _associativity_proven(M: RelativeMonad, unit, flat) -> bool:
-    """Whether associativity holds at every element of every carrier.
+def _proven_objects(M: RelativeMonad, unit, flat) -> set[int]:
+    """The i such that associativity is proven at every element of H J_i;
+    all of them unless some associativity violation exists.
 
     Call only when the right-unit law holds everywhere.  Each proven set
     starts as its unit image (fact 1) and is closed under substitution (fact
     2).  When the closure stalls, the object with the fewest (g, h) pairs has
-    all its unproven elements checked directly, once.  False means that a
-    direct check failed, so some associativity violation exists.
+    its least unproven element checked directly; the second time it stalls,
+    all its unproven elements are.  So each object has at most one
+    single-element and one batch check.  The proof stops at the first direct
+    check that fails, and the objects proven by then are returned.
     """
     n = len(M.objects)
     homs = {key: M.homs_into(*key) for key in product(range(n), repeat=2)}
@@ -204,15 +215,19 @@ def _associativity_proven(M: RelativeMonad, unit, flat) -> bool:
     cost = [sum(len(homs[i, j]) * sum(len(homs[j, k]) for k in range(n))
                 for j in range(n)) for i in range(n)]
     order = sorted(range(n), key=cost.__getitem__)
+    stalled_once: set[int] = set()
     while True:
         _close_under_substitution(proven, homs, flat)
         stalled = [i for i in order if len(proven[i]) < sizes[i]]
         if not stalled:
-            return True
+            return set(range(n))
         i = stalled[0]
         columns = [x for x in range(sizes[i]) if x not in proven[i]]
+        if i not in stalled_once:
+            stalled_once.add(i)
+            columns = columns[:1]
         if not _associative_at(M, homs, flat, i, columns):
-            return False
+            return {l for l in range(n) if len(proven[l]) == sizes[l]}
         proven[i].update(columns)
 
 

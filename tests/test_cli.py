@@ -14,7 +14,7 @@ import pytest
 from varietal import fileformat, sexpr
 from varietal.base import StructureError
 from varietal.birkhoff import BirkhoffWindow
-from varietal.cli import main
+from varietal.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
 
@@ -858,6 +858,28 @@ def test_help_still_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: varietal" in capsys.readouterr().out
+
+
+def test_shared_parser_gives_each_call_the_bytes_of_a_fresh_process(
+        tmp_path, capsys):
+    assert build_parser() is build_parser()
+    two = tmp_path / "two-presentations.var"
+    two.write_text(DECLARATION_FILES["two-presentations.var"])
+    semilattice = str(DATA / "semilattice.var")
+    out = str(tmp_path / "out.var")
+    calls = [
+        (["models", semilattice, "--size", "2", "--bogus"], 3),
+        (["sum", str(two), "--names", "semilattice", "sl2", "-o", out], 0),
+        (["sum", str(two), "--names", "sl2", "semilattice", "-o", out], 0),
+        (["models", semilattice, "--size", "2", "--list"], 0),
+        (["clone", semilattice, "--of", "--objs", "3,1,2"], 0),
+        (["pretheory", str(DATA / "kleisli_semilattice.pt"), "--compile"], 3),
+    ]
+    calls.append(calls[0])
+    for args, code in calls:
+        got = main(args), capsys.readouterr().out
+        assert got[0] == code, got
+        assert got == run_cli(args), args
 
 
 def test_negative_model_size_is_input_error(capsys):

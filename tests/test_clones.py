@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from varietal.base import (
     identity_morphism,
     trivial_index,
 )
-from varietal import base, clones
+from varietal import base, clones, fileformat
 from varietal.algebra import (
     are_isomorphic,
     enumerate_algebras,
@@ -51,6 +52,7 @@ from varietal.pretheory import (
 )
 
 I = trivial_index()
+DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "varietal" / "data"
 
 
 def mutate_unit(M: RelativeMonad, i: int, sort_i: int, pos: int, new: int):
@@ -626,6 +628,73 @@ def test_full_associativity_loop_runs_only_where_the_proof_fails(monkeypatch):
     assert laws(check_relative_monad(bad, first_only=True)) == \
         laws(violations[:1])
     assert len(calls) == 2
+
+
+def record_direct_checks(monkeypatch):
+    """The (object, width) of each direct associativity check the proof
+    makes, in order."""
+    calls = []
+    real = clones._associative_at
+
+    def recorded(M, homs, flat, i, columns):
+        calls.append((i, len(columns)))
+        return real(M, homs, flat, i, columns)
+
+    monkeypatch.setattr(clones, "_associative_at", recorded)
+    return calls
+
+
+DIRECT_CHECKS = {
+    # a stalled object has its least unproven element checked, and its
+    # other unproven elements only if it stalls again; before, the state
+    # clones checked [(1, 3), (2, 8)] and [(0, 3), (1, 8)]
+    "state-0-1-2": (lambda: state_clone([0, 1, 2], 2),
+                    [(1, 1), (1, 2), (2, 1)]),
+    "state_clone.rm": (lambda: fileformat.parse_file(
+        str(DATA / "state_clone.rm")).relmonads["state_clone"],
+        [(0, 1), (0, 2), (1, 1)]),
+    # these already needed one element per stalled object
+    "z2-affine-1-2-3": (lambda: matrix_clone(z2_rig(), [1, 2, 3], affine=True),
+                        [(2, 1)]),
+    "boolean-1-2": (lambda: matrix_clone(boolean_rig(), [1, 2]),
+                    [(0, 1), (1, 1)]),
+    "sl-1-2-3": (LAWFUL["sl-1-2-3"], [(1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_CHECKS))
+def test_a_stalled_object_has_one_element_checked_before_the_rest(
+        name, monkeypatch):
+    build, want = DIRECT_CHECKS[name]
+    M = build()
+    calls = record_direct_checks(monkeypatch)
+    assert check_relative_monad(M) == []
+    assert calls == want
+
+
+def test_full_associativity_loop_skips_the_objects_proven(monkeypatch):
+    M = state_clone([0, 1, 2], 2)
+    bad = mutate_mult(M, (1, 1), 0, 0, 0, 1)
+    # the i whose carriers the full loop reads: H J_0 is empty, so the
+    # proof holds there before the direct check of H J_1 fails
+    visited = []
+    real = clones._associativity_violations
+
+    def loop(M, *args):
+        homs_into = M.homs_into
+        M.homs_into = lambda i, j: visited.append(i) or homs_into(i, j)
+        try:
+            return real(M, *args)
+        finally:
+            del M.homs_into
+
+    monkeypatch.setattr(clones, "_associativity_violations", loop)
+    violations = laws(check_relative_monad(bad))
+    assert sorted(set(visited)) == [1, 2]
+    visited.clear()
+    assert laws(check_relative_monad(bad, first_only=True)) == violations[:1]
+    assert sorted(set(visited)) == [1]
+    assert violations == reference_check_relative_monad(bad)
 
 
 def test_relative_monad_rejects_a_substitution_table_outside_its_objects():
