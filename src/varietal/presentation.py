@@ -240,6 +240,11 @@ class FreeAlgebra:
     saturation certificate.  ``saturated`` being False is a value, not an
     error: it means the depth budget could not certify closure.
 
+    A node's key is ``("v", sort, x)`` for a generator, else the flat
+    ``(op, *children)``: ``_op``'s id of (symbol, sort, parameter element),
+    then the binding rows concatenated in sort order.  ``node_form`` gives
+    the nested form that shapes, terms and the saturation witness read.
+
     ``_depth`` is the one depth rule (``_insert`` applies it to a new node,
     whose children are roots), ``_kernel`` the one insertion walk (of
     seeds and equation sides, compiled into a loop over families that is
@@ -278,6 +283,7 @@ class FreeAlgebra:
         self._lowered: list[list[int]] = []  # nodes whose depth may fall
         self._unions = 0
         self._clean: tuple | None = None  # counts at the last no-op rebuild
+        self._roots: tuple | None = None  # counts and class lists at them
         self.audit: list[AuditEntry] = []
         self._gen_rows = tuple(  # the variable node of each generator
             tuple(self._add_node(("v", sort, x), sort)
@@ -326,10 +332,8 @@ class FreeAlgebra:
     def _canon_key(self, node: tuple) -> tuple:
         if node[0] == "v":
             return node
-        _, sym, sort, c, binding = node
-        return ("a", sym, sort, c,
-                tuple([tuple([self._find(r) for r in row])
-                       for row in binding]))
+        find = self._find
+        return (node[0], *[find(r) for r in node[1:]])
 
     def _add_node(self, node: tuple, sort: str) -> int:
         key = self._canon_key(node)
@@ -351,9 +355,9 @@ class FreeAlgebra:
         self._hash[key] = nid
         self._parents.append([])
         depth = 0
-        if key[0] == "a":
+        if key[0] != "v":
             parents, mindepth = self._parents, self._mindepth
-            children = {r for row in key[4] for r in row}
+            children = set(key[1:])
             for r in children:
                 parents[r].append(nid)
             depth = 1 + max([mindepth[r] for r in children], default=0)
@@ -365,8 +369,21 @@ class FreeAlgebra:
         if key[0] == "v":
             return 0
         find, mindepth = self._find, self._mindepth
-        return 1 + max([mindepth[find(r)] for row in key[4] for r in row],
-                       default=0)
+        return 1 + max([mindepth[find(r)] for r in key[1:]], default=0)
+
+    def node_form(self, nid: int) -> tuple:
+        """Node ``nid`` as ``("v", sort, x)`` or as ``("a", symbol, sort,
+        parameter element, binding rows)``."""
+        key = self._nodes[nid]
+        return key if key[0] == "v" else ("a", *self._split(key))
+
+    def _split(self, key: tuple) -> tuple:
+        """An application's names and its children cut into binding rows."""
+        sym, sort, c = _OP_NAMES[key[0]]
+        X = self.signature.symbol(sym).arity
+        return sym, sort, c, tuple(
+            key[1 + X.offset(s):1 + X.offset(s) + X.size(s)]
+            for s in self.index.sorts)
 
     def class_of_term(self, t: Term) -> int | None:
         """Final class of a term, or None if it leads outside the universe."""
@@ -401,10 +418,9 @@ class FreeAlgebra:
             _, sort, x = key
             row = self._gen_rows[self.index.sort_index(tgt)]
             return self._find(row[self.generators.map(m)[x]])
-        _, sym, sort, c, binding = key
-        param = self.signature.symbol(sym).parameter
-        return self._find(
-            self._add_node(("a", sym, tgt, param.map(m)[c], binding), tgt))
+        sym, _, c = _OP_NAMES[key[0]]
+        c = self.signature.symbol(sym).parameter.map(m)[c]
+        return self._find(self._add_node((_op(sym, tgt, c), *key[1:]), tgt))
 
     def _act_memo(self):
         """``_act_image`` cached for one family search: nothing merges
@@ -468,12 +484,16 @@ class FreeAlgebra:
                 return True
 
     def _class_lists(self) -> dict[str, list[int]]:
-        """Each sort's roots in id order (a root is its class's least id)."""
-        roots: dict[str, list[int]] = {s: [] for s in self.index.sorts}
-        for nid, p in enumerate(self._parent):
-            if p == nid:
-                roots[self._node_sort[nid]].append(nid)
-        return roots
+        """Each sort's roots in id order (a root is its class's least id),
+        as fresh lists; the scan reruns only after an insert or a union."""
+        counts = (len(self._parent), self._unions)
+        if self._roots is None or self._roots[0] != counts:
+            roots: dict[str, list[int]] = {s: [] for s in self.index.sorts}
+            for nid, p in enumerate(self._parent):
+                if p == nid:
+                    roots[self._node_sort[nid]].append(nid)
+            self._roots = counts, roots
+        return {s: list(r) for s, r in self._roots[1].items()}
 
     def _class_pools(self, wanted) -> dict:
         """Each wanted ``(sort, limit)``'s current classes of mindepth at
@@ -556,12 +576,13 @@ class FreeAlgebra:
         listed when the walk reaches it; callers merge nothing meanwhile, so
         a family's classes are roots and the family is a binding as is."""
         for sym in self.signature.symbols:
-            params = [(sort, c) for sort in self.index.sorts
-                      for c in sym.parameter.elements(sort)]
+            ops = [_op(sym.name, sort, c) for sort in self.index.sorts
+                   for c in sym.parameter.elements(sort)]
             pools = self._class_pools([(s, limit) for s in self.index.sorts])
             for fam in listing(sym.arity, lambda s, x: pools[s, limit],
                                self._act_memo()):
-                yield [("a", sym.name, sort, c, fam) for sort, c in params]
+                children = sum(fam, ())
+                yield [(op, *children) for op in ops]
 
     def _grow_pass(self) -> bool:
         """Add the one-step applications of depth at most ``depth``."""
@@ -570,7 +591,7 @@ class FreeAlgebra:
         before = len(self._nodes)
         for keys in self._applications(self.depth - 1, enumerate_families):
             for key in keys:
-                self._add_node(key, key[2])
+                self._add_node(key, _OP_NAMES[key[0]][1])
         return len(self._nodes) > before
 
     def _close(self, grow: bool):
@@ -586,7 +607,7 @@ class FreeAlgebra:
     def _node_term(self, nid: int) -> Term:
         """Node ``nid`` with its children's representatives, interned unchecked:
         over a nontrivial index a class can lack a term that fits."""
-        key = self._nodes[nid]
+        key = self.node_form(nid)
         if key[0] == "v":
             return var(self.signature, key[1], key[2])
         _, sym, sort, c, binding = key
@@ -616,7 +637,7 @@ class FreeAlgebra:
                 self._best[root] = nid
         shape: dict[int, tuple] = {}
         for root in sorted(self._best, key=self._mindepth.__getitem__):
-            key = self._nodes[self._best[root]]
+            key = self.node_form(self._best[root])
             shape[root] = (0, key[1], key[2]) if key[0] == "v" else (
                 1, self.signature.symbol_index(key[1]), key[2], key[3],
                 tuple(tuple(shape[self._find(r)] for r in row) for row in key[4]))
@@ -642,7 +663,7 @@ class FreeAlgebra:
         for keys in self._applications(math.inf, iter_families):
             for key in keys:
                 if key not in self._hash:
-                    _, sym, sort, c, binding = key
+                    sym, sort, c, binding = self._split(key)
                     return False, (sym, binding, sort, c)
         return True, None
 
@@ -669,10 +690,9 @@ class FreeAlgebra:
 
     def apply(self, sym_name: str, rows, sort: str, c: int) -> int | None:
         """Class of the one-step application, or None outside the universe."""
-        binding = tuple(
-            tuple(self._roots_by_sort[s][i] for i in row)
-            for s, row in zip(self.index.sorts, rows))
-        key = self._canon_key(("a", sym_name, sort, c, binding))
+        key = self._canon_key((_op(sym_name, sort, c), *[
+            self._roots_by_sort[s][i]
+            for s, row in zip(self.index.sorts, rows) for i in row]))
         nid = self._hash.get(key)
         if nid is None:
             return None
@@ -775,6 +795,20 @@ def _compile_step(X: Presheaf, t: Term, steps: list[tuple],
     return got
 
 
+_OPS: dict[tuple[str, str, int], int] = {}  # (symbol, sort, c) -> op id
+_OP_NAMES: list[tuple[str, str, int]] = []  # op id -> (symbol, sort, c)
+
+
+def _op(sym: str, sort: str, c: int) -> int:
+    """The process-wide id of a symbol at a sort and parameter element: it
+    depends on the names alone, so cached kernels can hold it as a literal."""
+    got = _OPS.get((sym, sort, c))
+    if got is None:
+        got = _OPS[sym, sort, c] = len(_OP_NAMES)
+        _OP_NAMES.append((sym, sort, c))
+    return got
+
+
 _KERNEL_HEAD = """\
 def make(AuditEntry, contains, {consts}):
     def kernel(fa, families, seen, start):
@@ -800,14 +834,15 @@ def _kernel(name: str | None, steps: tuple, left: int | None,
     many it ran.  While ``seen`` is set and ``fa`` has merged nothing since
     ``start``, it skips a family whose classes all lie in ``seen``'s pools
     (``FreeAlgebra._equation_pass``).  A variable step reads ``phi``; an
-    application step looks its key up and inserts it if missing.  Nothing
-    merges during a family's steps, so every child is taken to its root as
-    it is built and each key is canonical.  For an equation instance
+    application step looks its flat key ``(op, *children)`` up and inserts
+    it if missing.  Nothing merges during a family's steps, so every child
+    is taken to its root as it is built and each key is canonical.  For an equation instance
     (``name`` set) the kernel then merges the classes of the steps
     ``left`` and ``right``, logging ``phi`` cut at ``cuts``.
 
     The source holds integers and generated names only: symbol, sort and
-    equation names come from user files, so they are bound constants.
+    equation names come from user files, so they are bound constants; op
+    ids depend on the names alone (``_op``) and are literals.
     Kernels are cached by program shape, the 1,024 last used, so an
     equation instance compiles once per process, not once per free
     algebra; seed programs vary from call to call, hence the bound."""
@@ -827,9 +862,8 @@ def _kernel(name: str | None, steps: tuple, left: int | None,
             body += [f"{v} = phi[{rest[0]:d}]", *root(v, "")]
             continue
         sym, c, rows = rest
-        binding = "".join(
-            "(" + "".join(f"v{j:d}, " for j in row) + "), " for row in rows)
-        body += [f'k = ("a", {const(sym)}, {const(sort)}, {c:d}, ({binding}))',
+        children = "".join(f", v{j:d}" for row in rows for j in row)
+        body += [f"k = ({_op(sym, sort, c):d}{children},)",
                  f"{v} = lookup(k)", f"if {v} is None:",
                  f"    {v} = insert(k, {const(sort)})", "else:",
                  *root(v, "    ")]

@@ -13,6 +13,7 @@ assignments and parametrized terms check entries against J with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .base import (
@@ -116,6 +117,10 @@ class Term:
                 and all(J.map(m)[x] == y for m, x, y in self.maps))
 
     def __repr__(self):
+        return self._text
+
+    @cached_property  # built once: an interned term never changes
+    def _text(self) -> str:
         if self.is_var:
             return f"(var {self.sort} {self.var})"
         entries = []

@@ -540,12 +540,12 @@ def reference_inputs(sig, X):
 
 def reference_class_value(Q, A, phi, sort, i, inputs):
     """The value of class ``i`` of ``sort`` in ``A`` under the generator map
-    ``phi``: a recursive walk over each class's best node (``Q._best`` and
-    ``Q._nodes``) that reads an application from ``A.values`` at its input
+    ``phi``: a recursive walk over each class's best node (``Q._best``, read
+    in nested form through ``Q.node_form``) that reads an application from ``A.values`` at its input
     family's number in ``inputs``.  Kept here as the oracle for compiled
     class programs."""
     def value(root):
-        key = Q._nodes[Q._best[root]]
+        key = Q.node_form(Q._best[root])
         if key[0] == "v":
             return phi(key[1], key[2])
         _, sym, s, c, binding = key

@@ -414,8 +414,11 @@ class ReferenceFreeAlgebra(FreeAlgebra):
     """The closure as it was before compiled sides and capped pools: seeds
     and equation sides by a memoized recursive walk, the grow pass over
     every class with a per-family depth test, and the saturation check over
-    the whole eager listing.  Kept as the reference the engine must match
-    node for node."""
+    the whole eager listing.  Its nodes keep the nested keys ``("a",
+    symbol, sort, parameter element, binding rows)``, built and read by its
+    own primitives below, so it stays independent of the engine's flat key
+    layout.  Kept as the reference the engine must match node for node,
+    through ``node_form``."""
 
     def __init__(self, P, generators, depth, grow=True, seeds=(),
                  max_nodes=DEFAULT_MAX_NODES):
@@ -428,6 +431,7 @@ class ReferenceFreeAlgebra(FreeAlgebra):
         self._nodes, self._parent, self._node_sort, self._mindepth = [], [], [], []
         self._hash = {}
         self._parents, self._lowered, self._unions, self._clean = [], [], 0, None
+        self._roots = None
         self.audit = []
         self._gen_rows = tuple(
             tuple(self._add_node(("v", sort, x), sort)
@@ -438,6 +442,52 @@ class ReferenceFreeAlgebra(FreeAlgebra):
             self._build_side(t, self._gen_rows, memo)
         self._close(grow)
         self._finalize()
+
+    def node_form(self, nid):
+        return self._nodes[nid]
+
+    def _canon_key(self, node):
+        if node[0] == "v":
+            return node
+        _, sym, sort, c, binding = node
+        return ("a", sym, sort, c,
+                tuple(tuple(self._find(r) for r in row) for row in binding))
+
+    def _insert(self, key, sort):
+        nid = len(self._nodes)
+        if nid >= self.max_nodes:
+            raise ResourceCeiling(
+                f"free algebra exceeded {self.max_nodes} nodes")
+        self._nodes.append(key)
+        self._parent.append(nid)
+        self._node_sort.append(sort)
+        self._hash[key] = nid
+        self._parents.append([])
+        depth = 0
+        if key[0] == "a":
+            children = {r for row in key[4] for r in row}
+            for r in children:
+                self._parents[r].append(nid)
+            depth = 1 + max([self._mindepth[r] for r in children], default=0)
+        self._mindepth.append(depth)
+        return nid
+
+    def _depth(self, key):
+        if key[0] == "v":
+            return 0
+        return 1 + max([self._mindepth[self._find(r)]
+                        for row in key[4] for r in row], default=0)
+
+    def _act_image(self, m, nid):
+        key = self._nodes[nid]
+        tgt = self.index.tgt(m)
+        if key[0] == "v":
+            row = self._gen_rows[self.index.sort_index(tgt)]
+            return self._find(row[self.generators.map(m)[key[2]]])
+        _, sym, sort, c, binding = key
+        param = self.signature.symbol(sym).parameter
+        return self._find(
+            self._add_node(("a", sym, tgt, param.map(m)[c], binding), tgt))
 
     def _app_node(self, sym_name, binding_cls, sort, c):
         return self._add_node(("a", sym_name, sort, c, binding_cls), sort)
@@ -524,8 +574,12 @@ def _bundled_presentation(theory):
     return next(iter(ws.presentations.values()))
 
 
+def _node_forms(Q):
+    return [Q.node_form(nid) for nid in range(len(Q._nodes))]
+
+
 def _same_closure(engine, reference):
-    assert engine._nodes == reference._nodes
+    assert _node_forms(engine) == _node_forms(reference)
     assert engine._parent == reference._parent
     assert engine._mindepth == reference._mindepth
     assert ([(e.kind, e.left, e.right, e.equation, e.phi) for e in engine.audit]
@@ -915,6 +969,69 @@ def test_equation_kernels_bind_names_that_are_not_identifiers():
     assert renamed.classes == plain.classes
 
 
+def _same_closure_and_audit(P, gens, depth):
+    engine, reference = (FreeAlgebra(P, gens, depth),
+                         ReferenceFreeAlgebra(P, gens, depth))
+    _same_closure(engine, reference)
+    assert engine.audit_lines() == reference.audit_lines()
+    return engine
+
+
+SHARED_NAMES = """\
+(index I (sorts *) (arrows (id * *)) (identities (* id)) (compose (id id id)))
+(object one I (elems (* 1)))
+(object two I (elems (* 2)))
+(object two2 I (elems (* 2)))
+(signature fg I (op f :arity two :param one) (op g :arity one :param two))
+(signature gf I (op g :arity two :param one) (op f :arity one :param two2))
+(equation f-idem fg :arity one :param one (pair (* 0) (app f ((* 0 (var * 0)) (* 1 (var * 0))) (* 0)) (var * 0)))
+(equation g-flip fg :arity one :param two (pair (* 0) (app g ((* 0 (var * 0))) (* 0)) (app g ((* 0 (var * 0))) (* 1))) (pair (* 1) (app g ((* 0 (var * 0))) (* 1)) (app g ((* 0 (var * 0))) (* 0))))
+(equation g-comm gf :arity two :param one (pair (* 0) (app g ((* 0 (var * 0)) (* 1 (var * 1))) (* 0)) (app g ((* 0 (var * 1)) (* 1 (var * 0))) (* 0))))
+(equation f-inv gf :arity one :param one (pair (* 0) (app f ((* 0 (app f ((* 0 (var * 0))) (* 1)))) (* 0)) (var * 0)))
+(presentation fg-theory fg (equations f-idem g-flip))
+(presentation gf-theory gf (equations g-comm f-inv))
+"""
+
+
+def test_op_ids_follow_names_across_signatures():
+    # the same symbol names in another declaration order, with other
+    # arities and parameters, closed one after the other in one process:
+    # the process-wide op ids are shared, the decoding is each signature's
+    ws = fileformat.parse_text(SHARED_NAMES)
+    fg, gf = ws.presentations["fg-theory"], ws.presentations["gf-theory"]
+    for P in (fg, gf, fg):
+        Q = _same_closure_and_audit(P, finite_set(2, I), 2)
+        assert Q.audit
+    assert (fg.signature.symbol("f").arity.sizes
+            != gf.signature.symbol("f").arity.sizes)
+
+
+TWO_SORTS = """\
+(index G (sorts v e) (arrows (idv v v) (ide e e) (s e v) (t e v)) (identities (v idv) (e ide)) (compose (idv idv idv) (ide ide ide) (ide s s) (ide t t) (s idv s) (t idv t)))
+(object loop G (elems (v 1) (e 1)) (map s 0) (map t 0))
+(object edge G (elems (v 2) (e 1)) (map s 0) (map t 1))
+(object gens G (elems (v 2) (e 2)) (map s 0 1) (map t 1 1))
+(signature two.sig G (op m :arity edge :param loop))
+(equation m-unit two.sig :arity loop :param loop (pair (v 0) (app m ((v 0 (var v 0)) (v 1 (var v 0)) (e 0 (var e 0))) (v 0)) (var v 0)) (pair (e 0) (app m ((v 0 (var v 0)) (v 1 (var v 0)) (e 0 (var e 0))) (e 0)) (var e 0)))
+(presentation two two.sig (equations m-unit))
+"""
+
+
+def test_op_ids_over_a_two_sort_parameter():
+    # a 2-element parameter, one element at each of two sorts: the op ids
+    # of m at v and at e differ, the act step maps one to the other, and
+    # the children split into a v row and an e row
+    ws = fileformat.parse_text(TWO_SORTS)
+    Q = _same_closure_and_audit(
+        ws.presentations["two"], ws.objects["gens"], 2)
+    forms = _node_forms(Q)
+    assert {(f[1], f[2], f[3]) for f in forms if f[0] == "a"} == {
+        ("m", "v", 0), ("m", "e", 0)}
+    assert all(len(f[4]) == 2 and len(f[4][0]) == 2 and len(f[4][1]) == 1
+               for f in forms if f[0] == "a")
+    assert any(e.kind == "eq" for e in Q.audit)
+
+
 # -- semantic soundness of the closure ---------------------------------------
 
 
@@ -933,7 +1050,8 @@ def unsound_nodes(Q, A, phi):
                        for i, h in enumerate(hom_list(s.arity, A.carrier))}
               for s in A.signature.symbols}
     value, bad = {}, []
-    for nid, key in enumerate(Q._nodes):
+    for nid in range(len(Q._nodes)):
+        key = Q.node_form(nid)
         if key[0] == "v":
             x = phi(key[1], key[2])
         else:
